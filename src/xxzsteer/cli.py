@@ -240,10 +240,14 @@ def _cmd_plot(ns) -> int:
 
 _COMMANDS = {"point": _cmd_point, "sweep": _cmd_sweep, "plot": _cmd_plot}
 
+# Built once: building it costs more than most point evaluations.  Each
+# parse_args call fills a fresh namespace, so calls share no state.
+_PARSER = build_parser()
+
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"xxzsteer: error: {exc}", file=sys.stderr)
         return 2

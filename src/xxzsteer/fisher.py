@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import (
     IDENTITY_2,
@@ -44,7 +43,13 @@ from .linalg import (
     kron,
     validate_density_matrix,
 )
-from .model import GibbsState, ParameterRegimeError, SpinParams, gibbs_closed
+from .model import (
+    GibbsState,
+    ParameterRegimeError,
+    SpinParams,
+    ThermalBatch,
+    gibbs_closed,
+)
 from .steering import PauliAxis
 
 __all__ = [
@@ -53,7 +58,9 @@ __all__ = [
     "calibrated_observable",
     "qfi_spectral",
     "qfi_closed",
+    "qfi_kernel",
     "qfi_published",
+    "qfi_published_kernel",
     "CalibrationReport",
     "calibrate_observable",
 ]
@@ -83,9 +90,13 @@ def collective_observable(axis: PauliAxis) -> Observable:
     return Observable(axis=axis, matrix=m)
 
 
-# Gauge partner of the collective X generator: conjugation by sigma_z ox I,
-# which also maps the J<0 thermal states onto the J>0 ones.
+# The collective X generator, as collective_observable(PauliAxis.X) builds it,
+# and its gauge partner: conjugation by sigma_z ox I, which also maps the J<0
+# thermal states onto the J>0 ones.  Shared, so read-only.
+_COLLECTIVE_X = (kron(PAULI_X, IDENTITY_2) + kron(IDENTITY_2, PAULI_X)) / 2
 _STAGGERED_X = (kron(PAULI_X, IDENTITY_2) - kron(IDENTITY_2, PAULI_X)) / 2
+_COLLECTIVE_X.flags.writeable = False
+_STAGGERED_X.flags.writeable = False
 
 
 def calibrated_observable(g: GibbsState) -> np.ndarray:
@@ -97,7 +108,7 @@ def calibrated_observable(g: GibbsState) -> np.ndarray:
     central eigenstates carries the weight b + |v|.
     """
     if g.v >= 0.0:
-        return collective_observable(PauliAxis.X).matrix
+        return _COLLECTIVE_X
     return _STAGGERED_X
 
 
@@ -122,20 +133,101 @@ def qfi_spectral(rho: np.ndarray, obs) -> float:
     return float(max(2.0 * total, 0.0))
 
 
+def qfi_kernel(cells: ThermalBatch) -> np.ndarray:
+    """:func:`qfi_closed` over a batch of thermal states."""
+    a, b, d, v = cells.entries()
+    p = b + np.abs(v)
+    total = 0.0
+    for corner in (a, d):
+        s = corner + p
+        kept = s > PAIR_FLOOR
+        diff = corner - p
+        term = 2.0 * diff * diff / np.where(kept, s, 1.0)
+        total = total + np.where(kept, term, 0.0)
+    return total
+
+
 def qfi_closed(g: GibbsState) -> float:
     """X-state fast path: 2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
 
     Terms whose denominator is below the pair floor are dropped, matching
     the removable-singularity convention of the spectral sum.
     """
-    p = g.b + abs(g.v)
-    total = 0.0
-    for corner in (g.a, g.d):
-        s = corner + p
-        if s > PAIR_FLOOR:
-            diff = corner - p
-            total += 2.0 * diff * diff / s
-    return total
+    return ThermalBatch.of(g).scalar(qfi_kernel)
+
+
+def _logsumexp(terms, signs=None) -> tuple[np.ndarray, np.ndarray]:
+    """log|sum_i s_i e^{t_i}| and the sign of that sum, cell by cell.
+
+    `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
+    factors (all +1 when omitted).  The largest exponent is subtracted before
+    exponentiating.  The sum is an explicit left fold: numpy's reductions sum
+    a stacked (k, N) array in an order that depends on N, so a cell
+    evaluated alone could differ in its last bits from the same cell in a
+    grid.  A zero sum gives (-inf, 0).
+    """
+    t = np.array(terms)
+    shift = t[0]
+    for row in t[1:]:
+        shift = np.maximum(shift, row)
+    w = np.exp(t - shift)
+    if signs is not None:
+        w *= np.array(signs)[:, None]
+    total = w[0]
+    for row in w[1:]:
+        total = total + row
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(total)) + shift
+    return log_abs, np.sign(total)
+
+
+def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
+    """:func:`qfi_published` over a batch of parameter cells.
+
+    Cells where the ratio leaves double range are noted on the batch, which
+    raises :class:`ParameterRegimeError` for the first of them.
+    """
+    lx = cells.Jz / cells.T
+    ly = cells.B / cells.T
+    lu = np.abs(cells.J) / cells.T
+
+    log_m, sign_m = _logsumexp(
+        (
+            2 * lx + lu - ly,
+            _LN4 + 2 * lx + lu + ly,
+            2 * lx + lu + 3 * ly,
+            lx + 2 * lu + 2 * ly,
+            lx + 2 * lu,
+            _LN2 + 2 * ly + 3 * lu,
+            3 * lx + 2 * ly,
+            3 * lx,
+        ),
+        (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0),
+    )
+    log_n = (
+        _logsumexp((lx + ly, lx - ly, lu, -lu))[0] - _LN2
+        + _logsumexp((lu, lx + ly))[0]
+        + _logsumexp((ly + lu, lx))[0]
+    )
+
+    exponent = log_m - log_n
+    with np.errstate(over="ignore"):
+        value = np.where(sign_m == 0.0, 0.0, sign_m * np.exp(exponent))
+
+    def raise_at(i: int) -> None:
+        p = cells.params(i)
+        if math.isfinite(exponent[i]):
+            raise ParameterRegimeError(
+                f"published QFI ratio overflows double precision at "
+                f"J={p.J}, Jz={p.Jz}, B={p.B}, T={p.T}"
+            )
+        raise ParameterRegimeError(
+            f"published QFI ratio is not finite at J={p.J}, Jz={p.Jz}, "
+            f"B={p.B}, T={p.T}"
+        )
+
+    cells.note(~np.isfinite(value), raise_at)
+    return value
 
 
 def qfi_published(p: SpinParams) -> float:
@@ -153,46 +245,7 @@ def qfi_published(p: SpinParams) -> float:
     consequently it matches :func:`qfi_closed` and :func:`qfi_spectral`
     only at B = 0.  Kept for comparison as the QFIclosed measure.
     """
-    lx = p.Jz / p.T
-    ly = p.B / p.T
-    lu = abs(p.J) / p.T
-
-    m_logs = np.array(
-        [
-            2 * lx + lu - ly,
-            _LN4 + 2 * lx + lu + ly,
-            2 * lx + lu + 3 * ly,
-            lx + 2 * lu + 2 * ly,
-            lx + 2 * lu,
-            _LN2 + 2 * ly + 3 * lu,
-            3 * lx + 2 * ly,
-            3 * lx,
-        ]
-    )
-    m_signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-    log_m, sign_m = logsumexp(m_logs, b=m_signs, return_sign=True)
-
-    log_n = (
-        float(logsumexp([lx + ly, lx - ly, lu, -lu])) - _LN2
-        + float(logsumexp([lu, lx + ly]))
-        + float(logsumexp([ly + lu, lx]))
-    )
-
-    if sign_m == 0.0:
-        return 0.0
-    try:
-        val = float(sign_m) * math.exp(float(log_m) - log_n)
-    except OverflowError as exc:
-        raise ParameterRegimeError(
-            f"published QFI ratio overflows double precision at "
-            f"J={p.J}, Jz={p.Jz}, B={p.B}, T={p.T}"
-        ) from exc
-    if not math.isfinite(val):
-        raise ParameterRegimeError(
-            f"published QFI ratio is not finite at J={p.J}, Jz={p.Jz}, "
-            f"B={p.B}, T={p.T}"
-        )
-    return val
+    return ThermalBatch.of(p).scalar(qfi_published_kernel)
 
 
 @dataclass(frozen=True)

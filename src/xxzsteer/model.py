@@ -19,6 +19,10 @@ Two independent construction routes are provided - closed-form entries and
 a spectral matrix exponential - and must agree entrywise to 1e-10.  All
 exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
+
+The closed route works array-at-a-time: :class:`ThermalBatch` holds the
+entries of many parameter cells, one array per quantity, and the closed
+measures are kernels over such batches.  A single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import (
     IDENTITY_2,
@@ -45,6 +49,8 @@ __all__ = [
     "ParameterRegimeError",
     "SpinParams",
     "GibbsState",
+    "ThermalBatch",
+    "check_params",
     "hamiltonian",
     "log_partition_function",
     "partition_function",
@@ -103,21 +109,25 @@ def hamiltonian(p: SpinParams) -> np.ndarray:
     return h
 
 
-def _weight_exponents(p: SpinParams) -> np.ndarray:
-    """-E_i/T for the four eigenlevels: |00>, |11>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2."""
-    return np.array(
-        [
-            (p.Jz / 2 + p.B) / p.T,
-            (p.Jz / 2 - p.B) / p.T,
-            (-p.Jz / 2 + p.J) / p.T,
-            (-p.Jz / 2 - p.J) / p.T,
-        ]
-    )
+def check_params(J, Jz, B, T) -> None:
+    """Check parameter columns as :class:`SpinParams` checks one cell.
+
+    Raises SpinParams' own error for the first cell, in array order, that it
+    rejects.
+    """
+    ok = np.isfinite(J) & np.isfinite(Jz) & np.isfinite(B) & np.isfinite(T)
+    ok &= T >= T_FLOOR
+    for col in (J, Jz, B):
+        ok &= np.abs(col) <= COUPLING_MAX
+    if not ok.all():
+        i = int(np.argmin(ok))
+        SpinParams(float(J[i]), float(Jz[i]), float(B[i]), float(T[i]))
+        raise AssertionError(f"cell {i} failed the vector parameter check only")
 
 
 def log_partition_function(p: SpinParams) -> float:
     """log Z, always finite on the supported parameter box."""
-    return float(logsumexp(_weight_exponents(p)))
+    return float(ThermalBatch.of(p).log_Z[0])
 
 
 def partition_function(p: SpinParams) -> float:
@@ -189,23 +199,124 @@ class GibbsState:
         return math.exp(self.log_Z)
 
 
-def _entries(p: SpinParams) -> tuple[float, float, float, float, float]:
-    exps = _weight_exponents(p)
-    shift = exps.max()
-    w = np.exp(exps - shift)
-    total = w.sum()
-    a = float(w[0] / total)
-    d = float(w[1] / total)
-    b = float((w[2] + w[3]) / (2 * total))
-    v = float((w[2] - w[3]) / (2 * total))
-    log_z = float(shift + math.log(total))
-    return a, b, d, v, log_z
+def _gibbs_rejects(a, b, d, v) -> np.ndarray:
+    """Cells whose entries GibbsState would reject (the same tests, negated)."""
+    tol = 1e-12
+    bad = np.abs(a + 2 * b + d - 1.0) > tol
+    for x in (a, b, d):
+        bad |= ~((-tol <= x) & (x <= 1.0 + tol))
+    return bad | (np.abs(v) > b + tol)
+
+
+class ThermalBatch:
+    """Thermal X states of N parameter cells, one array per quantity.
+
+    The closed engine evaluates each measure as a kernel over a whole batch;
+    a single point is a batch of one.  J, Jz, B, T are the parameter columns
+    (already checked, see :func:`check_params`); the entries a, b, d, v and
+    log Z are computed on first use.
+
+    A kernel whose check fails in some cells records it with :meth:`note`
+    instead of raising.  :meth:`raise_first` then raises the error of the
+    first failing cell in batch order and, within that cell, of the first
+    check noted: the error evaluating the cells one at a time would give.
+    """
+
+    def __init__(self, J, Jz, B, T):
+        self.J, self.Jz, self.B, self.T = J, Jz, B, T
+        self._entries = None
+        self._log_z = None
+        self._fault: tuple[int, Callable[[int], None]] | None = None
+
+    @classmethod
+    def of(cls, source: SpinParams | GibbsState) -> "ThermalBatch":
+        """A batch of one: a parameter point, or a state with its entries."""
+        p = source if isinstance(source, SpinParams) else source.params
+        batch = cls(*(np.array([x]) for x in (p.J, p.Jz, p.B, p.T)))
+        if isinstance(source, GibbsState):
+            batch._entries = tuple(
+                np.array([x]) for x in (source.a, source.b, source.d, source.v)
+            )
+            batch._log_z = np.array([source.log_Z])
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.T)
+
+    def params(self, i: int) -> SpinParams:
+        """Cell i as SpinParams."""
+        return SpinParams(
+            float(self.J[i]), float(self.Jz[i]), float(self.B[i]), float(self.T[i])
+        )
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Closed-form (a, b, d, v), checked as GibbsState checks them."""
+        if self._entries is None:
+            J, Jz, B, T = self.J, self.Jz, self.B, self.T
+            # -E_i/T for |00>, |11>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
+            exps = (
+                (Jz / 2 + B) / T,
+                (Jz / 2 - B) / T,
+                (-Jz / 2 + J) / T,
+                (-Jz / 2 - J) / T,
+            )
+            shift = np.maximum(
+                np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3])
+            )
+            w0, w1, w2, w3 = (np.exp(e - shift) for e in exps)
+            total = w0 + w1 + w2 + w3
+            a, d = w0 / total, w1 / total
+            b = (w2 + w3) / (2 * total)
+            v = (w2 - w3) / (2 * total)
+            self._log_z = shift + np.log(total)
+            self._entries = (a, b, d, v)
+            self.note(_gibbs_rejects(a, b, d, v), self.state)
+        return self._entries
+
+    @property
+    def log_Z(self) -> np.ndarray:
+        self.entries()
+        return self._log_z
+
+    def state(self, i: int) -> GibbsState:
+        """Cell i as a validated GibbsState."""
+        a, b, d, v = (float(x[i]) for x in self.entries())
+        return GibbsState(
+            params=self.params(i), a=a, b=b, d=d, v=v, log_Z=float(self._log_z[i])
+        )
+
+    def note(self, bad: np.ndarray, raise_at: Callable[[int], object]) -> None:
+        """Record a check that failed where `bad` is set.
+
+        raise_at(i) raises the check's error for cell i.
+        """
+        if bad.any():
+            i = int(np.argmax(bad))
+            if self._fault is None or i < self._fault[0]:
+                self._fault = (i, raise_at)
+
+    @property
+    def failed_cell(self) -> int | None:
+        """First cell with a noted failure, or None."""
+        return None if self._fault is None else self._fault[0]
+
+    def raise_first(self) -> None:
+        """Raise the error noted for the first failing cell, if any."""
+        if self._fault is not None:
+            i, raise_at = self._fault
+            raise_at(i)
+            raise AssertionError(f"cell {i} failed a vector check only")
+
+    def scalar(self, kernel: Callable[["ThermalBatch"], np.ndarray]) -> float:
+        """A kernel's value on a batch of one, raising what it noted."""
+        value = kernel(self)
+        self.raise_first()
+        return float(value[0])
 
 
 def gibbs_closed(p: SpinParams) -> GibbsState:
     """Thermal state from the closed-form X-state entries."""
-    a, b, d, v, log_z = _entries(p)
-    return GibbsState(params=p, a=a, b=b, d=d, v=v, log_Z=log_z)
+    return ThermalBatch.of(p).state(0)
 
 
 def gibbs_spectral(p: SpinParams) -> GibbsState:

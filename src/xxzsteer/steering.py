@@ -35,11 +35,10 @@ from .linalg import (
     binary_entropy,
     kron,
     partial_trace_A,
-    shannon_bits,
     validate_density_matrix,
     vn_entropy,
 )
-from .model import GibbsState
+from .model import GibbsState, ThermalBatch
 
 __all__ = [
     "PauliAxis",
@@ -53,8 +52,11 @@ __all__ = [
     "coherence",
     "sqc_direct",
     "scn_closed",
+    "scn_kernel",
     "scre_closed",
+    "scre_kernel",
     "scre_published",
+    "scre_published_kernel",
 ]
 
 # Outcomes below this weight contribute nothing to the average; their
@@ -214,13 +216,60 @@ def sqc_direct(rho: np.ndarray, kind: CoherenceKind) -> float:
     return 0.5 * total
 
 
+def _xlog2x(q: np.ndarray) -> np.ndarray:
+    """q log2 q elementwise, 0 where q <= 0 (0 log 0 = 0)."""
+    pos = q > 0.0
+    safe = np.where(pos, q, 1.0)
+    return np.where(pos, safe * np.log2(safe), 0.0)
+
+
+def _entropy(terms) -> np.ndarray:
+    """-sum of q log2 q terms, as linalg.shannon_bits sums them: from 0, in order."""
+    total = 0.0
+    for x in terms:
+        total = total - x
+    return total
+
+
+def _entropy_arg_rejected(q: np.ndarray) -> np.ndarray:
+    """Cells where linalg.binary_entropy rejects its argument."""
+    return ~np.isfinite(q) | (q < -1e-12) | (q > 1.0 + 1e-12)
+
+
+def _radius(a, d, v):
+    """r = sqrt((a-d)^2 + 4v^2), shared by the three steering forms."""
+    return np.sqrt((a - d) ** 2 + 4 * v * v)
+
+
+def scn_kernel(cells: ThermalBatch) -> np.ndarray:
+    """:func:`scn_closed` over a batch of thermal states."""
+    a, b, d, v = cells.entries()
+    return _radius(a, d, v) + np.abs(a - b) + np.abs(b - d) + 2 * np.abs(v)
+
+
 def scn_closed(g: GibbsState) -> float:
     """l1 steered coherence of the thermal X state.
 
     SCn = sqrt((a-d)^2 + 4v^2) + |a-b| + |b-d| + 2|v|
     """
-    a, b, d, v = g.a, g.b, g.d, g.v
-    return math.sqrt((a - d) ** 2 + 4 * v * v) + abs(a - b) + abs(b - d) + 2 * abs(v)
+    return ThermalBatch.of(g).scalar(scn_kernel)
+
+
+def scre_kernel(cells: ThermalBatch) -> np.ndarray:
+    """:func:`scre_closed` over a batch of thermal states."""
+    a, b, d, v = cells.entries()
+    pair = a + b
+    upper = np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0)
+
+    def raise_at(i: int) -> None:
+        binary_entropy(float(pair[i]))
+        binary_entropy(float(upper[i]))
+
+    cells.note(_entropy_arg_rejected(pair) | _entropy_arg_rejected(upper), raise_at)
+    # binary_entropy clamps its argument to [0, 1]
+    q, u = np.clip(pair, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+    x = _xlog2x(np.array([q, 1.0 - q, a, b, b, d, u, 1.0 - u]))
+    return 2.0 + 2.0 * _entropy(x[0:2]) - _entropy(x[2:6]) - 2.0 * _entropy(x[6:8])
 
 
 def scre_closed(g: GibbsState) -> float:
@@ -235,18 +284,25 @@ def scre_closed(g: GibbsState) -> float:
     and Y ensembles the r term); it is validated against
     :func:`sqc_direct` rather than trusted.
     """
-    a, b, d, v = g.a, g.b, g.d, g.v
-    r = math.sqrt((a - d) ** 2 + 4 * v * v)
-    return (
-        2.0
-        + 2.0 * binary_entropy(a + b)
-        - shannon_bits((a, b, b, d))
-        - 2.0 * binary_entropy(min((1.0 + r) / 2.0, 1.0))
+    return ThermalBatch.of(g).scalar(scre_kernel)
+
+
+def scre_published_kernel(cells: ThermalBatch) -> np.ndarray:
+    """:func:`scre_published` over a batch of thermal states."""
+    a, b, d, v = cells.entries()
+    r = _radius(a, d, v)
+    x = _xlog2x(
+        np.array(
+            [
+                1 - a - 2 * b + 3 * d,
+                1 + 3 * a - 2 * b - d,
+                1 - a + 2 * b - d,
+                1 + r,
+                np.maximum(1 - r, 0.0),
+            ]
+        )
     )
-
-
-def _xlog2x(q: float) -> float:
-    return q * math.log2(q) if q > 0.0 else 0.0
+    return 0.25 * (x[0] + x[1]) + 0.5 * x[2] + x[3] + x[4]
 
 
 def scre_published(g: GibbsState) -> float:
@@ -261,11 +317,4 @@ def scre_published(g: GibbsState) -> float:
     only when a = d (zero field).  It is kept for comparison; the canonical
     fast path is :func:`scre_closed`.
     """
-    a, b, d, v = g.a, g.b, g.d, g.v
-    r = math.sqrt((a - d) ** 2 + 4 * v * v)
-    return (
-        0.25 * (_xlog2x(1 - a - 2 * b + 3 * d) + _xlog2x(1 + 3 * a - 2 * b - d))
-        + 0.5 * _xlog2x(1 - a + 2 * b - d)
-        + _xlog2x(1 + r)
-        + _xlog2x(max(1 - r, 0.0))
-    )
+    return ThermalBatch.of(g).scalar(scre_published_kernel)

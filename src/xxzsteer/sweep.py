@@ -3,26 +3,29 @@
 Every grid node is an independent evaluation of the requested measures.
 Two evaluation engines exist:
 
-* ``closed``  - closed-form entries plus closed-form measures (fast path);
+* ``closed``  - closed-form entries plus closed-form measures (fast path),
+  each measure one array kernel over the whole grid;
 * ``oracle``  - spectral state construction plus the definitional measures
-  (brute-force path);
+  (brute-force path), one grid node at a time;
 * ``both``    - run the two and record oracle, closed and |difference|.
 
-Results land in a pre-sized table indexed by grid position, so the output
-is byte-identical no matter how many worker processes evaluate it.
+A single point is a grid of one through the same code.  Oracle rows may be
+spread over worker processes and are reassembled by grid position, so the
+output is byte-identical no matter how many workers evaluate it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fisher, steering
-from .model import SpinParams, T_FLOOR, gibbs_closed, gibbs_spectral
+from .model import SpinParams, T_FLOOR, ThermalBatch, check_params, gibbs_spectral
 from .steering import CoherenceKind
 
 __all__ = [
@@ -178,64 +181,103 @@ class EngineRecord:
     absdiff: float
 
 
-class _PointEvaluator:
-    """Computes each requested primitive at most once per grid node."""
+# Closed form of each measure: a kernel over a ThermalBatch.
+_CLOSED = {
+    "SCn": steering.scn_kernel,
+    "SCRE": steering.scre_kernel,
+    "SCREpaper": steering.scre_published_kernel,
+    "QFI": fisher.qfi_kernel,
+    "QFIclosed": fisher.qfi_published_kernel,
+}
 
-    def __init__(self, params: SpinParams):
-        self.params = params
-        self._closed_state = None
-        self._spectral_state = None
-        self._cache: dict[str, float] = {}
+# Definition each measure is checked against on the oracle engine; the
+# published forms share the definition of the quantity they claim to give.
+_DEFINITION = {
+    "SCn": "sqc_l1",
+    "SCRE": "sqc_re",
+    "SCREpaper": "sqc_re",
+    "QFI": "qfi",
+    "QFIclosed": "qfi",
+}
+_DEFINITIONS = {
+    "sqc_l1": lambda g: steering.sqc_direct(g.rho, CoherenceKind.L1),
+    "sqc_re": lambda g: steering.sqc_direct(g.rho, CoherenceKind.RELATIVE_ENTROPY),
+    "qfi": lambda g: fisher.qfi_spectral(g.rho, fisher.calibrated_observable(g)),
+}
 
-    @property
-    def closed_state(self):
-        if self._closed_state is None:
-            self._closed_state = gibbs_closed(self.params)
-        return self._closed_state
 
-    @property
-    def spectral_state(self):
-        if self._spectral_state is None:
-            self._spectral_state = gibbs_spectral(self.params)
-        return self._spectral_state
+def _oracle_row(params: SpinParams, measures) -> list[float]:
+    """Definitional values at one grid node, each definition evaluated once."""
+    g = gibbs_spectral(params)
+    found: dict[str, float] = {}
+    for m in measures:
+        kind = _DEFINITION[m]
+        if kind not in found:
+            found[kind] = _DEFINITIONS[kind](g)
+    return [found[_DEFINITION[m]] for m in measures]
 
-    def closed(self, measure: str) -> float:
-        key = f"closed:{measure}"
-        if key not in self._cache:
-            g = self.closed_state
-            if measure == "SCn":
-                val = steering.scn_closed(g)
-            elif measure == "SCRE":
-                val = steering.scre_closed(g)
-            elif measure == "SCREpaper":
-                val = steering.scre_published(g)
-            elif measure == "QFI":
-                val = fisher.qfi_closed(g)
-            elif measure == "QFIclosed":
-                val = fisher.qfi_published(self.params)
-            else:
-                raise ValueError(f"unknown measure {measure!r}")
-            self._cache[key] = val
-        return self._cache[key]
 
-    def oracle(self, measure: str) -> float:
-        kind = {
-            "SCn": "sqc_l1",
-            "SCRE": "sqc_re",
-            "SCREpaper": "sqc_re",
-            "QFI": "qfi",
-            "QFIclosed": "qfi",
-        }[measure]
-        if kind not in self._cache:
-            g = self.spectral_state
-            if kind == "sqc_l1":
-                val = steering.sqc_direct(g.rho, CoherenceKind.L1)
-            elif kind == "sqc_re":
-                val = steering.sqc_direct(g.rho, CoherenceKind.RELATIVE_ENTROPY)
-            else:
-                val = fisher.qfi_spectral(g.rho, fisher.calibrated_observable(g))
-            self._cache[kind] = val
-        return self._cache[kind]
+def _oracle_chunk(chunk) -> list[list[float]]:
+    params_list, measures = chunk
+    return [_oracle_row(p, measures) for p in params_list]
+
+
+def _oracle_rows(
+    params_list: list[SpinParams], measures, jobs: int
+) -> list[list[float]]:
+    """Oracle rows in grid order, on up to `jobs` worker processes.
+
+    The pool never has more workers than CPUs or than chunks of work.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or len(params_list) <= 1:
+        return _oracle_chunk((params_list, measures))
+    size = max(1, math.ceil(len(params_list) / (workers * 4)))
+    chunks = [
+        (params_list[i : i + size], measures)
+        for i in range(0, len(params_list), size)
+    ]
+    rows: list[list[float]] = []
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        for part in pool.map(_oracle_chunk, chunks):
+            rows.extend(part)
+    return rows
+
+
+def _evaluate(
+    cells: ThermalBatch, measures, engine: str, jobs: int
+) -> list[np.ndarray]:
+    """Value columns of every cell, in SweepSpec.value_columns() order.
+
+    Errors are those of evaluating the cells one at a time, in order: the
+    first cell that fails, and within it the first measure (oracle before
+    closed), raises.
+    """
+    n = len(cells)
+    closed = []
+    # (cell, measure position) of the first closed check that failed
+    failed_at = (n, len(measures))
+    if engine != "oracle":
+        for pos, m in enumerate(measures):
+            closed.append(_CLOSED[m](cells))
+            if cells.failed_cell is not None and cells.failed_cell < failed_at[0]:
+                failed_at = (cells.failed_cell, pos)
+    if engine == "closed":
+        cells.raise_first()
+        return closed
+
+    cell, pos = failed_at
+    rows = _oracle_rows([cells.params(i) for i in range(cell)], measures, jobs)
+    if cell < n:
+        _oracle_row(cells.params(cell), measures[: pos + 1])
+        cells.raise_first()
+    oracle = np.array(rows, dtype=float).reshape(n, len(measures)).T
+    if engine == "oracle":
+        return list(oracle)
+    columns = []
+    for o, c in zip(oracle, closed):
+        columns += [o, c, np.abs(o - c)]
+    return columns
 
 
 def evaluate_point(
@@ -243,92 +285,57 @@ def evaluate_point(
     measures: tuple[str, ...] = MEASURES,
     engine: str = "closed",
 ) -> dict[str, float | EngineRecord]:
-    """Evaluate the requested measures at a single parameter point."""
+    """Evaluate the requested measures at a single parameter point.
+
+    The point is a grid of one: the values are bit-identical to the same
+    node's row in any sweep.
+    """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
-    ev = _PointEvaluator(params)
-    out: dict[str, float | EngineRecord] = {}
-    for m in measures:
-        if engine == "closed":
-            out[m] = ev.closed(m)
-        elif engine == "oracle":
-            out[m] = ev.oracle(m)
-        else:
-            oracle = ev.oracle(m)
-            closed = ev.closed(m)
-            out[m] = EngineRecord(
-                oracle=oracle, closed=closed, absdiff=abs(oracle - closed)
-            )
-    return out
+    columns = _evaluate(ThermalBatch.of(params), measures, engine, jobs=1)
+    values = [float(col[0]) for col in columns]
+    if engine != "both":
+        return dict(zip(measures, values))
+    return {
+        m: EngineRecord(*values[3 * k : 3 * k + 3]) for k, m in enumerate(measures)
+    }
 
 
-def _point_row(params: SpinParams, measures, engine) -> list[float]:
-    record = evaluate_point(params, measures, engine)
-    row: list[float] = []
-    for m in measures:
-        val = record[m]
-        if isinstance(val, EngineRecord):
-            row += [val.oracle, val.closed, val.absdiff]
-        else:
-            row.append(val)
-    return row
-
-
-def _grid_params(spec: SweepSpec) -> list[SpinParams]:
-    fixed = dict(spec.fixed)
-    points: list[SpinParams] = []
-    if len(spec.axes) == 1:
-        ax = spec.axes[0]
-        for v in ax.values():
-            points.append(SpinParams(**{**fixed, ax.name: float(v)}))
-    else:
-        outer, inner = spec.axes
-        inner_vals = inner.values()
-        for vo in outer.values():
-            for vi in inner_vals:
-                points.append(
-                    SpinParams(**{**fixed, outer.name: float(vo), inner.name: float(vi)})
-                )
-    return points
-
-
-def _worker(chunk) -> list[list[float]]:
-    params_list, measures, engine = chunk
-    return [_point_row(p, measures, engine) for p in params_list]
+def _grid(spec: SweepSpec) -> ThermalBatch:
+    """The grid's cells, outer axis slowest, checked as SpinParams checks them."""
+    values = [ax.values() for ax in spec.axes]
+    # The first cell as SpinParams also checks that the fixed values are numbers.
+    first = {ax.name: float(v[0]) for ax, v in zip(spec.axes, values)}
+    SpinParams(**spec.fixed, **first)
+    if len(values) == 2:
+        values = [
+            np.repeat(values[0], len(values[1])),
+            np.tile(values[1], len(values[0])),
+        ]
+    n = len(values[0])
+    columns = {ax.name: v for ax, v in zip(spec.axes, values)}
+    for name, value in spec.fixed.items():
+        columns[name] = np.full(n, float(value))
+    cols = [columns[name] for name in PARAM_NAMES]
+    check_params(*cols)
+    return ThermalBatch(*cols)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid and return the table, axis values included.
 
-    With jobs > 1 the grid is split into contiguous index chunks handed to
+    The closed engine evaluates each measure once over the whole grid.  With
+    jobs > 1, oracle rows are split into contiguous index chunks handed to
     worker processes; rows are reassembled by index, so scheduling order
     never affects the output.
     """
-    points = _grid_params(spec)
-    measures, engine = spec.measures, spec.engine
-
-    if spec.jobs == 1 or len(points) <= 1:
-        value_rows = [_point_row(p, measures, engine) for p in points]
-    else:
-        chunk_size = max(1, math.ceil(len(points) / (spec.jobs * 4)))
-        chunks = [
-            (points[i : i + chunk_size], measures, engine)
-            for i in range(0, len(points), chunk_size)
-        ]
-        value_rows = []
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            for part in pool.map(_worker, chunks):
-                value_rows.extend(part)
-
-    n_axis = len(spec.axes)
-    data = np.empty((len(points), n_axis + len(spec.value_columns())), dtype=float)
-    for i, (p, values) in enumerate(zip(points, value_rows)):
-        for k, ax in enumerate(spec.axes):
-            data[i, k] = getattr(p, ax.name)
-        data[i, n_axis:] = values
+    cells = _grid(spec)
+    values = _evaluate(cells, spec.measures, spec.engine, spec.jobs)
+    axes = [getattr(cells, ax.name) for ax in spec.axes]
+    data = np.column_stack(axes + values)
 
     if not np.all(np.isfinite(data)):
         bad = np.argwhere(~np.isfinite(data))[0]
@@ -347,8 +354,8 @@ def format_value(x: float) -> str:
 def write_csv(table: SweepTable, path) -> None:
     """Plain CSV: header, comma separators, LF endings, 17-digit values."""
     lines = [",".join(table.columns)]
-    for row in table.data:
-        lines.append(",".join(format_value(v) for v in row))
+    for row in table.data.tolist():
+        lines.append(",".join(map(format_value, row)))
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -380,7 +387,7 @@ def read_csv(path) -> SweepTable:
 def write_json(table: SweepTable, path) -> None:
     """One object with "columns" and "rows"; numbers use the 17-digit rule."""
     rows = ",".join(
-        "[" + ",".join(format_value(v) for v in row) + "]" for row in table.data
+        "[" + ",".join(map(format_value, row)) + "]" for row in table.data.tolist()
     )
     text = '{"columns": ' + json.dumps(list(table.columns)) + ', "rows": [' + rows + "]}\n"
     try:

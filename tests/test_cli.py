@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import xxzsteer
 from xxzsteer.cli import main
 from xxzsteer.sweep import MEASURES, read_csv
 
@@ -63,6 +68,31 @@ def test_point_reports_all_measures_by_default(capsys):
     assert list(doc["measures"]) == list(MEASURES)
     assert abs(doc["measures"]["SCn"] - 3.0) <= 1e-3
     assert abs(doc["measures"]["QFI"] - 4.0) <= 1e-3
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    first = ["point", "--measure", "QFI", "--measure", "SCn", *BELL_POINT]
+    assert main(first) == 0
+    once = capsys.readouterr().out
+    assert main(["point", "--fix", "J=1", "--fix", "Jz=1", "--fix", "B=1",
+                 "--fix", "T=1", "--engine", "both"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"] == {"J": 1.0, "Jz": 1.0, "B": 1.0, "T": 1.0}
+    assert doc["engine"] == "both"
+    assert list(doc["measures"]) == list(MEASURES)
+    assert main(first) == 0
+    assert capsys.readouterr().out == once
+    assert list(json.loads(once)["measures"]) == ["QFI", "SCn"]
+
+
+def test_cli_imports_without_scipy():
+    src = str(Path(xxzsteer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, xxzsteer.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_point_engine_both_carries_three_entries(capsys):

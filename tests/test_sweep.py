@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from xxzsteer.model import SpinParams
+from xxzsteer import sweep
+from xxzsteer.model import ParameterRegimeError, SpinParams
 from xxzsteer.sweep import (
     MEASURES,
     AxisSpec,
@@ -121,18 +123,44 @@ def test_evaluate_point_surfaces_parameter_errors():
 
 
 def test_single_point_sweep_matches_evaluate_point():
-    p = SpinParams(J=2.0, Jz=1.0, B=0.5, T=0.7)
-    spec = SweepSpec(
-        axes=(AxisSpec("J", 2.0, 2.0, 1.0),),
-        fixed={"Jz": 1.0, "B": 0.5, "T": 0.7},
-        measures=("SCn", "QFI"),
-    )
-    table = run_sweep(spec)
-    rec = evaluate_point(p, ("SCn", "QFI"), "closed")
-    assert table.data.shape == (1, 3)
-    assert table.data[0, 0] == 2.0
-    assert table.data[0, 1] == rec["SCn"]
-    assert table.data[0, 2] == rec["QFI"]
+    """Every sweep row is bit-identical to evaluate_point at that node."""
+    cases = [
+        # box corners and faces; the published QFI ratio overflows at T=1e-3
+        (("J", -1e3, 1e3, 500.0), ("Jz", -1e3, 1e3, 500.0), {"B": 1e3, "T": 1e-3},
+         ("SCn", "SCRE", "SCREpaper", "QFI"), "closed"),
+        (("J", -1e3, 1e3, 500.0), ("B", -1e3, 1e3, 500.0), {"Jz": -1e3, "T": 1e3},
+         MEASURES, "closed"),
+        (("Jz", -1e3, 1e3, 1e3), ("T", 1e-3, 1e3, 250.0), {"J": 1e3, "B": 0.0},
+         ("QFI", "SCn"), "closed"),
+        (("J", -2.0, 2.0, 0.5), ("Jz", -2.0, 2.0, 1.0), {"B": 1.0, "T": 0.7},
+         MEASURES, "closed"),
+        (("B", -3.0, 3.0, 1.5), ("T", 0.05, 2.05, 0.5), {"J": 1.0, "Jz": -0.5},
+         ("QFIclosed", "SCn"), "closed"),
+        (("J", -2.0, 2.0, 0.5), ("Jz", -2.0, 2.0, 1.0), {"B": 0.0, "T": 0.3},
+         ("QFI", "SCREpaper", "SCRE"), "closed"),
+        (("J", -1.0, 1.0, 1.0), ("Jz", -1.0, 1.0, 2.0), {"B": 1.0, "T": 0.5},
+         ("SCRE", "QFIclosed"), "both"),
+    ]
+    for outer, inner, fixed, measures, engine in cases:
+        spec = SweepSpec(
+            axes=(AxisSpec(*outer), AxisSpec(*inner)),
+            fixed=fixed,
+            measures=measures,
+            engine=engine,
+        )
+        table = run_sweep(spec)
+        assert table.data.shape == (
+            spec.axes[0].count * spec.axes[1].count, 2 + len(spec.value_columns())
+        )
+        for row in table.data:
+            p = SpinParams(**fixed, **{outer[0]: row[0], inner[0]: row[1]})
+            rec = evaluate_point(p, measures, engine)
+            if engine == "both":
+                want = [x for m in measures
+                        for x in (rec[m].oracle, rec[m].closed, rec[m].absdiff)]
+            else:
+                want = [rec[m] for m in measures]
+            assert row[2:].tobytes() == np.array(want).tobytes(), (p, measures)
 
 
 # ------------------------------------------------------------ run_sweep
@@ -162,6 +190,111 @@ def test_sweep_deterministic_across_jobs(tmp_path):
     write_csv(serial, f1)
     write_csv(parallel, f2)
     assert f1.read_bytes() == f2.read_bytes()
+    # oracle rows on two worker processes
+    small = dict(
+        spec_args,
+        axes=(AxisSpec("J", -1, 1, 0.5),),
+        fixed={"Jz": 0.5, "B": 1.0, "T": 2.0},
+    )
+    serial = run_sweep(SweepSpec(**small, engine="both", jobs=1))
+    parallel = run_sweep(SweepSpec(**small, engine="both", jobs=2))
+    assert serial.data.tobytes() == parallel.data.tobytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_oracle_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
+    sizes: list[int] = []
+    monkeypatch.setattr(
+        sweep,
+        "ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(sizes, max_workers),
+    )
+
+    def table(cells: int, jobs: int, engine: str = "oracle") -> np.ndarray:
+        spec = SweepSpec(
+            axes=(AxisSpec("J", 0.0, cells - 1.0, 1.0),),
+            fixed={"Jz": 1.0, "B": 1.0, "T": 1.0},
+            measures=("SCn",),
+            engine=engine,
+            jobs=jobs,
+        )
+        return run_sweep(spec).data
+
+    reference = table(5, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert np.array_equal(table(5, 64), reference)  # 3 CPUs
+    assert np.array_equal(table(2, 64), reference[:2])  # 2 chunks of one cell
+    assert np.array_equal(table(5, 64, "closed"), table(5, 1, "closed"))  # no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
+    assert np.array_equal(table(5, 64), reference)
+    assert sizes == [3, 2]
+
+
+# B = 1 at T = 1e-3 is the first node of this line where the published QFI
+# ratio leaves double range (cells 0 and 1 evaluate).
+OVERFLOW_LINE = dict(
+    axes=(AxisSpec("B", 0.0, 2.0, 0.5),), fixed={"J": 1.0, "Jz": 0.0, "T": 1e-3}
+)
+OVERFLOW_MESSAGE = (
+    "published QFI ratio overflows double precision at J=1.0, Jz=0.0, B=1.0, T=0.001"
+)
+
+
+def test_sweep_raises_at_the_first_failing_node():
+    with pytest.raises(ParameterRegimeError) as err:
+        run_sweep(SweepSpec(**OVERFLOW_LINE))
+    assert str(err.value) == OVERFLOW_MESSAGE
+    with pytest.raises(ParameterRegimeError) as err:
+        evaluate_point(SpinParams(1.0, 0.0, 1.0, 1e-3))
+    assert str(err.value) == OVERFLOW_MESSAGE
+    others = run_sweep(SweepSpec(**OVERFLOW_LINE, measures=MEASURES[:4]))
+    assert np.all(np.isfinite(others.data))
+    axis = (AxisSpec("J", 800.0, 1200.0, 100.0),)
+    with pytest.raises(ValueError, match=r"^\|J\|=1100.0 exceeds"):
+        run_sweep(SweepSpec(axes=axis, fixed={"Jz": 0.0, "B": 1.0, "T": 1.0}))
+    with pytest.raises(ValueError, match="^Jz=nan is not a finite number"):
+        run_sweep(SweepSpec(axes=axis, fixed={"Jz": float("nan"), "B": 1.0, "T": 1.0}))
+
+
+@pytest.mark.parametrize(
+    "oracle_fails_at, measures, raised",
+    [
+        (0.5, ("SCn", "QFIclosed"), "oracle"),  # an earlier node
+        (1.0, ("SCn", "QFIclosed"), "oracle"),  # same node, earlier measure
+        (1.0, ("QFIclosed", "SCn"), "closed"),  # same node, later measure
+        (1.5, ("SCn", "QFIclosed"), "closed"),  # a later node
+    ],
+)
+def test_engine_both_raises_in_node_then_measure_order(
+    monkeypatch, oracle_fails_at, measures, raised
+):
+    real = sweep._DEFINITIONS["sqc_l1"]
+
+    def failing(g):
+        if g.params.B == oracle_fails_at:
+            raise ValueError("oracle failure")
+        return real(g)
+
+    monkeypatch.setitem(sweep._DEFINITIONS, "sqc_l1", failing)
+    with pytest.raises(ValueError) as err:
+        run_sweep(SweepSpec(**OVERFLOW_LINE, measures=measures, engine="both"))
+    want = "oracle failure" if raised == "oracle" else OVERFLOW_MESSAGE
+    assert str(err.value) == want
 
 
 def test_sweep_engine_both_cross_check():
