@@ -41,6 +41,7 @@ from .linalg import (
     PAULI_X,
     eig_hermitian,
     kron,
+    logsumexp,
     validate_density_matrix,
 )
 from .model import (
@@ -156,31 +157,6 @@ def qfi_closed(g: GibbsState) -> float:
     return ThermalBatch.of(g).scalar(qfi_kernel)
 
 
-def _logsumexp(terms, signs=None) -> tuple[np.ndarray, np.ndarray]:
-    """log|sum_i s_i e^{t_i}| and the sign of that sum, cell by cell.
-
-    `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
-    factors (all +1 when omitted).  The largest exponent is subtracted before
-    exponentiating.  The sum is an explicit left fold: numpy's reductions sum
-    a stacked (k, N) array in an order that depends on N, so a cell
-    evaluated alone could differ in its last bits from the same cell in a
-    grid.  A zero sum gives (-inf, 0).
-    """
-    t = np.array(terms)
-    shift = t[0]
-    for row in t[1:]:
-        shift = np.maximum(shift, row)
-    w = np.exp(t - shift)
-    if signs is not None:
-        w *= np.array(signs)[:, None]
-    total = w[0]
-    for row in w[1:]:
-        total = total + row
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(total)) + shift
-    return log_abs, np.sign(total)
-
-
 def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
     """:func:`qfi_published` over a batch of parameter cells.
 
@@ -191,7 +167,7 @@ def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
     ly = cells.B / cells.T
     lu = np.abs(cells.J) / cells.T
 
-    log_m, sign_m = _logsumexp(
+    m = logsumexp(
         (
             2 * lx + lu - ly,
             _LN4 + 2 * lx + lu + ly,
@@ -205,14 +181,14 @@ def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
         (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0),
     )
     log_n = (
-        _logsumexp((lx + ly, lx - ly, lu, -lu))[0] - _LN2
-        + _logsumexp((lu, lx + ly))[0]
-        + _logsumexp((ly + lu, lx))[0]
+        logsumexp((lx + ly, lx - ly, lu, -lu)).log_abs - _LN2
+        + logsumexp((lu, lx + ly)).log_abs
+        + logsumexp((ly + lu, lx)).log_abs
     )
 
-    exponent = log_m - log_n
+    exponent = m.log_abs - log_n
     with np.errstate(over="ignore"):
-        value = np.where(sign_m == 0.0, 0.0, sign_m * np.exp(exponent))
+        value = np.where(m.sign == 0.0, 0.0, m.sign * np.exp(exponent))
 
     def raise_at(i: int) -> None:
         p = cells.params(i)

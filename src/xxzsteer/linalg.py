@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
     "partial_trace_A",
     "vn_entropy",
     "binary_entropy",
+    "binary_entropy_rejects",
+    "LogSumExp",
+    "logsumexp",
     "shannon_bits",
     "frobenius",
     "hermiticity_residual",
@@ -55,6 +58,9 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 ENTROPY_CLAMP = 1e-10
+# How far rounding may carry a probability outside [0, 1] before a check
+# rejects it (entropy arguments here, Gibbs entries in model).
+PROBABILITY_TOL = 1e-12
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -264,7 +270,45 @@ def binary_entropy(q: float) -> float:
     """H2(q) = -q log2 q - (1-q) log2(1-q), clamped near the endpoints."""
     if not math.isfinite(q):
         raise ValueError(f"binary_entropy argument is not finite: {q!r}")
-    if q < -1e-12 or q > 1.0 + 1e-12:
+    if q < -PROBABILITY_TOL or q > 1.0 + PROBABILITY_TOL:
         raise ValueError(f"binary_entropy argument {q!r} outside [0, 1] tolerance")
     q = min(max(q, 0.0), 1.0)
     return shannon_bits((q, 1.0 - q))
+
+
+def binary_entropy_rejects(q: np.ndarray) -> np.ndarray:
+    """Cells of an array for which :func:`binary_entropy` raises."""
+    return ~np.isfinite(q) | (q < -PROBABILITY_TOL) | (q > 1.0 + PROBABILITY_TOL)
+
+
+class LogSumExp(NamedTuple):
+    """A sum of exponentials s_i e^{t_i} kept in double range, cell by cell."""
+
+    log_abs: np.ndarray  # log |sum|; -inf where the sum is zero
+    sign: np.ndarray  # sign of the sum: -1, 0 or 1
+    weights: np.ndarray  # s_i e^{t_i - max_i t_i}, one row per term
+    total: np.ndarray  # the sum of the weights
+
+
+def logsumexp(terms, signs=None) -> LogSumExp:
+    """Sum s_i e^{t_i} with the largest exponent subtracted first.
+
+    `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
+    factors (all +1 when omitted).  The sum is an explicit left fold: numpy's
+    reductions sum a stacked (k, N) array in an order that depends on N, so
+    a cell evaluated alone could differ in its last bits from the same cell
+    in a grid.
+    """
+    t = np.array(terms)
+    shift = t[0]
+    for row in t[1:]:
+        shift = np.maximum(shift, row)
+    w = np.exp(t - shift)
+    if signs is not None:
+        w *= np.array(signs)[:, None]
+    total = w[0]
+    for row in w[1:]:
+        total = total + row
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(total)) + shift
+    return LogSumExp(log_abs, np.sign(total), w, total)

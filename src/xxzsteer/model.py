@@ -39,8 +39,10 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PROBABILITY_TOL,
     eig_hermitian,
     kron,
+    logsumexp,
 )
 
 __all__ = [
@@ -98,6 +100,28 @@ class SpinParams:
                     f"|{name}|={abs(val)} exceeds the supported bound {COUPLING_MAX}"
                 )
 
+    @staticmethod
+    def rejects(J, Jz, B, T) -> np.ndarray:
+        """Cells of parameter columns that the checks above reject."""
+        ok = np.isfinite(J) & np.isfinite(Jz) & np.isfinite(B) & np.isfinite(T)
+        ok &= T >= T_FLOOR
+        for col in (J, Jz, B):
+            ok &= np.abs(col) <= COUPLING_MAX
+        return ~ok
+
+
+def check_params(J, Jz, B, T) -> None:
+    """Check parameter columns as :class:`SpinParams` checks one cell.
+
+    Raises SpinParams' own error for the first cell, in array order, that it
+    rejects.
+    """
+    bad = SpinParams.rejects(J, Jz, B, T)
+    if bad.any():
+        i = int(np.argmax(bad))
+        SpinParams(float(J[i]), float(Jz[i]), float(B[i]), float(T[i]))
+        raise AssertionError(f"cell {i} failed the vector parameter check only")
+
 
 def hamiltonian(p: SpinParams) -> np.ndarray:
     """Assemble H as the explicit tensor-product operator sum (real entries)."""
@@ -107,22 +131,6 @@ def hamiltonian(p: SpinParams) -> np.ndarray:
     )
     h -= 0.5 * p.B * (kron(PAULI_Z, IDENTITY_2) + kron(IDENTITY_2, PAULI_Z))
     return h
-
-
-def check_params(J, Jz, B, T) -> None:
-    """Check parameter columns as :class:`SpinParams` checks one cell.
-
-    Raises SpinParams' own error for the first cell, in array order, that it
-    rejects.
-    """
-    ok = np.isfinite(J) & np.isfinite(Jz) & np.isfinite(B) & np.isfinite(T)
-    ok &= T >= T_FLOOR
-    for col in (J, Jz, B):
-        ok &= np.abs(col) <= COUPLING_MAX
-    if not ok.all():
-        i = int(np.argmin(ok))
-        SpinParams(float(J[i]), float(Jz[i]), float(B[i]), float(T[i]))
-        raise AssertionError(f"cell {i} failed the vector parameter check only")
 
 
 def log_partition_function(p: SpinParams) -> float:
@@ -160,7 +168,7 @@ class GibbsState:
     _rho: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        tol = 1e-12
+        tol = PROBABILITY_TOL
         for name in ("a", "b", "d"):
             val = getattr(self, name)
             if not (-tol <= val <= 1.0 + tol):
@@ -175,6 +183,15 @@ class GibbsState:
                 f"Gibbs coherence |v|={abs(self.v)!r} exceeds b={self.b!r}: "
                 f"central block not positive semidefinite"
             )
+
+    @staticmethod
+    def rejects(a, b, d, v) -> np.ndarray:
+        """Cells of entry arrays that the checks above reject."""
+        tol = PROBABILITY_TOL
+        bad = np.abs(a + 2 * b + d - 1.0) > tol
+        for x in (a, b, d):
+            bad |= ~((-tol <= x) & (x <= 1.0 + tol))
+        return bad | (np.abs(v) > b + tol)
 
     @property
     def rho(self) -> np.ndarray:
@@ -197,15 +214,6 @@ class GibbsState:
                 f"(log Z = {self.log_Z:.6g}); use log_Z"
             )
         return math.exp(self.log_Z)
-
-
-def _gibbs_rejects(a, b, d, v) -> np.ndarray:
-    """Cells whose entries GibbsState would reject (the same tests, negated)."""
-    tol = 1e-12
-    bad = np.abs(a + 2 * b + d - 1.0) > tol
-    for x in (a, b, d):
-        bad |= ~((-tol <= x) & (x <= 1.0 + tol))
-    return bad | (np.abs(v) > b + tol)
 
 
 class ThermalBatch:
@@ -254,23 +262,21 @@ class ThermalBatch:
         if self._entries is None:
             J, Jz, B, T = self.J, self.Jz, self.B, self.T
             # -E_i/T for |00>, |11>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
-            exps = (
-                (Jz / 2 + B) / T,
-                (Jz / 2 - B) / T,
-                (-Jz / 2 + J) / T,
-                (-Jz / 2 - J) / T,
+            z = logsumexp(
+                (
+                    (Jz / 2 + B) / T,
+                    (Jz / 2 - B) / T,
+                    (-Jz / 2 + J) / T,
+                    (-Jz / 2 - J) / T,
+                )
             )
-            shift = np.maximum(
-                np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3])
-            )
-            w0, w1, w2, w3 = (np.exp(e - shift) for e in exps)
-            total = w0 + w1 + w2 + w3
-            a, d = w0 / total, w1 / total
-            b = (w2 + w3) / (2 * total)
-            v = (w2 - w3) / (2 * total)
-            self._log_z = shift + np.log(total)
+            w0, w1, w2, w3 = z.weights
+            a, d = w0 / z.total, w1 / z.total
+            b = (w2 + w3) / (2 * z.total)
+            v = (w2 - w3) / (2 * z.total)
+            self._log_z = z.log_abs
             self._entries = (a, b, d, v)
-            self.note(_gibbs_rejects(a, b, d, v), self.state)
+            self.note(GibbsState.rejects(a, b, d, v), self.state)
         return self._entries
 
     @property

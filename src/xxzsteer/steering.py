@@ -33,6 +33,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     binary_entropy,
+    binary_entropy_rejects,
     kron,
     partial_trace_A,
     validate_density_matrix,
@@ -231,11 +232,6 @@ def _entropy(terms) -> np.ndarray:
     return total
 
 
-def _entropy_arg_rejected(q: np.ndarray) -> np.ndarray:
-    """Cells where linalg.binary_entropy rejects its argument."""
-    return ~np.isfinite(q) | (q < -1e-12) | (q > 1.0 + 1e-12)
-
-
 def _radius(a, d, v):
     """r = sqrt((a-d)^2 + 4v^2), shared by the three steering forms."""
     return np.sqrt((a - d) ** 2 + 4 * v * v)
@@ -265,7 +261,7 @@ def scre_kernel(cells: ThermalBatch) -> np.ndarray:
         binary_entropy(float(pair[i]))
         binary_entropy(float(upper[i]))
 
-    cells.note(_entropy_arg_rejected(pair) | _entropy_arg_rejected(upper), raise_at)
+    cells.note(binary_entropy_rejects(pair) | binary_entropy_rejects(upper), raise_at)
     # binary_entropy clamps its argument to [0, 1]
     q, u = np.clip(pair, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
     x = _xlog2x(np.array([q, 1.0 - q, a, b, b, d, u, 1.0 - u]))

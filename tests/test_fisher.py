@@ -12,7 +12,6 @@ from xxzsteer.fisher import (
     qfi_closed,
     qfi_published,
     qfi_spectral,
-    _logsumexp,
 )
 from xxzsteer.linalg import eig_hermitian
 from xxzsteer.model import SpinParams, gibbs_closed
@@ -135,25 +134,6 @@ def test_qfi_bounds_on_draws(rng):
 
 
 # ------------------------------------------------------- published ratio
-
-def test_logsumexp_matches_scipy_reference(rng):
-    from scipy.special import logsumexp  # the implementation it replaced
-
-    for k in (2, 4, 8):
-        terms = rng.uniform(-800.0, 800.0, size=(k, 300))
-        signs = tuple(rng.choice([-1.0, 1.0], size=k))
-        for signed in (None, signs):
-            log_abs, sign = _logsumexp(tuple(terms), signed)
-            for j in range(terms.shape[1]):
-                ref, ref_sign = logsumexp(terms[:, j], b=signed, return_sign=True)
-                assert sign[j] == ref_sign
-                assert abs(log_abs[j] - ref) <= 1e-12 * max(1.0, abs(ref))
-                # a cell alone gives the same bits as within the batch
-                alone = _logsumexp(tuple(terms[:, j : j + 1]), signed)
-                assert (alone[0][0], alone[1][0]) == (log_abs[j], sign[j])
-    zero = _logsumexp((np.array([0.5]), np.array([0.5])), (1.0, -1.0))
-    assert zero[0][0] == -np.inf and zero[1][0] == 0.0
-
 
 def test_qfi_published_free_spins_is_zero():
     assert abs(qfi_published(SpinParams(0, 0, 0, 1))) <= 1e-14

@@ -14,6 +14,7 @@ from xxzsteer.linalg import (
     binary_entropy,
     eig_hermitian,
     kron,
+    logsumexp,
     partial_trace_A,
     spectral_fn,
     vn_entropy,
@@ -230,6 +231,27 @@ def test_binary_entropy_rejects_out_of_range():
         binary_entropy(1.1)
     with pytest.raises(ValueError):
         binary_entropy(-0.1)
+
+
+def test_logsumexp_matches_scipy_reference(rng):
+    from scipy.special import logsumexp as reference  # the one it replaced
+
+    for k in (2, 4, 8):
+        terms = rng.uniform(-800.0, 800.0, size=(k, 300))
+        signs = tuple(rng.choice([-1.0, 1.0], size=k))
+        for signed in (None, signs):
+            got = logsumexp(tuple(terms), signed)
+            for j in range(terms.shape[1]):
+                ref, ref_sign = reference(terms[:, j], b=signed, return_sign=True)
+                assert got.sign[j] == ref_sign
+                assert abs(got.log_abs[j] - ref) <= 1e-12 * max(1.0, abs(ref))
+                # a cell alone gives the same bits as within the batch
+                alone = logsumexp(tuple(terms[:, j : j + 1]), signed)
+                assert (alone.log_abs[0], alone.sign[0]) == (got.log_abs[j], got.sign[j])
+                assert alone.total[0] == got.total[j]
+                assert np.array_equal(alone.weights[:, 0], got.weights[:, j])
+    zero = logsumexp((np.array([0.5]), np.array([0.5])), (1.0, -1.0))
+    assert zero.log_abs[0] == -np.inf and zero.sign[0] == 0.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzsteer.linalg import eig_hermitian
+from xxzsteer.linalg import (
+    PROBABILITY_TOL,
+    binary_entropy,
+    binary_entropy_rejects,
+    eig_hermitian,
+)
 from xxzsteer.model import (
+    COUPLING_MAX,
+    T_FLOOR,
     GibbsState,
     ParameterRegimeError,
     SpinParams,
@@ -225,3 +232,76 @@ def test_gibbs_state_z_property_overflow():
 def test_construction_routes_agree_property(j, jz, b, t):
     p = SpinParams(J=j, Jz=jz, B=b, T=t)
     assert np.abs(gibbs_closed(p).rho - gibbs_spectral(p).rho).max() <= 1e-10
+
+
+# ------------------------------------------- array checks vs scalar checks
+
+def _around(x: float) -> list[float]:
+    """x and the doubles on either side of it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _vary(base: tuple, values: list[list[float]]) -> np.ndarray:
+    """Cells equal to `base` but in one position, one row per cell."""
+    cells = []
+    for k, column in enumerate(values):
+        for x in column:
+            cell = list(base)
+            cell[k] = x
+            cells.append(cell)
+    return np.array(cells)
+
+
+def _param_cells() -> np.ndarray:
+    coupling = _around(COUPLING_MAX) + _around(-COUPLING_MAX) + [0.0] + _NON_FINITE
+    temperature = _around(T_FLOOR) + [0.0, -1.0, 1e6] + _NON_FINITE
+    return _vary((1.0, -0.5, 2.0, 1.0), [coupling] * 3 + [temperature])
+
+
+def _entry_cells() -> np.ndarray:
+    tol = PROBABILITY_TOL
+    bounds = _around(-tol) + _around(1.0 + tol) + _NON_FINITE
+    # a + 2b + d - 1 on either side of the tolerance
+    norm = [0.25 + tol + k * 2.0**-54 for k in range(-40, 41, 4)]
+    norm += [0.25 - tol + k * 2.0**-54 for k in range(-40, 41, 4)]
+    coherence = _around(0.25 + tol) + _around(-0.25 - tol) + _NON_FINITE
+    return _vary((0.25, 0.25, 0.25, 0.1), [bounds + norm, bounds, bounds, coherence])
+
+
+def _entropy_cells() -> np.ndarray:
+    tol = PROBABILITY_TOL
+    values = _around(-tol) + _around(1.0 + tol) + [0.0, 0.5, 1.0] + _NON_FINITE
+    return np.array(values)[:, None]
+
+
+_PARAMS = SpinParams(1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "scalar, vector, cells",
+    [
+        (SpinParams, SpinParams.rejects, _param_cells()),
+        (
+            lambda a, b, d, v: GibbsState(_PARAMS, a, b, d, v, log_Z=0.0),
+            GibbsState.rejects,
+            _entry_cells(),
+        ),
+        (binary_entropy, binary_entropy_rejects, _entropy_cells()),
+    ],
+    ids=["SpinParams", "GibbsState", "binary_entropy"],
+)
+def test_array_checks_reject_what_scalar_checks_reject(scalar, vector, cells):
+    def rejected(cell) -> bool:
+        try:
+            scalar(*(float(x) for x in cell))
+        except ValueError:
+            return True
+        return False
+
+    want = np.array([rejected(cell) for cell in cells])
+    got = vector(*cells.T)
+    assert want.any() and not want.all()
+    assert np.array_equal(got, want), cells[got != want]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -124,43 +125,64 @@ def test_evaluate_point_surfaces_parameter_errors():
 
 def test_single_point_sweep_matches_evaluate_point():
     """Every sweep row is bit-identical to evaluate_point at that node."""
+    p = SpinParams(J=2.0, Jz=1.0, B=0.5, T=0.7)
+    spec = SweepSpec(
+        axes=(AxisSpec("J", 2.0, 2.0, 1.0),),
+        fixed={"Jz": 1.0, "B": 0.5, "T": 0.7},
+        measures=("SCn", "QFI"),
+    )
+    table = run_sweep(spec)
+    rec = evaluate_point(p, ("SCn", "QFI"), "closed")
+    assert table.data.shape == (1, 3)
+    assert table.data[0, 0] == 2.0
+    assert table.data[0, 1] == rec["SCn"]
+    assert table.data[0, 2] == rec["QFI"]
+
     cases = [
-        # box corners and faces; the published QFI ratio overflows at T=1e-3
-        (("J", -1e3, 1e3, 500.0), ("Jz", -1e3, 1e3, 500.0), {"B": 1e3, "T": 1e-3},
+        # one cell, then one axis
+        ((("J", 2.0, 2.0, 1.0),), {"Jz": 1.0, "B": 0.5, "T": 0.7}, MEASURES, "closed"),
+        ((("T", 1e-3, 1e3, 125.0),), {"J": -1e3, "Jz": 1e3, "B": 0.0},
          ("SCn", "SCRE", "SCREpaper", "QFI"), "closed"),
-        (("J", -1e3, 1e3, 500.0), ("B", -1e3, 1e3, 500.0), {"Jz": -1e3, "T": 1e3},
+        ((("B", -2.0, 2.0, 0.5),), {"J": 1.0, "Jz": 0.5, "T": 0.4},
+         ("QFIclosed", "SCRE"), "closed"),
+        ((("J", -1.0, 1.0, 1.0),), {"Jz": 0.5, "B": 1.0, "T": 2.0}, ("QFI",), "both"),
+        # box corners and faces; the published QFI ratio overflows at T=1e-3
+        ((("J", -1e3, 1e3, 500.0), ("Jz", -1e3, 1e3, 500.0)), {"B": 1e3, "T": 1e-3},
+         ("SCn", "SCRE", "SCREpaper", "QFI"), "closed"),
+        ((("J", -1e3, 1e3, 500.0), ("B", -1e3, 1e3, 500.0)), {"Jz": -1e3, "T": 1e3},
          MEASURES, "closed"),
-        (("Jz", -1e3, 1e3, 1e3), ("T", 1e-3, 1e3, 250.0), {"J": 1e3, "B": 0.0},
+        ((("Jz", -1e3, 1e3, 1e3), ("T", 1e-3, 1e3, 250.0)), {"J": 1e3, "B": 0.0},
          ("QFI", "SCn"), "closed"),
-        (("J", -2.0, 2.0, 0.5), ("Jz", -2.0, 2.0, 1.0), {"B": 1.0, "T": 0.7},
+        ((("J", -2.0, 2.0, 0.5), ("Jz", -2.0, 2.0, 1.0)), {"B": 1.0, "T": 0.7},
          MEASURES, "closed"),
-        (("B", -3.0, 3.0, 1.5), ("T", 0.05, 2.05, 0.5), {"J": 1.0, "Jz": -0.5},
+        ((("B", -3.0, 3.0, 1.5), ("T", 0.05, 2.05, 0.5)), {"J": 1.0, "Jz": -0.5},
          ("QFIclosed", "SCn"), "closed"),
-        (("J", -2.0, 2.0, 0.5), ("Jz", -2.0, 2.0, 1.0), {"B": 0.0, "T": 0.3},
+        ((("J", -2.0, 2.0, 0.5), ("Jz", -2.0, 2.0, 1.0)), {"B": 0.0, "T": 0.3},
          ("QFI", "SCREpaper", "SCRE"), "closed"),
-        (("J", -1.0, 1.0, 1.0), ("Jz", -1.0, 1.0, 2.0), {"B": 1.0, "T": 0.5},
+        ((("J", -1.0, 1.0, 1.0), ("Jz", -1.0, 1.0, 2.0)), {"B": 1.0, "T": 0.5},
          ("SCRE", "QFIclosed"), "both"),
     ]
-    for outer, inner, fixed, measures, engine in cases:
+    for axes, fixed, measures, engine in cases:
         spec = SweepSpec(
-            axes=(AxisSpec(*outer), AxisSpec(*inner)),
+            axes=tuple(AxisSpec(*ax) for ax in axes),
             fixed=fixed,
             measures=measures,
             engine=engine,
         )
         table = run_sweep(spec)
+        n = len(axes)
         assert table.data.shape == (
-            spec.axes[0].count * spec.axes[1].count, 2 + len(spec.value_columns())
+            math.prod(ax.count for ax in spec.axes), n + len(spec.value_columns())
         )
         for row in table.data:
-            p = SpinParams(**fixed, **{outer[0]: row[0], inner[0]: row[1]})
+            p = SpinParams(**fixed, **{ax[0]: x for ax, x in zip(axes, row[:n])})
             rec = evaluate_point(p, measures, engine)
             if engine == "both":
                 want = [x for m in measures
                         for x in (rec[m].oracle, rec[m].closed, rec[m].absdiff)]
             else:
                 want = [rec[m] for m in measures]
-            assert row[2:].tobytes() == np.array(want).tobytes(), (p, measures)
+            assert row[n:].tobytes() == np.array(want).tobytes(), (p, measures)
 
 
 # ------------------------------------------------------------ run_sweep
