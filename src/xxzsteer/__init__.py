@@ -24,12 +24,10 @@ from .fisher import (
 )
 from .linalg import (
     EigenDecomposition,
-    JacobiConvergenceError,
     binary_entropy,
     eig_hermitian,
     kron,
     partial_trace_A,
-    spectral_fn,
     vn_entropy,
 )
 from .model import (
@@ -84,7 +82,6 @@ __all__ = [
     "EngineRecord",
     "ENGINES",
     "GibbsState",
-    "JacobiConvergenceError",
     "MEASURES",
     "Observable",
     "ParameterRegimeError",
@@ -118,7 +115,6 @@ __all__ = [
     "scn_closed",
     "scre_closed",
     "scre_published",
-    "spectral_fn",
     "sqc_direct",
     "steer",
     "vn_entropy",

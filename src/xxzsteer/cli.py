@@ -108,7 +108,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_axes: bool) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for grid evaluation (default: 1)",
+        help="accepted for compatibility, at least 1; runs use one process",
     )
 
 
@@ -170,7 +170,6 @@ def _build_spec(ns) -> SweepSpec:
             engine=ns.engine,
             out=ns.out,
             fmt=getattr(ns, "format", "csv"),
-            jobs=ns.jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -254,6 +253,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
+        if ns.jobs < 1:
+            raise UsageError(f"jobs must be a positive integer, got {ns.jobs}")
         return _COMMANDS[ns.command](ns)
     except UsageError as exc:
         print(f"xxzsteer: error: {exc}", file=sys.stderr)

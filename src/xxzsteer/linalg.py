@@ -1,21 +1,19 @@
 """Dense complex linear algebra sized for two-qubit work.
 
-Operators and density matrices live in dimensions 2 and 4 only, so this
-module carries its own cyclic Jacobi eigensolver for complex Hermitian
-matrices instead of leaning on LAPACK: at these sizes Jacobi is simple,
-deterministic, and lets us report a measured off-diagonal residual when
-something fails to converge.  Everything else (tensor products, spectral
-functions, the partial trace over the first qubit, entropies) is built on
-top of it.
-
-All entropies are in bits.
+Operators and density matrices live in dimensions 2 and 4 only.  Every
+function takes one matrix or a stack of them, shape (..., n, n), and a
+failed check raises for the first failing matrix with the measured
+residual.  Eigendecompositions come from LAPACK (``np.linalg.eigh``) and
+are checked against the input they diagonalize.  Sums within one matrix
+are explicit left folds, so a matrix gives the same bits alone as inside
+any stack.  All entropies are in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,19 +23,21 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "EigenDecomposition",
-    "JacobiConvergenceError",
+    "first_cell",
+    "as_cells",
     "kron",
+    "dagger",
+    "trace",
     "eig_hermitian",
-    "spectral_fn",
     "partial_trace_A",
     "vn_entropy",
     "binary_entropy",
     "binary_entropy_rejects",
     "LogSumExp",
     "logsumexp",
+    "xlog2x",
     "shannon_bits",
     "frobenius",
-    "hermiticity_residual",
     "validate_density_matrix",
 ]
 
@@ -49,50 +49,54 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # Supported operator sizes: single qubit and qubit pair.
 _ALLOWED_DIMS = (2, 4)
 
-# Jacobi sweep controls: converged when the off-diagonal Frobenius norm
-# drops below JACOBI_OFF_TOL * ||A||_F; hard cap on the number of sweeps.
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 60
-
 HERMITICITY_TOL = 1e-10
+# Allowed ||V diag(w) V^dagger - A||_F of an eigendecomposition, per max(1, ||A||_F).
+RECONSTRUCTION_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
-ENTROPY_CLAMP = 1e-10
 # How far rounding may carry a probability outside [0, 1] before a check
 # rejects it (entropy arguments here, Gibbs entries in model).
 PROBABILITY_TOL = 1e-12
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the cap; carries the final off-diagonal norm."""
-
-    def __init__(self, off_norm: float, sweeps: int):
-        self.off_norm = off_norm
-        self.sweeps = sweeps
-        super().__init__(
-            f"Jacobi eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal Frobenius norm {off_norm:.3e})"
-        )
+def first_cell(bad) -> int | None:
+    """Flat index of the first set cell of a boolean array, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def as_cells(x):
+    """Per-cell values as an array, or a float for a single cell."""
+    return x if np.ndim(x) else float(x)
 
 
-def hermiticity_residual(a: np.ndarray) -> float:
-    """||A - A^dagger||_F, the distance from the Hermitian cone."""
-    return frobenius(a - a.conj().T)
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix, row-major whatever the stack size."""
+    return np.conj(np.swapaxes(a, -2, -1), order="C")
+
+
+def trace(a: np.ndarray) -> np.ndarray:
+    """Trace of each matrix of a stack, summed in index order."""
+    total = a[..., 0, 0]
+    for k in range(1, a.shape[-1]):
+        total = total + a[..., k, k]
+    return total
 
 
 def _as_operator(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] not in _ALLOWED_DIMS:
+    if a.shape[-1] not in _ALLOWED_DIMS:
         raise ValueError(
-            f"{name} must have dimension in {_ALLOWED_DIMS}, got {a.shape[0]}"
+            f"{name} must have dimension in {_ALLOWED_DIMS}, got {a.shape[-1]}"
         )
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -101,7 +105,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product, restricted to results of dimension at most 4."""
     a = _as_operator(a, "kron left factor")
     b = _as_operator(b, "kron right factor")
-    dim = a.shape[0] * b.shape[0]
+    dim = a.shape[-1] * b.shape[-1]
     if dim > 4:
         raise ValueError(
             f"tensor product dimension {dim} exceeds the two-qubit limit 4"
@@ -113,8 +117,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class EigenDecomposition:
     """Eigenvalues in ascending order with orthonormal column eigenvectors.
 
-    Satisfies ``vectors @ diag(values) @ vectors.conj().T == input`` and
-    ``vectors.conj().T @ vectors == I`` to 1e-12 relative.
+    Satisfies ``vectors @ diag(values) @ vectors.conj().T == input`` to
+    RECONSTRUCTION_TOL relative, matrix by matrix.
     """
 
     values: np.ndarray
@@ -122,109 +126,50 @@ class EigenDecomposition:
 
 
 def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    res = hermiticity_residual(a)
-    bound = HERMITICITY_TOL * max(1.0, frobenius(a))
-    if res > bound:
+    res = frobenius(a - dagger(a))
+    bound = HERMITICITY_TOL * np.maximum(1.0, frobenius(a))
+    i = first_cell(res > bound)
+    if i is not None:
         raise ValueError(
-            f"{name} is not Hermitian: ||A - A^dagger||_F = {res:.3e} "
-            f"exceeds {bound:.3e}"
+            f"{name} is not Hermitian: ||A - A^dagger||_F = {res.flat[i]:.3e} "
+            f"exceeds {bound.flat[i]:.3e}"
         )
-    return (a + a.conj().T) / 2
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    return (a + dagger(a)) / 2
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize complex Hermitian matrices with LAPACK ``eigh``.
 
-    Eigenvalues are returned in ascending order; exact ties keep their
-    original diagonal order, so the output is deterministic for identical
-    input.  Non-Hermitian input is rejected with the measured residual;
-    failure to converge within the sweep budget raises
-    :class:`JacobiConvergenceError` carrying the final off-diagonal norm.
+    Takes one matrix or a stack; eigenvalues ascend.  Non-Hermitian input is
+    rejected with the measured residual, and a decomposition that does not
+    rebuild its input to RECONSTRUCTION_TOL raises RuntimeError with the
+    measured reconstruction residual.
     """
     a = _as_operator(a, "eig_hermitian input")
     h = _require_hermitian(a, "eig_hermitian input")
-    n = h.shape[0]
-
-    work = h.copy()
-    vecs = np.eye(n, dtype=complex)
-    scale = frobenius(h)
-    tol = JACOBI_OFF_TOL * scale
-
-    sweeps = 0
-    while _off_norm(work) > tol:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise JacobiConvergenceError(_off_norm(work), sweeps)
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                absb = abs(apq)
-                if absb == 0.0:
-                    continue
-                phase = apq / absb
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * absb)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sigma = (t * c) * phase
-
-                rp = work[p, :].copy()
-                rq = work[q, :].copy()
-                work[p, :] = c * rp - sigma * rq
-                work[q, :] = np.conj(sigma) * rp + c * rq
-                cp = work[:, p].copy()
-                cq = work[:, q].copy()
-                work[:, p] = c * cp - np.conj(sigma) * cq
-                work[:, q] = sigma * cp + c * cq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = complex(work[p, p].real, 0.0)
-                work[q, q] = complex(work[q, q].real, 0.0)
-
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - np.conj(sigma) * vq
-                vecs[:, q] = sigma * vp + c * vq
-
-    values = np.diag(work).real.copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=vecs[:, order])
-
-
-def spectral_fn(a: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix: V diag(f(lambda)) V^dagger."""
-    eig = eig_hermitian(a)
-    fvals = np.empty_like(eig.values)
-    for i, lam in enumerate(eig.values):
-        try:
-            val = float(fn(float(lam)))
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError(
-                f"spectral function failed at eigenvalue {lam!r}: {exc}"
-            ) from exc
-        if not math.isfinite(val):
-            raise ValueError(
-                f"spectral function is not finite at eigenvalue {lam!r}: {val!r}"
-            )
-        fvals[i] = val
-    out = (eig.vectors * fvals) @ eig.vectors.conj().T
-    return (out + out.conj().T) / 2
+    values, vectors = np.linalg.eigh(h)
+    res = frobenius((vectors * values[..., None, :]) @ dagger(vectors) - h)
+    bound = RECONSTRUCTION_TOL * np.maximum(1.0, frobenius(h))
+    i = first_cell(res > bound)
+    if i is not None:
+        raise RuntimeError(
+            f"eigendecomposition does not rebuild its input: "
+            f"||V diag(w) V^dagger - A||_F = {res.flat[i]:.3e} "
+            f"exceeds {bound.flat[i]:.3e}"
+        )
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def partial_trace_A(m: np.ndarray) -> np.ndarray:
-    """Trace out the first qubit of a two-qubit operator.
+    """Trace out the first qubit of two-qubit operators.
 
     Bit convention |A B> with A the leading (most significant) factor:
     (Tr_A M)_{jk} = M_{(0j),(0k)} + M_{(1j),(1k)}.
     """
     m = _as_operator(m, "partial trace input")
-    if m.shape[0] != 4:
-        raise ValueError(f"partial trace requires a 4x4 matrix, got {m.shape[0]}")
-    return m[:2, :2] + m[2:, 2:]
+    if m.shape[-1] != 4:
+        raise ValueError(f"partial trace requires a 4x4 matrix, got {m.shape[-1]}")
+    return m[..., :2, :2] + m[..., 2:, 2:]
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
@@ -234,45 +179,66 @@ def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """
     rho = _as_operator(rho, name)
     h = _require_hermitian(rho, name)
-    tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} trace is {tr!r}, off unity by {abs(tr - 1.0):.3e}")
-    lam_min = float(eig_hermitian(h).values[0])
-    if lam_min < -PSD_TOL:
+    tr = trace(h).real
+    i = first_cell(np.abs(tr - 1.0) > TRACE_TOL)
+    if i is not None:
+        t = float(tr.flat[i])
+        raise ValueError(f"{name} trace is {t!r}, off unity by {abs(t - 1.0):.3e}")
+    lam_min = eig_hermitian(h).values[..., 0]
+    i = first_cell(lam_min < -PSD_TOL)
+    if i is not None:
         raise ValueError(
-            f"{name} is not positive semidefinite: min eigenvalue {lam_min:.3e}"
+            f"{name} is not positive semidefinite: "
+            f"min eigenvalue {lam_min.flat[i]:.3e}"
         )
     return h
 
 
-def vn_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -Tr(rho log2 rho) in bits.
+def vn_entropy(rho: np.ndarray):
+    """Von Neumann entropy -Tr(rho log2 rho) in bits, of each state of a stack.
 
     Eigenvalues are clamped to [0, 1] before the log; low-temperature Gibbs
     states round-trip into tiny negative eigenvalues that would otherwise
-    poison the log.
+    poison the log.  A single state gives a float.
     """
     h = validate_density_matrix(rho, "vn_entropy input")
     lam = np.clip(eig_hermitian(h).values, 0.0, 1.0)
-    return shannon_bits(lam)
+    return shannon_bits(np.moveaxis(lam, -1, 0))
 
 
-def shannon_bits(probs) -> float:
-    """Shannon entropy of a nonnegative sequence, 0 log 0 = 0, in bits."""
+def xlog2x(q: np.ndarray) -> np.ndarray:
+    """q log2 q elementwise, 0 where q <= 0 (0 log 0 = 0)."""
+    pos = q > 0.0
+    safe = np.where(pos, q, 1.0)
+    return np.where(pos, safe * np.log2(safe), 0.0)
+
+
+def shannon_bits(probs):
+    """Shannon entropy in bits of nonnegative weights, 0 log 0 = 0.
+
+    `probs` runs over the outcomes along its first axis; each outcome may
+    be an array of cells.  The terms are summed from 0 in outcome order.
+    A sequence of numbers gives a float.
+    """
     total = 0.0
-    for p in np.asarray(probs, dtype=float).ravel():
-        if p > 0.0:
-            total -= float(p) * math.log2(p)
-    return total
+    for term in xlog2x(np.asarray(probs, dtype=float)):
+        total = total - term
+    return as_cells(total)
 
 
-def binary_entropy(q: float) -> float:
-    """H2(q) = -q log2 q - (1-q) log2(1-q), clamped near the endpoints."""
-    if not math.isfinite(q):
-        raise ValueError(f"binary_entropy argument is not finite: {q!r}")
-    if q < -PROBABILITY_TOL or q > 1.0 + PROBABILITY_TOL:
-        raise ValueError(f"binary_entropy argument {q!r} outside [0, 1] tolerance")
-    q = min(max(q, 0.0), 1.0)
+def binary_entropy(q):
+    """H2(q) = -q log2 q - (1-q) log2(1-q), clamped near the endpoints.
+
+    Takes a number or an array of cells; a number gives a float.
+    """
+    q = np.asarray(q, dtype=float)
+    i = first_cell(binary_entropy_rejects(q))
+    if i is not None:
+        bad = float(q.flat[i])
+        if not math.isfinite(bad):
+            raise ValueError(f"binary_entropy argument is not finite: {bad!r}")
+        raise ValueError(f"binary_entropy argument {bad!r} outside [0, 1] tolerance")
+    q = np.clip(q, 0.0, 1.0)
     return shannon_bits((q, 1.0 - q))
 
 

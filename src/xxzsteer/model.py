@@ -20,9 +20,10 @@ a spectral matrix exponential - and must agree entrywise to 1e-10.  All
 exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
 
-The closed route works array-at-a-time: :class:`ThermalBatch` holds the
-entries of many parameter cells, one array per quantity, and the closed
-measures are kernels over such batches.  A single point is a batch of one.
+Both routes work array-at-a-time over a :class:`ThermalBatch` of parameter
+cells: the closed route holds one array per entry, and the closed measures
+are kernels over such batches; the spectral route stacks one Hamiltonian and
+one density matrix per cell.  A single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     PROBABILITY_TOL,
+    dagger,
     eig_hermitian,
+    first_cell,
+    frobenius,
     kron,
     logsumexp,
+    trace,
 )
 
 __all__ = [
@@ -66,7 +71,16 @@ COUPLING_MAX = 1e3
 _MAX_LOG = math.log(sys.float_info.max)  # ~709.78
 
 # Number operator sz ox I + I ox sz, conserved by H (U(1) symmetry).
-_TOTAL_SZ = np.diag(np.array([2.0, 0.0, 0.0, -2.0], dtype=complex))
+_TOTAL_SZ = kron(PAULI_Z, IDENTITY_2) + kron(IDENTITY_2, PAULI_Z)
+
+# H = J H_J + Jz H_Jz + B H_B: the operator each control multiplies.
+_H_J = -0.5 * (kron(PAULI_X, PAULI_X) + kron(PAULI_Y, PAULI_Y))
+_H_JZ = -0.5 * kron(PAULI_Z, PAULI_Z)
+_H_B = -0.5 * _TOTAL_SZ
+
+# Entries a spectral Gibbs state may carry: the diagonal and the central pair.
+_X_MASK = np.eye(4, dtype=bool)
+_X_MASK[1, 2] = _X_MASK[2, 1] = True
 
 
 class ParameterRegimeError(ValueError):
@@ -123,14 +137,15 @@ def check_params(J, Jz, B, T) -> None:
         raise AssertionError(f"cell {i} failed the vector parameter check only")
 
 
-def hamiltonian(p: SpinParams) -> np.ndarray:
-    """Assemble H as the explicit tensor-product operator sum (real entries)."""
-    h = -0.5 * (
-        p.J * (kron(PAULI_X, PAULI_X) + kron(PAULI_Y, PAULI_Y))
-        + p.Jz * kron(PAULI_Z, PAULI_Z)
-    )
-    h -= 0.5 * p.B * (kron(PAULI_Z, IDENTITY_2) + kron(IDENTITY_2, PAULI_Z))
-    return h
+def hamiltonian(source: SpinParams | ThermalBatch) -> np.ndarray:
+    """H as the operator sum J H_J + Jz H_Jz + B H_B (real entries).
+
+    A point gives one 4x4 matrix, a batch of N cells an (N, 4, 4) stack.
+    """
+    cells = ThermalBatch.of(source) if isinstance(source, SpinParams) else source
+    J, Jz, B = (x[:, None, None] for x in (cells.J, cells.Jz, cells.B))
+    h = J * _H_J + Jz * _H_JZ + B * _H_B
+    return h[0] if cells is not source else h
 
 
 def log_partition_function(p: SpinParams) -> float:
@@ -251,6 +266,10 @@ class ThermalBatch:
     def __len__(self) -> int:
         return len(self.T)
 
+    def __getitem__(self, index: slice) -> "ThermalBatch":
+        """The cells of a slice, as a new batch."""
+        return ThermalBatch(self.J[index], self.Jz[index], self.B[index], self.T[index])
+
     def params(self, i: int) -> SpinParams:
         """Cell i as SpinParams."""
         return SpinParams(
@@ -325,44 +344,57 @@ def gibbs_closed(p: SpinParams) -> GibbsState:
     return ThermalBatch.of(p).state(0)
 
 
-def gibbs_spectral(p: SpinParams) -> GibbsState:
-    """Thermal state via eigendecomposition of H and a shifted exponential.
+def gibbs_spectral(source: SpinParams | ThermalBatch):
+    """Thermal states via eigendecomposition of H and a shifted exponential.
 
+    A point gives its validated GibbsState; a batch of N cells gives the
+    (N, 4, 4) stack of density matrices, each checked as a GibbsState.
     Checks the X structure, Hermiticity, trace and U(1) commutation of the
-    computed matrix and raises with the measured residuals on violation.
+    computed matrices and raises, for the first failing cell, with the
+    measured residuals.
     """
-    eig = eig_hermitian(hamiltonian(p))
-    weights = np.exp(-(eig.values - eig.values.min()) / p.T)
-    total = weights.sum()
-    rho = (eig.vectors * (weights / total)) @ eig.vectors.conj().T
-    rho = (rho + rho.conj().T) / 2
-    log_z = float(-eig.values.min() / p.T + math.log(total))
+    cells = ThermalBatch.of(source) if isinstance(source, SpinParams) else source
+    eig = eig_hermitian(hamiltonian(cells))
+    lowest = eig.values[:, 0]
+    weights = np.exp(-(eig.values - lowest[:, None]) / cells.T[:, None])
+    total = weights[:, 0]
+    for k in range(1, 4):
+        total = total + weights[:, k]
+    rho = (eig.vectors * (weights / total[:, None])[:, None, :]) @ dagger(eig.vectors)
+    rho = (rho + dagger(rho)) / 2
 
     tol = 1e-12
-    residuals = {}
-    x_mask = np.zeros((4, 4), dtype=bool)
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)):
-        x_mask[i, j] = True
-    residuals["off_x_structure"] = float(np.abs(rho[~x_mask]).max())
-    residuals["imag_part"] = float(np.abs(rho[x_mask].imag).max())
-    residuals["trace"] = abs(float(np.trace(rho).real) - 1.0)
-    residuals["central_symmetry"] = abs(float(rho[1, 1].real - rho[2, 2].real))
-    comm = rho @ _TOTAL_SZ - _TOTAL_SZ @ rho
-    residuals["number_commutator"] = float(np.linalg.norm(comm))
-    bad = {k: r for k, r in residuals.items() if r > tol}
-    if bad:
+    residuals = {
+        "off_x_structure": np.abs(rho[:, ~_X_MASK]).max(axis=1),
+        "imag_part": np.abs(rho[:, _X_MASK].imag).max(axis=1),
+        "trace": np.abs(trace(rho).real - 1.0),
+        "central_symmetry": np.abs(rho[:, 1, 1].real - rho[:, 2, 2].real),
+        "number_commutator": frobenius(rho @ _TOTAL_SZ - _TOTAL_SZ @ rho),
+    }
+    i = first_cell(np.any([r > tol for r in residuals.values()], axis=0))
+    if i is not None:
+        p = cells.params(i)
         raise ValueError(
             f"spectral Gibbs construction violates X-state invariants at "
             f"J={p.J}, Jz={p.Jz}, B={p.B}, T={p.T}: "
-            + ", ".join(f"{k}={r:.3e}" for k, r in bad.items())
+            + ", ".join(f"{k}={r[i]:.3e}" for k, r in residuals.items() if r[i] > tol)
         )
 
-    return GibbsState(
-        params=p,
-        a=float(rho[0, 0].real),
-        b=float((rho[1, 1].real + rho[2, 2].real) / 2),
-        d=float(rho[3, 3].real),
-        v=float((rho[1, 2] + rho[2, 1]).real / 2),
-        log_Z=log_z,
-        _rho=rho,
-    )
+    a, d = rho[:, 0, 0].real, rho[:, 3, 3].real
+    b = (rho[:, 1, 1].real + rho[:, 2, 2].real) / 2
+    v = (rho[:, 1, 2] + rho[:, 2, 1]).real / 2
+    if cells is not source:
+        return GibbsState(
+            params=source,
+            a=float(a[0]),
+            b=float(b[0]),
+            d=float(d[0]),
+            v=float(v[0]),
+            log_Z=float(-lowest[0] / source.T + np.log(total[0])),
+            _rho=rho[0],
+        )
+    i = first_cell(GibbsState.rejects(a, b, d, v))
+    if i is not None:
+        gibbs_spectral(cells.params(i))  # the cell alone raises GibbsState's error
+        raise AssertionError(f"cell {i} failed the vector Gibbs check only")
+    return rho

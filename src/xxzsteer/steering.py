@@ -32,12 +32,17 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    as_cells,
     binary_entropy,
     binary_entropy_rejects,
+    dagger,
+    first_cell,
     kron,
     partial_trace_A,
+    trace,
     validate_density_matrix,
     vn_entropy,
+    xlog2x,
 )
 from .model import GibbsState, ThermalBatch
 
@@ -130,10 +135,19 @@ def measurement_operator(axis: PauliAxis, outcome: int) -> np.ndarray:
     return (IDENTITY_2 + (-1) ** outcome * axis.matrix) / 2
 
 
+# Alice's projectors Pi_a ox I on the pair, by axis and outcome.
+_PROJECTORS = {
+    axis: tuple(kron(measurement_operator(axis, k), IDENTITY_2) for k in (0, 1))
+    for axis in PauliAxis
+}
+# Each axis's eigenbasis as the columns of a unitary, +1 eigenvector first.
+_BASES = {axis: np.column_stack(kets) for axis, kets in _PAULI_KETS.items()}
+
+
 @dataclass(frozen=True)
 class ConditionalState:
     outcome: int
-    probability: float
+    probability: float | np.ndarray
     state: np.ndarray
 
 
@@ -145,9 +159,12 @@ class ConditionalEnsemble:
     entries: tuple[ConditionalState, ConditionalState]
 
     def __post_init__(self):
-        total = sum(e.probability for e in self.entries)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
+        total = self.entries[0].probability + self.entries[1].probability
+        i = first_cell(np.abs(total - 1.0) > 1e-12)
+        if i is not None:
+            raise ValueError(
+                f"ensemble probabilities sum to {float(np.ravel(total)[i])!r}, not 1"
+            )
 
 
 def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
@@ -155,73 +172,73 @@ def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
 
     p_a = Tr[(Pi_a ox I) rho];  Bob's state is the normalized partial trace
     of the projected state.  Outcomes with p <= 1e-12 are recorded as I/2.
+    `rho` is one 4x4 state, giving float probabilities and 2x2 states, or a
+    stack, giving an array of probabilities and a stack of states.
     """
     rho = validate_density_matrix(rho, "steered state")
-    if rho.shape[0] != 4:
+    if rho.shape[-1] != 4:
         raise ValueError("steering requires a two-qubit (4x4) state")
     entries = []
-    for outcome in (0, 1):
-        proj = kron(measurement_operator(axis, outcome), IDENTITY_2)
+    for outcome, proj in enumerate(_PROJECTORS[axis]):
         projected = proj @ rho @ proj
-        p = float(np.trace(projected).real)
-        if p < -PROBABILITY_FLOOR:
-            raise ValueError(f"negative outcome probability {p!r} for {axis}")
-        if p <= PROBABILITY_FLOOR:
-            state = IDENTITY_2.copy() / 2
-        else:
-            state = partial_trace_A(projected) / p
-            state = (state + state.conj().T) / 2
-        entries.append(
-            ConditionalState(outcome=outcome, probability=max(p, 0.0), state=state)
-        )
+        p = trace(projected).real
+        i = first_cell(p < -PROBABILITY_FLOOR)
+        if i is not None:
+            raise ValueError(
+                f"negative outcome probability {float(p.flat[i])!r} for {axis}"
+            )
+        kept = (p > PROBABILITY_FLOOR)[..., None, None]
+        state = partial_trace_A(projected) / np.where(kept, p[..., None, None], 1.0)
+        state = np.where(kept, (state + dagger(state)) / 2, IDENTITY_2 / 2)
+        p = as_cells(np.maximum(p, 0.0))
+        entries.append(ConditionalState(outcome=outcome, probability=p, state=state))
     return ConditionalEnsemble(axis=axis, entries=tuple(entries))
 
 
-def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind) -> float:
-    """Basis coherence of a qubit state in the eigenbasis of one Pauli axis.
+def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
+    """Basis coherence of qubit states in the eigenbasis of one Pauli axis.
 
     L1: sum of the magnitudes of the off-diagonal elements in that basis.
     Relative entropy: H(diagonal populations) - S(rho), in bits.
+    One 2x2 state gives a float, a stack an array.
     """
     rho2 = validate_density_matrix(rho2, "coherence input")
-    if rho2.shape[0] != 2:
+    if rho2.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
-    k0, k1 = _PAULI_KETS[basis_axis]
+    u = _BASES[basis_axis]
+    in_basis = dagger(u) @ rho2 @ u
     if kind is CoherenceKind.L1:
-        return 2.0 * abs(complex(k0.conj() @ rho2 @ k1))
-    population = float((k0.conj() @ rho2 @ k0).real)
-    val = float(binary_entropy(population) - vn_entropy(rho2))
-    if val < -1e-12:
+        return as_cells(2.0 * np.abs(in_basis[..., 0, 1]))
+    population = in_basis[..., 0, 0].real
+    val = binary_entropy(population) - vn_entropy(rho2)
+    i = first_cell(val < -1e-12)
+    if i is not None:
         raise AssertionError(
-            f"relative-entropy coherence came out negative: {val!r}"
+            f"relative-entropy coherence came out negative: {float(np.ravel(val)[i])!r}"
         )
-    return max(val, 0.0)
+    return as_cells(np.maximum(val, 0.0))
 
 
-def sqc_direct(rho: np.ndarray, kind: CoherenceKind) -> float:
+def sqc_direct(rho: np.ndarray, kind: CoherenceKind):
     """Steered quantum coherence straight from the definition.
 
     Deliberately brute force - every projector, conditional state and
     entropy is evaluated explicitly - so it can arbitrate the closed forms.
+    One 4x4 state gives a float, an (N, 4, 4) stack N values.
     """
+    ensembles = [steer(rho, mu) for mu in PauliAxis]
+    # Bob's six conditional states, taken in each basis by one call per basis
+    states = np.array([[e.state for e in ens.entries] for ens in ensembles])
+    coh = {nu: coherence(states, nu, kind) for nu in PauliAxis}
     total = 0.0
-    for mu in PauliAxis:
-        ensemble = steer(rho, mu)
-        for entry in ensemble.entries:
-            if entry.probability <= PROBABILITY_FLOOR:
-                continue
+    for m, ens in enumerate(ensembles):
+        for a, entry in enumerate(ens.entries):
+            kept = entry.probability > PROBABILITY_FLOOR
             for nu in PauliAxis:
-                if nu is mu:
-                    continue
-                total += entry.probability * coherence(entry.state, nu, kind)
-    return 0.5 * total
-
-
-def _xlog2x(q: np.ndarray) -> np.ndarray:
-    """q log2 q elementwise, 0 where q <= 0 (0 log 0 = 0)."""
-    pos = q > 0.0
-    safe = np.where(pos, q, 1.0)
-    return np.where(pos, safe * np.log2(safe), 0.0)
+                if nu is not ens.axis:
+                    term = entry.probability * coh[nu][m, a]
+                    total = total + np.where(kept, term, 0.0)
+    return as_cells(0.5 * total)
 
 
 def _entropy(terms) -> np.ndarray:
@@ -264,7 +281,7 @@ def scre_kernel(cells: ThermalBatch) -> np.ndarray:
     cells.note(binary_entropy_rejects(pair) | binary_entropy_rejects(upper), raise_at)
     # binary_entropy clamps its argument to [0, 1]
     q, u = np.clip(pair, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
-    x = _xlog2x(np.array([q, 1.0 - q, a, b, b, d, u, 1.0 - u]))
+    x = xlog2x(np.array([q, 1.0 - q, a, b, b, d, u, 1.0 - u]))
     return 2.0 + 2.0 * _entropy(x[0:2]) - _entropy(x[2:6]) - 2.0 * _entropy(x[6:8])
 
 
@@ -287,7 +304,7 @@ def scre_published_kernel(cells: ThermalBatch) -> np.ndarray:
     """:func:`scre_published` over a batch of thermal states."""
     a, b, d, v = cells.entries()
     r = _radius(a, d, v)
-    x = _xlog2x(
+    x = xlog2x(
         np.array(
             [
                 1 - a - 2 * b + 3 * d,

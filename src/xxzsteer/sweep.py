@@ -6,20 +6,19 @@ Two evaluation engines exist:
 * ``closed``  - closed-form entries plus closed-form measures (fast path),
   each measure one array kernel over the whole grid;
 * ``oracle``  - spectral state construction plus the definitional measures
-  (brute-force path), one grid node at a time;
+  (brute-force path), each definition one call over the stacked states;
 * ``both``    - run the two and record oracle, closed and |difference|.
 
-A single point is a grid of one through the same code.  Oracle rows may be
-spread over worker processes and are reassembled by grid position, so the
-output is byte-identical no matter how many workers evaluate it.
+Both engines evaluate a grid as a stack of cells in one process: the
+closed engine one kernel call per measure, the oracle one call per
+definition over the stacked spectral states.  A single point is a grid of
+one through the same code, so it is bit-identical to its row in any sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +105,6 @@ class SweepSpec:
     engine: str = "closed"
     out: str | None = None
     fmt: str = "csv"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.fmt not in ("csv", "json"):
@@ -137,8 +135,6 @@ class SweepSpec:
         extra = fixed_names - set(PARAM_NAMES)
         if extra:
             raise ValueError(f"unknown fixed parameters: {sorted(extra)}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
 
     def value_columns(self) -> tuple[str, ...]:
         cols = []
@@ -199,59 +195,43 @@ _DEFINITION = {
     "QFI": "qfi",
     "QFIclosed": "qfi",
 }
+# Each takes the cells and their stacked spectral states.
 _DEFINITIONS = {
-    "sqc_l1": lambda g: steering.sqc_direct(g.rho, CoherenceKind.L1),
-    "sqc_re": lambda g: steering.sqc_direct(g.rho, CoherenceKind.RELATIVE_ENTROPY),
-    "qfi": lambda g: fisher.qfi_spectral(g.rho, fisher.calibrated_observable(g)),
+    "sqc_l1": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.L1),
+    "sqc_re": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY),
+    "qfi": lambda cells, rho: fisher.qfi_spectral(rho, fisher.calibrated_observable(rho)),
 }
 
 
-def _oracle_row(params: SpinParams, measures) -> list[float]:
-    """Definitional values at one grid node, each definition evaluated once."""
-    g = gibbs_spectral(params)
-    found: dict[str, float] = {}
-    for m in measures:
-        kind = _DEFINITION[m]
-        if kind not in found:
-            found[kind] = _DEFINITIONS[kind](g)
-    return [found[_DEFINITION[m]] for m in measures]
+def _oracle(cells: ThermalBatch, measures) -> list[np.ndarray]:
+    """Definitional value columns over the cells, each definition called once.
 
-
-def _oracle_chunk(chunk) -> list[list[float]]:
-    params_list, measures = chunk
-    return [_oracle_row(p, measures) for p in params_list]
-
-
-def _oracle_rows(
-    params_list: list[SpinParams], measures, jobs: int
-) -> list[list[float]]:
-    """Oracle rows in grid order, on up to `jobs` worker processes.
-
-    The pool never has more workers than CPUs or than chunks of work.
+    Each stage raises for its own first failing cell, so on failure the
+    cells are evaluated again one at a time: the error raised is then the
+    one a cell-by-cell evaluation meets first.
     """
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or len(params_list) <= 1:
-        return _oracle_chunk((params_list, measures))
-    size = max(1, math.ceil(len(params_list) / (workers * 4)))
-    chunks = [
-        (params_list[i : i + size], measures)
-        for i in range(0, len(params_list), size)
-    ]
-    rows: list[list[float]] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        for part in pool.map(_oracle_chunk, chunks):
-            rows.extend(part)
-    return rows
+    try:
+        rho = gibbs_spectral(cells)
+        found: dict[str, np.ndarray] = {}
+        for m in measures:
+            kind = _DEFINITION[m]
+            if kind not in found:
+                found[kind] = _DEFINITIONS[kind](cells, rho)
+        return [found[_DEFINITION[m]] for m in measures]
+    except Exception:
+        if len(cells) > 1:
+            for i in range(len(cells)):
+                _oracle(cells[i : i + 1], measures)
+        raise
 
 
-def _evaluate(
-    cells: ThermalBatch, measures, engine: str, jobs: int
-) -> list[np.ndarray]:
+def _evaluate(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
     """Value columns of every cell, in SweepSpec.value_columns() order.
 
     Errors are those of evaluating the cells one at a time, in order: the
     first cell that fails, and within it the first measure (oracle before
-    closed), raises.
+    closed), raises.  So the closed kernels run first, and on `both` the
+    oracle then runs over the cells before the first closed failure.
     """
     n = len(cells)
     closed = []
@@ -267,13 +247,14 @@ def _evaluate(
         return closed
 
     cell, pos = failed_at
-    rows = _oracle_rows([cells.params(i) for i in range(cell)], measures, jobs)
     if cell < n:
-        _oracle_row(cells.params(cell), measures[: pos + 1])
+        if cell:
+            _oracle(cells[:cell], measures)
+        _oracle(cells[cell : cell + 1], measures[: pos + 1])
         cells.raise_first()
-    oracle = np.array(rows, dtype=float).reshape(n, len(measures)).T
+    oracle = _oracle(cells, measures)
     if engine == "oracle":
-        return list(oracle)
+        return oracle
     columns = []
     for o, c in zip(oracle, closed):
         columns += [o, c, np.abs(o - c)]
@@ -295,7 +276,7 @@ def evaluate_point(
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
-    columns = _evaluate(ThermalBatch.of(params), measures, engine, jobs=1)
+    columns = _evaluate(ThermalBatch.of(params), measures, engine)
     values = [float(col[0]) for col in columns]
     if engine != "both":
         return dict(zip(measures, values))
@@ -327,13 +308,12 @@ def _grid(spec: SweepSpec) -> ThermalBatch:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid and return the table, axis values included.
 
-    The closed engine evaluates each measure once over the whole grid.  With
-    jobs > 1, oracle rows are split into contiguous index chunks handed to
-    worker processes; rows are reassembled by index, so scheduling order
-    never affects the output.
+    Every engine evaluates the whole grid as one stack in this process: the
+    closed engine calls each measure's kernel once, the oracle each
+    definition once.  The output depends on nothing but the spec.
     """
     cells = _grid(spec)
-    values = _evaluate(cells, spec.measures, spec.engine, spec.jobs)
+    values = _evaluate(cells, spec.measures, spec.engine)
     axes = [getattr(cells, ax.name) for ax in spec.axes]
     data = np.column_stack(axes + values)
 

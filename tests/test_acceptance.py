@@ -7,7 +7,8 @@ Check index:
   A2  Polarized plateau: all three measures = 2 at (J=1, Jz=0, B=20, T=0.1)
   A3  High-temperature decay at (J, Jz, B) = (1, 1, 1): SCn = (1 + 1/sqrt2)/T,
       SCRE and QFI ~ 1/T^2 and <= 1e-2 at T=100; the exact free-spin zero
-  A4  Closed forms track the definitional averages over 1000 random draws
+  A4  Closed forms track the definitional averages over 1000 random draws,
+      and over the whole 161x161 (J, Jz) grid at T=2, B=1 and B=0
   A5  Closed and spectral state constructions agree over the same draws
   A6  All three measures are even in J
   A7  SCn grid maxima near 3 and the low-coherence zone grows with B
@@ -15,7 +16,7 @@ Check index:
   A9  SCn never increases with temperature at strong transverse coupling
   A10 The published SCRE closed form holds exactly on (and only on) B=0
   A11 Bounds, generator equivalences, covariance, pure-state variance law
-  A12 Byte-identical sweeps across worker counts; CSV round trip
+  A12 Byte-identical sweeps across --jobs values; CSV round trip
 
 A3 pins the rate at which each measure vanishes in the nearly mixed state
 rho = (1 - H/T)/4 + O(T^-2).  The conditional Bloch vectors of Bob are
@@ -52,7 +53,15 @@ from xxzsteer.steering import (
     scre_published,
     sqc_direct,
 )
-from xxzsteer.sweep import AxisSpec, SweepSpec, evaluate_point, read_csv, run_sweep, write_csv
+from xxzsteer.sweep import (
+    MEASURES,
+    AxisSpec,
+    SweepSpec,
+    evaluate_point,
+    read_csv,
+    run_sweep,
+    write_csv,
+)
 
 from conftest import draw_params, random_hermitian, random_pure_density, random_unitary
 
@@ -190,6 +199,29 @@ def test_a4_closed_forms_track_definitions(bulk):
         f"|SCn| {d_scn:.2e} (<=1e-10), |SCRE| {d_scre:.2e} (<=1e-10), "
         f"|QFI| {d_qfi:.2e} (<=1e-8)",
     )
+
+
+def test_a4_full_grid_closed_forms_track_definitions():
+    """Every cell of the reference grid on --engine both, with all measures.
+
+    The published forms match the definitions only at zero field, so they
+    are held to the bounds at B=0 alone.
+    """
+    bounds = {"SCn": 1e-10, "SCRE": 1e-10, "QFI": 1e-8}
+    zero_field = dict(bounds, SCREpaper=1e-10, QFIclosed=1e-8)
+    axes = (AxisSpec("J", -20, 20, 0.25), AxisSpec("Jz", -20, 20, 0.25))
+    for field, checked in ((1.0, bounds), (0.0, zero_field)):
+        spec = SweepSpec(
+            axes=axes, fixed={"B": field, "T": 2.0}, measures=MEASURES, engine="both"
+        )
+        table = run_sweep(spec)
+        assert table.data.shape[0] == 161 * 161
+        worst = {m: float(table.column(f"{m}_absdiff").max()) for m in checked}
+        check(
+            f"A4 closed forms vs definitions on the 161x161 grid, T=2, B={field:g}",
+            all(worst[m] <= checked[m] for m in checked),
+            ", ".join(f"|{m}| {worst[m]:.2e} (<={checked[m]:g})" for m in checked),
+        )
 
 
 def test_a5_construction_routes_agree(bulk):

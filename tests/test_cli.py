@@ -55,6 +55,14 @@ def test_bad_axis_syntax_exits_two(capsys):
     assert "START:STOP:STEP" in capsys.readouterr().err
 
 
+def test_jobs_below_one_exits_two(capsys):
+    for command in (["point", *BELL_POINT],
+                    ["sweep", "--axis", "J=0:1:0.5", "--fix", "Jz=1", "--fix", "B=1",
+                     "--fix", "T=1", "--out", "x.csv"]):
+        assert main([*command, "--jobs", "0"]) == 2
+        assert "jobs must be a positive integer, got 0" in capsys.readouterr().err
+
+
 def test_sweep_requires_out(capsys):
     assert main(["sweep", "--axis", "J=0:1:0.5", "--fix", "Jz=1",
                  "--fix", "B=1", "--fix", "T=1"]) == 2

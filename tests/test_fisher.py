@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,3 +192,18 @@ def test_calibration_fails_for_every_collective_candidate(rng):
     for p in draws[:50]:
         g = gibbs_closed(p)
         assert abs(qfi_closed(g) - qfi_spectral(g.rho, calibrated_observable(g))) <= 1e-10
+
+
+def test_calibration_report_script_runs():
+    """The script feeds single 4x4 states and raw candidate matrices in."""
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    out = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "calibration_report.py"), "--draws", "5"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert "published ratio vs spectral QFI, 5 draws" in out
+    assert out.count("[fail]") == 6
+    assert "selected candidate: None" in out
+    worst = float(out.rsplit("max |difference|", 1)[1])
+    assert worst <= 1e-8

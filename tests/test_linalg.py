@@ -10,13 +10,11 @@ from xxzsteer.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
-    JacobiConvergenceError,
     binary_entropy,
     eig_hermitian,
     kron,
     logsumexp,
     partial_trace_A,
-    spectral_fn,
     vn_entropy,
 )
 
@@ -76,6 +74,12 @@ def test_eig_deterministic():
     e2 = eig_hermitian(a)
     assert np.array_equal(e1.values, e2.values)
     assert np.array_equal(e1.vectors, e2.vectors)
+    # a column-major copy and a stack of one give the same bits
+    e3 = eig_hermitian(np.asfortranarray(a))
+    assert np.array_equal(e1.values, e3.values)
+    e4 = eig_hermitian(a[None])
+    assert np.array_equal(e1.values, e4.values[0])
+    assert np.array_equal(e1.vectors, e4.vectors[0])
 
 
 def test_eig_zero_matrix():
@@ -84,13 +88,24 @@ def test_eig_zero_matrix():
     assert np.array_equal(eig.vectors, I4)
 
 
-def test_eig_sweep_cap_reports_off_norm(monkeypatch):
-    import xxzsteer.linalg as linalg
+def test_eig_reports_reconstruction_residual(monkeypatch):
+    """A decomposition that does not rebuild its input raises with the residual."""
+    lapack = np.linalg.eigh
 
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(JacobiConvergenceError) as err:
+    def perturbed(a):
+        values, vectors = lapack(a)
+        return values + 1e-6, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(RuntimeError, match="does not rebuild") as err:
         eig_hermitian(PAULI_X)
-    assert err.value.off_norm > 0.0
+    # the two eigenvalues moved by 1e-6 each: ||diag(1e-6, 1e-6)||_F
+    assert f"{math.sqrt(2) * 1e-6:.3e}" in str(err.value)
+    stack = np.array([IDENTITY_2, PAULI_Z])
+    with pytest.raises(RuntimeError, match="does not rebuild"):
+        eig_hermitian(stack)
+    monkeypatch.undo()
+    assert np.array_equal(eig_hermitian(stack).values, [[1.0, 1.0], [-1.0, 1.0]])
 
 
 def test_eig_reconstruction_residuals_bulk():
@@ -117,45 +132,6 @@ def test_eig_matches_lapack_spectrum(seed, dim):
     assert np.abs(eig.values - np.linalg.eigvalsh(a)).max() <= 1e-12 * max(
         1.0, np.linalg.norm(a)
     )
-
-
-# --------------------------------------------------------- spectral_fn
-
-def test_spectral_fn_exp_of_zero():
-    assert np.allclose(spectral_fn(np.zeros((2, 2)), math.exp), IDENTITY_2)
-
-
-def test_spectral_fn_exp_diagonal():
-    out = spectral_fn(PAULI_Z, math.exp)
-    assert np.allclose(out, np.diag([math.e, 1 / math.e]), atol=1e-14)
-
-
-def test_spectral_fn_exp_against_taylor_series():
-    """Truncated-series oracle on small-norm random Hermitian matrices."""
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = random_hermitian(rng, 4, scale=0.3)
-        series = np.zeros((4, 4), dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for k in range(1, 30):
-            series += term
-            term = term @ a / k
-        assert np.abs(spectral_fn(a, math.exp) - series).max() <= 1e-10
-
-
-def test_spectral_fn_exp_inverse_pair():
-    # unit-scale spectra keep e^{lmax-lmin} amplification well below the bound
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        a = random_hermitian(rng, 4, scale=1.0)
-        prod = spectral_fn(a, math.exp) @ spectral_fn(a, lambda x: math.exp(-x))
-        assert np.abs(prod - I4).max() <= 1e-10
-
-
-def test_spectral_fn_rejects_non_finite_values():
-    a = np.diag([1000.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match="1000"):
-        spectral_fn(a, math.exp)
 
 
 # ------------------------------------------------------ partial trace

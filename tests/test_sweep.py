@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from xxzsteer import sweep
 from xxzsteer.model import ParameterRegimeError, SpinParams
@@ -200,71 +200,17 @@ def test_sweep_axis_major_ordering():
 
 
 def test_sweep_deterministic_across_jobs(tmp_path):
-    spec_args = dict(
-        axes=(AxisSpec("J", -2, 2, 0.4), AxisSpec("Jz", -1, 1, 0.4)),
-        fixed={"B": 1.0, "T": 2.0},
-        measures=("SCn", "QFI"),
-    )
-    serial = run_sweep(SweepSpec(**spec_args, jobs=1))
-    parallel = run_sweep(SweepSpec(**spec_args, jobs=3))
-    assert np.array_equal(serial.data, parallel.data)
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(serial, f1)
-    write_csv(parallel, f2)
-    assert f1.read_bytes() == f2.read_bytes()
-    # oracle rows on two worker processes
-    small = dict(
-        spec_args,
-        axes=(AxisSpec("J", -1, 1, 0.5),),
-        fixed={"Jz": 0.5, "B": 1.0, "T": 2.0},
-    )
-    serial = run_sweep(SweepSpec(**small, engine="both", jobs=1))
-    parallel = run_sweep(SweepSpec(**small, engine="both", jobs=2))
-    assert serial.data.tobytes() == parallel.data.tobytes()
+    from xxzsteer.cli import main
 
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    def __init__(self, sizes: list, max_workers: int):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_oracle_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
-    sizes: list[int] = []
-    monkeypatch.setattr(
-        sweep,
-        "ProcessPoolExecutor",
-        lambda max_workers: _RecordingPool(sizes, max_workers),
-    )
-
-    def table(cells: int, jobs: int, engine: str = "oracle") -> np.ndarray:
-        spec = SweepSpec(
-            axes=(AxisSpec("J", 0.0, cells - 1.0, 1.0),),
-            fixed={"Jz": 1.0, "B": 1.0, "T": 1.0},
-            measures=("SCn",),
-            engine=engine,
-            jobs=jobs,
-        )
-        return run_sweep(spec).data
-
-    reference = table(5, 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert np.array_equal(table(5, 64), reference)  # 3 CPUs
-    assert np.array_equal(table(2, 64), reference[:2])  # 2 chunks of one cell
-    assert np.array_equal(table(5, 64, "closed"), table(5, 1, "closed"))  # no pool
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
-    assert np.array_equal(table(5, 64), reference)
-    assert sizes == [3, 2]
+    base = ["sweep", "--axis", "J=-2:2:0.4", "--axis", "Jz=-1:1:0.4",
+            "--fix", "B=1", "--fix", "T=2", "--measure", "SCn", "--measure", "QFI"]
+    for engine in ("closed", "both"):
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"{engine}-{jobs}.csv"
+            assert main([*base, "--engine", engine, "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # B = 1 at T = 1e-3 is the first node of this line where the published QFI
@@ -307,16 +253,37 @@ def test_engine_both_raises_in_node_then_measure_order(
 ):
     real = sweep._DEFINITIONS["sqc_l1"]
 
-    def failing(g):
-        if g.params.B == oracle_fails_at:
+    def failing(cells, rho):
+        if np.any(cells.B == oracle_fails_at):
             raise ValueError("oracle failure")
-        return real(g)
+        return real(cells, rho)
 
     monkeypatch.setitem(sweep._DEFINITIONS, "sqc_l1", failing)
     with pytest.raises(ValueError) as err:
         run_sweep(SweepSpec(**OVERFLOW_LINE, measures=measures, engine="both"))
     want = "oracle failure" if raised == "oracle" else OVERFLOW_MESSAGE
     assert str(err.value) == want
+
+
+def test_oracle_raises_for_the_first_failing_cell(monkeypatch):
+    """Over a stack, a later definition failing at an earlier cell raises first."""
+
+    def failing_at(b, real):
+        def definition(cells, rho):
+            if np.any(cells.B == b):
+                raise ValueError(f"oracle failure at B={b}")
+            return real(cells, rho)
+
+        return definition
+
+    for kind, b in (("sqc_l1", 1.0), ("qfi", 0.5)):
+        monkeypatch.setitem(
+            sweep._DEFINITIONS, kind, failing_at(b, sweep._DEFINITIONS[kind])
+        )
+    line = dict(axes=(AxisSpec("B", 0.0, 2.0, 0.5),), fixed={"J": 1.0, "Jz": 0.0, "T": 1.0})
+    for engine in ("oracle", "both"):
+        with pytest.raises(ValueError, match=r"^oracle failure at B=0.5$"):
+            run_sweep(SweepSpec(**line, measures=("SCn", "QFI"), engine=engine))
 
 
 def test_sweep_engine_both_cross_check():
@@ -347,6 +314,39 @@ def test_temperature_line_anchors():
         cold, hot = table.column(m)
         assert abs(cold - 2.0) <= 5e-2
         assert hot < 0.1
+
+
+# Each coupling on a face of the supported box or anywhere inside it; T at
+# its floor or log-uniform up to 1e3.
+_COUPLING = st.one_of(st.sampled_from([-1e3, 1e3]), st.floats(-1e3, 1e3))
+_TEMPERATURE = st.one_of(
+    st.just(1e-3), st.floats(-3.0, 3.0).map(lambda e: max(1e-3, 10.0**e))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=_COUPLING, Jz=_COUPLING, B=_COUPLING, T=_TEMPERATURE)
+def test_box_faces_are_finite_and_engines_agree(J, Jz, B, T):
+    """On the faces and corners of the box both engines give finite values
+    within the A4 bounds; the only error is the QFIclosed overflow."""
+    assume(1e3 in (abs(J), abs(Jz), abs(B)) or T == 1e-3)
+    p = SpinParams(J, Jz, B, T)
+    measures = MEASURES
+    try:
+        both = evaluate_point(p, measures, "both")
+    except ParameterRegimeError as exc:
+        assert str(exc).startswith("published QFI ratio overflows double precision")
+        measures = tuple(m for m in MEASURES if m != "QFIclosed")
+        both = evaluate_point(p, measures, "both")
+    closed = evaluate_point(p, measures, "closed")
+    bounds = {"SCn": 1e-10, "SCRE": 1e-10, "QFI": 1e-8}
+    if B == 0.0:
+        bounds.update(SCREpaper=1e-10, QFIclosed=1e-8)
+    for m in measures:
+        rec = both[m]
+        assert all(math.isfinite(x) for x in (rec.oracle, rec.closed, rec.absdiff))
+        assert rec.closed == closed[m]
+        assert rec.absdiff <= bounds.get(m, math.inf), (m, rec)
 
 
 def test_sweep_emits_finite_values_across_the_box():
