@@ -42,6 +42,7 @@ from .linalg import (
     as_cells,
     dagger,
     eig_hermitian,
+    first_cell,
     kron,
     logsumexp,
     validate_density_matrix,
@@ -161,14 +162,14 @@ def qfi_closed(g: GibbsState) -> float:
     Terms whose denominator is below the pair floor are dropped, matching
     the removable-singularity convention of the spectral sum.
     """
-    return ThermalBatch.of(g).scalar(qfi_kernel)
+    return float(qfi_kernel(ThermalBatch.of(g))[0])
 
 
 def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
     """:func:`qfi_published` over a batch of parameter cells.
 
-    Cells where the ratio leaves double range are noted on the batch, which
-    raises :class:`ParameterRegimeError` for the first of them.
+    Raises :class:`ParameterRegimeError` for the first cell where the ratio
+    leaves double range.
     """
     lx = cells.Jz / cells.T
     ly = cells.B / cells.T
@@ -197,7 +198,8 @@ def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
     with np.errstate(over="ignore"):
         value = np.where(m.sign == 0.0, 0.0, m.sign * np.exp(exponent))
 
-    def raise_at(i: int) -> None:
+    i = first_cell(~np.isfinite(value))
+    if i is not None:
         p = cells.params(i)
         if math.isfinite(exponent[i]):
             raise ParameterRegimeError(
@@ -208,8 +210,6 @@ def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
             f"published QFI ratio is not finite at J={p.J}, Jz={p.Jz}, "
             f"B={p.B}, T={p.T}"
         )
-
-    cells.note(~np.isfinite(value), raise_at)
     return value
 
 
@@ -228,7 +228,7 @@ def qfi_published(p: SpinParams) -> float:
     consequently it matches :func:`qfi_closed` and :func:`qfi_spectral`
     only at B = 0.  Kept for comparison as the QFIclosed measure.
     """
-    return ThermalBatch.of(p).scalar(qfi_published_kernel)
+    return float(qfi_published_kernel(ThermalBatch.of(p))[0])
 
 
 @dataclass(frozen=True)

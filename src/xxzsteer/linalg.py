@@ -32,7 +32,7 @@ __all__ = [
     "partial_trace_A",
     "vn_entropy",
     "binary_entropy",
-    "binary_entropy_rejects",
+    "checked_probability",
     "LogSumExp",
     "logsumexp",
     "xlog2x",
@@ -231,20 +231,24 @@ def binary_entropy(q):
 
     Takes a number or an array of cells; a number gives a float.
     """
+    q = checked_probability(q)
+    return shannon_bits((q, 1.0 - q))
+
+
+def checked_probability(q) -> np.ndarray:
+    """q as :func:`binary_entropy` takes it: checked, then clipped to [0, 1].
+
+    Raises for the first cell that is not finite or lies outside [0, 1] by
+    more than PROBABILITY_TOL.
+    """
     q = np.asarray(q, dtype=float)
-    i = first_cell(binary_entropy_rejects(q))
+    i = first_cell(~((-PROBABILITY_TOL <= q) & (q <= 1.0 + PROBABILITY_TOL)))
     if i is not None:
         bad = float(q.flat[i])
         if not math.isfinite(bad):
             raise ValueError(f"binary_entropy argument is not finite: {bad!r}")
         raise ValueError(f"binary_entropy argument {bad!r} outside [0, 1] tolerance")
-    q = np.clip(q, 0.0, 1.0)
-    return shannon_bits((q, 1.0 - q))
-
-
-def binary_entropy_rejects(q: np.ndarray) -> np.ndarray:
-    """Cells of an array for which :func:`binary_entropy` raises."""
-    return ~np.isfinite(q) | (q < -PROBABILITY_TOL) | (q > 1.0 + PROBABILITY_TOL)
+    return np.clip(q, 0.0, 1.0)
 
 
 class LogSumExp(NamedTuple):

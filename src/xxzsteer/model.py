@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "PARAM_NAMES",
     "T_FLOOR",
     "COUPLING_MAX",
     "ParameterRegimeError",
@@ -58,6 +58,7 @@ __all__ = [
     "GibbsState",
     "ThermalBatch",
     "check_params",
+    "check_entries",
     "hamiltonian",
     "log_partition_function",
     "partition_function",
@@ -67,6 +68,12 @@ __all__ = [
 
 T_FLOOR = 1e-3
 COUPLING_MAX = 1e3
+
+# The four controls, in SpinParams field order.
+PARAM_NAMES = ("J", "Jz", "B", "T")
+# The supported box, one row per parameter; NaN and +-inf fall outside it.
+_PARAM_LOW = np.array([[-COUPLING_MAX]] * 3 + [[T_FLOOR]])
+_PARAM_HIGH = np.array([[COUPLING_MAX]] * 3 + [[sys.float_info.max]])
 
 _MAX_LOG = math.log(sys.float_info.max)  # ~709.78
 
@@ -100,41 +107,41 @@ class SpinParams:
     T: float
 
     def __post_init__(self):
-        for name in ("J", "Jz", "B", "T"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise ValueError(f"{name}={val!r} is not a finite number")
-            object.__setattr__(self, name, float(val))
-        if self.T < T_FLOOR:
-            raise ValueError(f"T={self.T} is below the supported floor {T_FLOOR}")
-        for name in ("J", "Jz", "B"):
-            val = getattr(self, name)
-            if abs(val) > COUPLING_MAX:
-                raise ValueError(
-                    f"|{name}|={abs(val)} exceeds the supported bound {COUPLING_MAX}"
-                )
-
-    @staticmethod
-    def rejects(J, Jz, B, T) -> np.ndarray:
-        """Cells of parameter columns that the checks above reject."""
-        ok = np.isfinite(J) & np.isfinite(Jz) & np.isfinite(B) & np.isfinite(T)
-        ok &= T >= T_FLOOR
-        for col in (J, Jz, B):
-            ok &= np.abs(col) <= COUPLING_MAX
-        return ~ok
+        given = (self.J, self.Jz, self.B, self.T)
+        # anything but a number fails as NaN does, shown as given
+        cell = [float(x) if isinstance(x, (int, float)) else math.nan for x in given]
+        check_params(np.array(cell)[:, None], given=given)
+        for name, x in zip(PARAM_NAMES, cell):
+            object.__setattr__(self, name, x)
 
 
-def check_params(J, Jz, B, T) -> None:
-    """Check parameter columns as :class:`SpinParams` checks one cell.
+def check_params(x: np.ndarray, given: tuple | None = None) -> None:
+    """Reject parameter cells outside the supported box.
 
-    Raises SpinParams' own error for the first cell, in array order, that it
-    rejects.
+    `x` holds the rows J, Jz, B, T of N cells, shape (4, N).  The box is
+    |J|, |Jz|, |B| <= COUPLING_MAX and T_FLOOR <= T, all finite.  Raises
+    ValueError for the first failing cell, in array order, naming the first
+    of J, Jz, B, T that is not a finite number, else T below the floor,
+    else the first coupling out of bounds.  `given` is one cell's values as
+    passed to :class:`SpinParams`, shown when one is not finite.
     """
-    bad = SpinParams.rejects(J, Jz, B, T)
-    if bad.any():
-        i = int(np.argmax(bad))
-        SpinParams(float(J[i]), float(Jz[i]), float(B[i]), float(T[i]))
-        raise AssertionError(f"cell {i} failed the vector parameter check only")
+    inside = (_PARAM_LOW <= x) & (x <= _PARAM_HIGH)
+    if inside.all():
+        return
+    i = first_cell(~inside.all(axis=0))
+    cell = x[:, i]
+    finite = np.isfinite(cell)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        shown = given[k] if given is not None else float(cell[k])
+        raise ValueError(f"{PARAM_NAMES[k]}={shown!r} is not a finite number")
+    if not inside[3, i]:
+        raise ValueError(f"T={float(cell[3])} is below the supported floor {T_FLOOR}")
+    k = int(np.argmin(inside[:3, i]))
+    raise ValueError(
+        f"|{PARAM_NAMES[k]}|={abs(float(cell[k]))} exceeds the supported bound "
+        f"{COUPLING_MAX}"
+    )
 
 
 def hamiltonian(source: SpinParams | ThermalBatch) -> np.ndarray:
@@ -165,6 +172,35 @@ def partition_function(p: SpinParams) -> float:
     return math.exp(log_z)
 
 
+def check_entries(a, b, d, v) -> None:
+    """Reject X-state entries (a, b, d, v) that do not form a density matrix.
+
+    Raises ValueError for the first failing cell, in array order, with the
+    message of its first failing clause: a, b, d outside [0, 1], a+2b+d
+    off 1, |v| above b; each by more than PROBABILITY_TOL.
+    """
+    tol = PROBABILITY_TOL
+    diagonal = np.array((a, b, d))
+    in_range = (-tol <= diagonal) & (diagonal <= 1.0 + tol)
+    norm_res = np.abs(a + 2 * b + d - 1.0)
+    bad = np.array((*~in_range, norm_res > tol, np.abs(v) > b + tol))
+    if not bad.any():
+        return
+    i = first_cell(bad.any(axis=0))
+    clause = int(np.argmax(bad[:, i]))
+    if clause < 3:
+        raise ValueError(
+            f"Gibbs entry {'abd'[clause]}={float(diagonal[clause, i])!r} "
+            f"outside [0, 1] by more than {tol}"
+        )
+    if clause == 3:
+        raise ValueError(f"Gibbs entries violate a+2b+d=1 by {norm_res[i]:.3e}")
+    raise ValueError(
+        f"Gibbs coherence |v|={abs(float(v[i]))!r} exceeds b={float(b[i])!r}: "
+        f"central block not positive semidefinite"
+    )
+
+
 @dataclass(frozen=True)
 class GibbsState:
     """Validated thermal X state: entries (a, b, d, v) plus log Z.
@@ -183,30 +219,7 @@ class GibbsState:
     _rho: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        tol = PROBABILITY_TOL
-        for name in ("a", "b", "d"):
-            val = getattr(self, name)
-            if not (-tol <= val <= 1.0 + tol):
-                raise ValueError(
-                    f"Gibbs entry {name}={val!r} outside [0, 1] by more than {tol}"
-                )
-        norm_res = abs(self.a + 2 * self.b + self.d - 1.0)
-        if norm_res > tol:
-            raise ValueError(f"Gibbs entries violate a+2b+d=1 by {norm_res:.3e}")
-        if abs(self.v) > self.b + tol:
-            raise ValueError(
-                f"Gibbs coherence |v|={abs(self.v)!r} exceeds b={self.b!r}: "
-                f"central block not positive semidefinite"
-            )
-
-    @staticmethod
-    def rejects(a, b, d, v) -> np.ndarray:
-        """Cells of entry arrays that the checks above reject."""
-        tol = PROBABILITY_TOL
-        bad = np.abs(a + 2 * b + d - 1.0) > tol
-        for x in (a, b, d):
-            bad |= ~((-tol <= x) & (x <= 1.0 + tol))
-        return bad | (np.abs(v) > b + tol)
+        check_entries(*np.array([[self.a], [self.b], [self.d], [self.v]]))
 
     @property
     def rho(self) -> np.ndarray:
@@ -237,19 +250,16 @@ class ThermalBatch:
     The closed engine evaluates each measure as a kernel over a whole batch;
     a single point is a batch of one.  J, Jz, B, T are the parameter columns
     (already checked, see :func:`check_params`); the entries a, b, d, v and
-    log Z are computed on first use.
+    log Z are computed, checked and kept on first use.
 
-    A kernel whose check fails in some cells records it with :meth:`note`
-    instead of raising.  :meth:`raise_first` then raises the error of the
-    first failing cell in batch order and, within that cell, of the first
-    check noted: the error evaluating the cells one at a time would give.
+    Every check on a batch raises for its first failing cell.  Which cell
+    and check a whole sweep reports is settled in ``sweep._evaluate``.
     """
 
     def __init__(self, J, Jz, B, T):
         self.J, self.Jz, self.B, self.T = J, Jz, B, T
         self._entries = None
         self._log_z = None
-        self._fault: tuple[int, Callable[[int], None]] | None = None
 
     @classmethod
     def of(cls, source: SpinParams | GibbsState) -> "ThermalBatch":
@@ -293,9 +303,9 @@ class ThermalBatch:
             a, d = w0 / z.total, w1 / z.total
             b = (w2 + w3) / (2 * z.total)
             v = (w2 - w3) / (2 * z.total)
+            check_entries(a, b, d, v)
             self._log_z = z.log_abs
             self._entries = (a, b, d, v)
-            self.note(GibbsState.rejects(a, b, d, v), self.state)
         return self._entries
 
     @property
@@ -309,34 +319,6 @@ class ThermalBatch:
         return GibbsState(
             params=self.params(i), a=a, b=b, d=d, v=v, log_Z=float(self._log_z[i])
         )
-
-    def note(self, bad: np.ndarray, raise_at: Callable[[int], object]) -> None:
-        """Record a check that failed where `bad` is set.
-
-        raise_at(i) raises the check's error for cell i.
-        """
-        if bad.any():
-            i = int(np.argmax(bad))
-            if self._fault is None or i < self._fault[0]:
-                self._fault = (i, raise_at)
-
-    @property
-    def failed_cell(self) -> int | None:
-        """First cell with a noted failure, or None."""
-        return None if self._fault is None else self._fault[0]
-
-    def raise_first(self) -> None:
-        """Raise the error noted for the first failing cell, if any."""
-        if self._fault is not None:
-            i, raise_at = self._fault
-            raise_at(i)
-            raise AssertionError(f"cell {i} failed a vector check only")
-
-    def scalar(self, kernel: Callable[["ThermalBatch"], np.ndarray]) -> float:
-        """A kernel's value on a batch of one, raising what it noted."""
-        value = kernel(self)
-        self.raise_first()
-        return float(value[0])
 
 
 def gibbs_closed(p: SpinParams) -> GibbsState:
@@ -393,8 +375,5 @@ def gibbs_spectral(source: SpinParams | ThermalBatch):
             log_Z=float(-lowest[0] / source.T + np.log(total[0])),
             _rho=rho[0],
         )
-    i = first_cell(GibbsState.rejects(a, b, d, v))
-    if i is not None:
-        gibbs_spectral(cells.params(i))  # the cell alone raises GibbsState's error
-        raise AssertionError(f"cell {i} failed the vector Gibbs check only")
+    check_entries(a, b, d, v)
     return rho

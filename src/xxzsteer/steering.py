@@ -34,7 +34,7 @@ from .linalg import (
     PAULI_Z,
     as_cells,
     binary_entropy,
-    binary_entropy_rejects,
+    checked_probability,
     dagger,
     first_cell,
     kron,
@@ -265,22 +265,15 @@ def scn_closed(g: GibbsState) -> float:
 
     SCn = sqrt((a-d)^2 + 4v^2) + |a-b| + |b-d| + 2|v|
     """
-    return ThermalBatch.of(g).scalar(scn_kernel)
+    return float(scn_kernel(ThermalBatch.of(g))[0])
 
 
 def scre_kernel(cells: ThermalBatch) -> np.ndarray:
     """:func:`scre_closed` over a batch of thermal states."""
     a, b, d, v = cells.entries()
-    pair = a + b
-    upper = np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0)
-
-    def raise_at(i: int) -> None:
-        binary_entropy(float(pair[i]))
-        binary_entropy(float(upper[i]))
-
-    cells.note(binary_entropy_rejects(pair) | binary_entropy_rejects(upper), raise_at)
-    # binary_entropy clamps its argument to [0, 1]
-    q, u = np.clip(pair, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+    # checked and clamped to [0, 1] as binary_entropy takes its arguments
+    q = checked_probability(a + b)
+    u = checked_probability(np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0))
     x = xlog2x(np.array([q, 1.0 - q, a, b, b, d, u, 1.0 - u]))
     return 2.0 + 2.0 * _entropy(x[0:2]) - _entropy(x[2:6]) - 2.0 * _entropy(x[6:8])
 
@@ -297,7 +290,7 @@ def scre_closed(g: GibbsState) -> float:
     and Y ensembles the r term); it is validated against
     :func:`sqc_direct` rather than trusted.
     """
-    return ThermalBatch.of(g).scalar(scre_kernel)
+    return float(scre_kernel(ThermalBatch.of(g))[0])
 
 
 def scre_published_kernel(cells: ThermalBatch) -> np.ndarray:
@@ -330,4 +323,4 @@ def scre_published(g: GibbsState) -> float:
     only when a = d (zero field).  It is kept for comparison; the canonical
     fast path is :func:`scre_closed`.
     """
-    return ThermalBatch.of(g).scalar(scre_published_kernel)
+    return float(scre_published_kernel(ThermalBatch.of(g))[0])

@@ -13,6 +13,13 @@ Both engines evaluate a grid as a stack of cells in one process: the
 closed engine one kernel call per measure, the oracle one call per
 definition over the stacked spectral states.  A single point is a grid of
 one through the same code, so it is bit-identical to its row in any sweep.
+
+A sweep that fails raises what evaluating its cells one at a time, in grid
+order, would raise first: the first failing cell's error, and within that
+cell the first failing measure's, the oracle before the closed form.  Every
+check raises for its own first failing cell; a failing stack is then halved
+down to the first failing cell (see ``_evaluate``), which costs about one
+more pass over the cells.
 """
 
 from __future__ import annotations
@@ -24,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher, steering
-from .model import SpinParams, T_FLOOR, ThermalBatch, check_params, gibbs_spectral
+from .model import (
+    PARAM_NAMES,
+    SpinParams,
+    T_FLOOR,
+    ThermalBatch,
+    check_params,
+    gibbs_spectral,
+)
 from .steering import CoherenceKind
 
 __all__ = [
@@ -45,7 +59,6 @@ __all__ = [
 
 MEASURES = ("SCn", "SCRE", "SCREpaper", "QFI", "QFIclosed")
 ENGINES = ("oracle", "closed", "both")
-PARAM_NAMES = ("J", "Jz", "B", "T")
 
 MAX_AXIS_POINTS = 10**6
 
@@ -203,62 +216,62 @@ _DEFINITIONS = {
 }
 
 
-def _oracle(cells: ThermalBatch, measures) -> list[np.ndarray]:
-    """Definitional value columns over the cells, each definition called once.
-
-    Each stage raises for its own first failing cell, so on failure the
-    cells are evaluated again one at a time: the error raised is then the
-    one a cell-by-cell evaluation meets first.
-    """
-    try:
-        rho = gibbs_spectral(cells)
-        found: dict[str, np.ndarray] = {}
-        for m in measures:
-            kind = _DEFINITION[m]
-            if kind not in found:
-                found[kind] = _DEFINITIONS[kind](cells, rho)
-        return [found[_DEFINITION[m]] for m in measures]
-    except Exception:
-        if len(cells) > 1:
-            for i in range(len(cells)):
-                _oracle(cells[i : i + 1], measures)
-        raise
-
-
-def _evaluate(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
+def _run(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
     """Value columns of every cell, in SweepSpec.value_columns() order.
 
-    Errors are those of evaluating the cells one at a time, in order: the
-    first cell that fails, and within it the first measure (oracle before
-    closed), raises.  So the closed kernels run first, and on `both` the
-    oracle then runs over the cells before the first closed failure.
+    The closed kernels run first, then each definition once over the
+    stacked spectral states.  Any check raises for its own first failing
+    cell, so which error a stack raises depends on the stack.
     """
-    n = len(cells)
-    closed = []
-    # (cell, measure position) of the first closed check that failed
-    failed_at = (n, len(measures))
-    if engine != "oracle":
-        for pos, m in enumerate(measures):
-            closed.append(_CLOSED[m](cells))
-            if cells.failed_cell is not None and cells.failed_cell < failed_at[0]:
-                failed_at = (cells.failed_cell, pos)
+    closed = [_CLOSED[m](cells) for m in measures] if engine != "oracle" else []
     if engine == "closed":
-        cells.raise_first()
         return closed
-
-    cell, pos = failed_at
-    if cell < n:
-        if cell:
-            _oracle(cells[:cell], measures)
-        _oracle(cells[cell : cell + 1], measures[: pos + 1])
-        cells.raise_first()
-    oracle = _oracle(cells, measures)
+    rho = gibbs_spectral(cells)
+    found: dict[str, np.ndarray] = {}
+    for m in measures:
+        kind = _DEFINITION[m]
+        if kind not in found:
+            found[kind] = _DEFINITIONS[kind](cells, rho)
+    oracle = [found[_DEFINITION[m]] for m in measures]
     if engine == "oracle":
         return oracle
     columns = []
     for o, c in zip(oracle, closed):
         columns += [o, c, np.abs(o - c)]
     return columns
+
+
+def _evaluate(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
+    """:func:`_run`, raising the error a cell-by-cell evaluation meets first.
+
+    That error is the first failing cell's, and within the cell the first
+    failing measure's, the oracle before the closed form.  Cells are
+    independent, so a slice fails exactly when it holds a failing cell: a
+    failing stack is halved, keeping the left half if it fails and the
+    right half if not, down to its first failing cell, about one more pass
+    over the cells.  That cell then runs measure by measure.  If it passes
+    alone, the stack's own error is raised.  One cell on one engine already
+    raises in measure order, so a single failing point runs once.
+    """
+    try:
+        return _run(cells, measures, engine)
+    except Exception as exc:
+        error = exc
+    if len(cells) == 1 and engine != "both":
+        raise error
+    while len(cells) > 1:
+        left = cells[: len(cells) // 2]
+        try:
+            _run(left, measures, engine)
+        except Exception:
+            cells = left
+        else:
+            cells = cells[len(left) :]
+    engines = ("oracle", "closed") if engine == "both" else (engine,)
+    for m in measures:
+        for one in engines:
+            _run(cells, (m,), one)
+    raise error
 
 
 def evaluate_point(
@@ -301,7 +314,7 @@ def _grid(spec: SweepSpec) -> ThermalBatch:
     for name, value in spec.fixed.items():
         columns[name] = np.full(n, float(value))
     cols = [columns[name] for name in PARAM_NAMES]
-    check_params(*cols)
+    check_params(np.array(cols))
     return ThermalBatch(*cols)
 
 

@@ -6,24 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzsteer.linalg import (
-    PROBABILITY_TOL,
-    binary_entropy,
-    binary_entropy_rejects,
-    eig_hermitian,
-)
+from xxzsteer import model
+from xxzsteer.linalg import PROBABILITY_TOL, binary_entropy, eig_hermitian
 from xxzsteer.model import (
     COUPLING_MAX,
     T_FLOOR,
     GibbsState,
     ParameterRegimeError,
     SpinParams,
+    ThermalBatch,
+    check_entries,
+    check_params,
     gibbs_closed,
     gibbs_spectral,
     hamiltonian,
     log_partition_function,
     partition_function,
 )
+from xxzsteer.steering import scn_kernel
 
 from conftest import draw_params
 
@@ -214,6 +214,54 @@ def test_gibbs_state_rejects_inconsistent_entries():
         GibbsState(params=p, a=0.25, b=0.25, d=0.25, v=0.4, log_Z=1.0)
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ((np.nan, "x", 2e3, 0.0), "J=nan is not a finite number"),
+        ((1.0, "x", np.inf, 1.0), "Jz='x' is not a finite number"),
+        ((1.0, 0.0, -np.inf, np.nan), "B=-inf is not a finite number"),
+        ((2e3, -2e3, 0.0, 0.0), "T=0.0 is below the supported floor 0.001"),
+        ((1.0, -2e3, 3e3, 1.0), "|Jz|=2000.0 exceeds the supported bound 1000.0"),
+    ],
+)
+def test_spin_params_reports_its_first_failing_clause(cell, message):
+    with pytest.raises(ValueError) as err:
+        SpinParams(*cell)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((2.0, -1.0, 2.0, 5.0), "Gibbs entry a=2.0 outside [0, 1] by more than 1e-12"),
+        ((0.5, 0.25, -0.5, 5), "Gibbs entry d=-0.5 outside [0, 1] by more than 1e-12"),
+        ((0.5, 0.5, 0.5, 5.0), "Gibbs entries violate a+2b+d=1 by 1.000e+00"),
+        (
+            (0.25, 0.25, 0.25, -0.4),
+            "Gibbs coherence |v|=0.4 exceeds b=0.25: central block not positive "
+            "semidefinite",
+        ),
+    ],
+)
+def test_gibbs_state_reports_its_first_failing_clause(entries, message):
+    with pytest.raises(ValueError) as err:
+        GibbsState(SpinParams(1, 1, 1, 1), *entries, log_Z=0.0)
+    assert str(err.value) == message
+
+
+def test_batch_keeps_entries_only_after_their_check(monkeypatch):
+    """A batch whose entries fail their check raises on every use, not once."""
+
+    def rejecting(a, b, d, v):
+        raise ValueError("entries rejected")
+
+    monkeypatch.setattr(model, "check_entries", rejecting)
+    cells = ThermalBatch.of(SpinParams(1, 1, 1, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^entries rejected$"):
+            scn_kernel(cells)
+
+
 def test_gibbs_state_z_property_overflow():
     g = gibbs_closed(SpinParams(10, 2, 0, 0.01))
     with pytest.raises(ParameterRegimeError, match="log Z"):
@@ -234,7 +282,7 @@ def test_construction_routes_agree_property(j, jz, b, t):
     assert np.abs(gibbs_closed(p).rho - gibbs_spectral(p).rho).max() <= 1e-10
 
 
-# ------------------------------------------- array checks vs scalar checks
+# ------------------------------------------ stacked checks vs one cell alone
 
 def _around(x: float) -> list[float]:
     """x and the doubles on either side of it."""
@@ -258,7 +306,14 @@ def _vary(base: tuple, values: list[list[float]]) -> np.ndarray:
 def _param_cells() -> np.ndarray:
     coupling = _around(COUPLING_MAX) + _around(-COUPLING_MAX) + [0.0] + _NON_FINITE
     temperature = _around(T_FLOOR) + [0.0, -1.0, 1e6] + _NON_FINITE
-    return _vary((1.0, -0.5, 2.0, 1.0), [coupling] * 3 + [temperature])
+    cells = _vary((1.0, -0.5, 2.0, 1.0), [coupling] * 3 + [temperature])
+    # several clauses failing at once: the first in clause order is reported
+    mixed = [
+        (np.nan, np.inf, 2e3, 0.0),
+        (2e3, np.nan, 0.0, -1.0),
+        (2e3, -2e3, 0.0, 0.0),
+    ]
+    return np.concatenate((cells, mixed))
 
 
 def _entry_cells() -> np.ndarray:
@@ -280,28 +335,40 @@ def _entropy_cells() -> np.ndarray:
 _PARAMS = SpinParams(1, 1, 1, 1)
 
 
+def _message(check, *args) -> str | None:
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize(
-    "scalar, vector, cells",
+    "scalar, stacked, cells, passing",
     [
-        (SpinParams, SpinParams.rejects, _param_cells()),
+        (
+            SpinParams,
+            lambda *rows: check_params(np.array(rows)),
+            _param_cells(),
+            (1.0, -0.5, 2.0, 1.0),
+        ),
         (
             lambda a, b, d, v: GibbsState(_PARAMS, a, b, d, v, log_Z=0.0),
-            GibbsState.rejects,
+            check_entries,
             _entry_cells(),
+            (0.25, 0.25, 0.25, 0.1),
         ),
-        (binary_entropy, binary_entropy_rejects, _entropy_cells()),
+        (binary_entropy, binary_entropy, _entropy_cells(), (0.5,)),
     ],
     ids=["SpinParams", "GibbsState", "binary_entropy"],
 )
-def test_array_checks_reject_what_scalar_checks_reject(scalar, vector, cells):
-    def rejected(cell) -> bool:
-        try:
-            scalar(*(float(x) for x in cell))
-        except ValueError:
-            return True
-        return False
-
-    want = np.array([rejected(cell) for cell in cells])
-    got = vector(*cells.T)
-    assert want.any() and not want.all()
-    assert np.array_equal(got, want), cells[got != want]
+def test_array_checks_reject_what_scalar_checks_reject(scalar, stacked, cells, passing):
+    """Each edge cell, after passing cells in a stack, raises as it does alone."""
+    alone = [_message(scalar, *(float(x) for x in cell)) for cell in cells]
+    assert any(alone) and not all(alone)
+    for cell, want in zip(cells, alone):
+        stack = np.array([passing] * 3 + [cell])
+        assert _message(stacked, *stack.T) == want, cell
+        assert want is None or "np.float64" not in want, want
+    # the first failing cell wins over a later cell's earlier clause
+    assert _message(stacked, *cells.T) == next(m for m in alone if m)

@@ -240,29 +240,41 @@ def test_sweep_raises_at_the_first_failing_node():
 
 
 @pytest.mark.parametrize(
-    "oracle_fails_at, measures, raised",
+    "oracle_fails_at, measures, raised, kind",
     [
-        (0.5, ("SCn", "QFIclosed"), "oracle"),  # an earlier node
-        (1.0, ("SCn", "QFIclosed"), "oracle"),  # same node, earlier measure
-        (1.0, ("QFIclosed", "SCn"), "closed"),  # same node, later measure
-        (1.5, ("SCn", "QFIclosed"), "closed"),  # a later node
+        (0.5, ("SCn", "QFIclosed"), "oracle", "sqc_l1"),
+        (1.0, ("SCn", "QFIclosed"), "oracle", "sqc_l1"),
+        (1.0, ("QFIclosed", "SCn"), "closed", "sqc_l1"),
+        (1.5, ("SCn", "QFIclosed"), "closed", "sqc_l1"),
+        (1.0, ("QFIclosed",), "oracle", "qfi"),
+    ],
+    ids=[
+        "earlier-node",
+        "same-node-earlier-measure",
+        "same-node-later-measure",
+        "later-node",
+        "same-node-same-measure",
     ],
 )
 def test_engine_both_raises_in_node_then_measure_order(
-    monkeypatch, oracle_fails_at, measures, raised
+    monkeypatch, oracle_fails_at, measures, raised, kind
 ):
-    real = sweep._DEFINITIONS["sqc_l1"]
+    real = sweep._DEFINITIONS[kind]
 
     def failing(cells, rho):
         if np.any(cells.B == oracle_fails_at):
             raise ValueError("oracle failure")
         return real(cells, rho)
 
-    monkeypatch.setitem(sweep._DEFINITIONS, "sqc_l1", failing)
+    monkeypatch.setitem(sweep._DEFINITIONS, kind, failing)
     with pytest.raises(ValueError) as err:
         run_sweep(SweepSpec(**OVERFLOW_LINE, measures=measures, engine="both"))
     want = "oracle failure" if raised == "oracle" else OVERFLOW_MESSAGE
     assert str(err.value) == want
+    # the overflowing node alone, as a point
+    with pytest.raises(ValueError) as err:
+        evaluate_point(SpinParams(1.0, 0.0, 1.0, 1e-3), measures, "both")
+    assert str(err.value) == (want if oracle_fails_at == 1.0 else OVERFLOW_MESSAGE)
 
 
 def test_oracle_raises_for_the_first_failing_cell(monkeypatch):
@@ -284,6 +296,111 @@ def test_oracle_raises_for_the_first_failing_cell(monkeypatch):
     for engine in ("oracle", "both"):
         with pytest.raises(ValueError, match=r"^oracle failure at B=0.5$"):
             run_sweep(SweepSpec(**line, measures=("SCn", "QFI"), engine=engine))
+
+
+def _error(call, *args) -> str | None:
+    """Type and message of what call(*args) raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - any error is part of the contract
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _first_cell_error(spec: SweepSpec) -> str | None:
+    """Brute force: the error of the first cell, in grid order, that raises alone."""
+    cells = sweep._grid(spec)
+    for i in range(len(cells)):
+        error = _error(evaluate_point, cells.params(i), spec.measures, spec.engine)
+        if error is not None:
+            return error
+    return None
+
+
+def _seeded_grids(rng) -> list[tuple[AxisSpec, ...]]:
+    """Small 1-D and 2-D grids reaching into the QFIclosed overflow near T = 1e-3."""
+    grids = []
+    for _ in range(3):
+        j0, b0 = rng.uniform(-3, 1, size=2)
+        t0 = rng.uniform(1e-3, 1.2e-3)
+        grids.append((AxisSpec("B", b0, b0 + 3.0, 0.5),))
+        grids.append((AxisSpec("T", t0, t0 + 0.004, 0.0005),))
+        grids.append(
+            (AxisSpec("J", j0, j0 + 2.0, 0.5), AxisSpec("B", b0, b0 + 2.0, 0.5))
+        )
+    return grids
+
+
+def test_sweep_error_is_the_first_failing_cells_error(monkeypatch):
+    """run_sweep raises what the first cell to fail alone raises, on every engine."""
+    rng = np.random.default_rng(6061)
+    measure_sets = (MEASURES, ("QFIclosed", "SCn"), ("SCRE", "QFI"))
+    failing_seen = patched_seen = 0
+    for k, axes in enumerate(_seeded_grids(rng)):
+        fixed = {"J": 2.0, "Jz": 0.0, "B": 1.0, "T": 1e-3}
+        for ax in axes:
+            del fixed[ax.name]
+        measures = measure_sets[k // 3]
+        for engine in ("closed", "oracle", "both"):
+            spec = SweepSpec(axes=axes, fixed=fixed, measures=measures, engine=engine)
+            want = _first_cell_error(spec)
+            assert _error(run_sweep, spec) == want, spec
+            failing_seen += want is not None
+
+        # a definition that fails at one seeded cell of the grid
+        cells = sweep._grid(spec)
+        at = int(rng.integers(len(cells)))
+        kind = sweep._DEFINITION[measures[int(rng.integers(len(measures)))]]
+        real = sweep._DEFINITIONS[kind]
+
+        def failing(batch, rho, b=cells.B[at], t=cells.T[at], j=cells.J[at]):
+            if np.any((batch.B == b) & (batch.T == t) & (batch.J == j)):
+                raise RuntimeError(f"{kind} fails at B={b}, T={t}, J={j}")
+            return real(batch, rho)
+
+        with monkeypatch.context() as m:
+            m.setitem(sweep._DEFINITIONS, kind, failing)
+            for engine in ("oracle", "both"):
+                spec = SweepSpec(
+                    axes=axes, fixed=fixed, measures=measures, engine=engine
+                )
+                want = _first_cell_error(spec)
+                assert _error(run_sweep, spec) == want, spec
+                patched_seen += want is not None and want.startswith("RuntimeError")
+    assert failing_seen and patched_seen
+
+
+def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
+    """A failure at the last of N cells costs O(log N) spectral stacks, not N."""
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -2.0, 2.0, 0.1), AxisSpec("Jz", -2.0, 2.0, 0.1)),
+        fixed={"B": 1.0, "T": 1.0},
+        measures=("SCn",),
+        engine="oracle",
+    )
+    n = spec.axes[0].count * spec.axes[1].count
+    last = [ax.values()[-1] for ax in spec.axes]
+    real = sweep._DEFINITIONS["sqc_l1"]
+
+    def failing(cells, rho):
+        value = real(cells, rho)
+        if np.any((cells.J == last[0]) & (cells.Jz == last[1])):
+            raise ValueError("late failure")
+        return value
+
+    calls = []
+    spectral = sweep.gibbs_spectral
+
+    def counted(cells):
+        calls.append(len(cells))
+        return spectral(cells)
+
+    monkeypatch.setitem(sweep._DEFINITIONS, "sqc_l1", failing)
+    monkeypatch.setattr(sweep, "gibbs_spectral", counted)
+    with pytest.raises(ValueError, match="^late failure$"):
+        run_sweep(spec)
+    assert n == 1681
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, calls
 
 
 def test_sweep_engine_both_cross_check():
