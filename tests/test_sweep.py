@@ -248,12 +248,14 @@ def test_sweep_raises_at_the_first_failing_node():
         (1.5, ("SCn", "QFIclosed"), "closed", "sqc_l1"),
         (1.0, ("QFIclosed",), "oracle", "qfi"),
     ],
+    # an earlier node; same node, earlier measure; same node, later measure;
+    # a later node; same node, same measure
     ids=[
-        "earlier-node",
-        "same-node-earlier-measure",
-        "same-node-later-measure",
-        "later-node",
-        "same-node-same-measure",
+        "0.5-measures0-oracle",
+        "1.0-measures1-oracle",
+        "1.0-measures2-closed",
+        "1.5-measures3-closed",
+        "1.0-measures4-oracle-qfi",
     ],
 )
 def test_engine_both_raises_in_node_then_measure_order(
