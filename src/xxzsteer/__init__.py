@@ -14,7 +14,6 @@ command-line tool for the sweep front end.
 
 from .fisher import (
     CalibrationReport,
-    Observable,
     calibrate_observable,
     calibrated_observable,
     collective_observable,
@@ -46,10 +45,8 @@ from .steering import (
     ConditionalEnsemble,
     ConditionalState,
     PauliAxis,
-    PauliBasis,
     coherence,
     measurement_operator,
-    pauli_basis,
     scn_closed,
     scre_closed,
     scre_published,
@@ -83,10 +80,8 @@ __all__ = [
     "ENGINES",
     "GibbsState",
     "MEASURES",
-    "Observable",
     "ParameterRegimeError",
     "PauliAxis",
-    "PauliBasis",
     "SpinParams",
     "SweepSpec",
     "SweepTable",
@@ -105,7 +100,6 @@ __all__ = [
     "measurement_operator",
     "partial_trace_A",
     "partition_function",
-    "pauli_basis",
     "qfi_closed",
     "qfi_published",
     "qfi_spectral",

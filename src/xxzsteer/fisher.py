@@ -57,7 +57,6 @@ from .model import (
 from .steering import PauliAxis
 
 __all__ = [
-    "Observable",
     "collective_observable",
     "calibrated_observable",
     "qfi_spectral",
@@ -76,22 +75,15 @@ _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 
-@dataclass(frozen=True)
-class Observable:
+def collective_observable(axis: PauliAxis) -> np.ndarray:
     """Collective spin component (sigma^axis ox I + I ox sigma^axis)/2."""
-
-    axis: PauliAxis
-    matrix: np.ndarray
-
-
-def collective_observable(axis: PauliAxis) -> Observable:
     m = (kron(axis.matrix, IDENTITY_2) + kron(IDENTITY_2, axis.matrix)) / 2
     spectrum = eig_hermitian(m).values
     if np.abs(spectrum - np.array([-1.0, 0.0, 0.0, 1.0])).max() > 1e-12:
         raise AssertionError(
             f"collective {axis} spectrum {spectrum} is not (-1, 0, 0, 1)"
         )
-    return Observable(axis=axis, matrix=m)
+    return m
 
 
 # The collective X generator, as collective_observable(PauliAxis.X) builds it,
@@ -121,14 +113,13 @@ def calibrated_observable(state) -> np.ndarray:
 def qfi_spectral(rho: np.ndarray, obs):
     """Quantum Fisher information from the eigendecomposition of rho.
 
-    `rho` is one state or a stack, `obs` an Observable, one matrix, or a
-    stack of matrices matching `rho`.  One state gives a float.  For a pure
-    state this reduces to 4(<O^2> - <O>^2).
+    `rho` is one state or a stack, `obs` one matrix or a stack of matrices
+    matching `rho`.  One state gives a float; a DensityStates is not checked
+    or decomposed again.  For a pure state this reduces to
+    4(<O^2> - <O>^2).
     """
-    rho = validate_density_matrix(rho, "qfi probe state")
-    matrix = obs.matrix if isinstance(obs, Observable) else np.asarray(obs, complex)
-    eig = eig_hermitian(rho)
-    elements = dagger(eig.vectors) @ matrix @ eig.vectors
+    eig = validate_density_matrix(rho, "qfi probe state")
+    elements = dagger(eig.vectors) @ np.asarray(obs, complex) @ eig.vectors
     p = eig.values
     n = p.shape[-1]
     total = 0.0
@@ -258,12 +249,12 @@ def calibrate_observable(
     X generator (equivalently :func:`qfi_closed`).
     """
     candidates = {
-        "collective_x": collective_observable(PauliAxis.X).matrix,
-        "collective_y": collective_observable(PauliAxis.Y).matrix,
-        "collective_z": collective_observable(PauliAxis.Z).matrix,
-        "collective_x_unhalved": 2 * collective_observable(PauliAxis.X).matrix,
-        "collective_y_unhalved": 2 * collective_observable(PauliAxis.Y).matrix,
-        "collective_z_unhalved": 2 * collective_observable(PauliAxis.Z).matrix,
+        "collective_x": collective_observable(PauliAxis.X),
+        "collective_y": collective_observable(PauliAxis.Y),
+        "collective_z": collective_observable(PauliAxis.Z),
+        "collective_x_unhalved": 2 * collective_observable(PauliAxis.X),
+        "collective_y_unhalved": 2 * collective_observable(PauliAxis.Y),
+        "collective_z_unhalved": 2 * collective_observable(PauliAxis.Z),
     }
     reference = np.array([qfi_published(p) for p in draws])
     rho = np.array([gibbs_closed(p).rho for p in draws]).reshape(-1, 4, 4)

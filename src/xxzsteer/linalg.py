@@ -4,9 +4,14 @@ Operators and density matrices live in dimensions 2 and 4 only.  Every
 function takes one matrix or a stack of them, shape (..., n, n), and a
 failed check raises for the first failing matrix with the measured
 residual.  Eigendecompositions come from LAPACK (``np.linalg.eigh``) and
-are checked against the input they diagonalize.  Sums within one matrix
-are explicit left folds, so a matrix gives the same bits alone as inside
-any stack.  All entropies are in bits.
+are checked against the input they diagonalize.  Density matrices are
+checked in one place, :func:`validate_density_matrix`: it returns a
+:class:`DensityStates`, the checked matrices with the decomposition that
+its positivity check computed, and returns a DensityStates unchanged.  The
+entropy and the oracle measures read that decomposition, so each stack is
+checked and decomposed once.  Sums within one matrix are explicit left
+folds, so a matrix gives the same bits alone as inside any stack.  All
+entropies are in bits.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "EigenDecomposition",
+    "DensityStates",
     "first_cell",
     "as_cells",
     "kron",
@@ -125,6 +131,18 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
+@dataclass(frozen=True)
+class DensityStates(EigenDecomposition):
+    """Density matrices that passed :func:`validate_density_matrix`.
+
+    `matrix` is the Hermitian part of the input, `values` and `vectors` its
+    eigendecomposition, so a consumer reads the spectrum without another
+    ``eigh``.
+    """
+
+    matrix: np.ndarray
+
+
 def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     res = frobenius(a - dagger(a))
     bound = HERMITICITY_TOL * np.maximum(1.0, frobenius(a))
@@ -137,16 +155,8 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Diagonalize complex Hermitian matrices with LAPACK ``eigh``.
-
-    Takes one matrix or a stack; eigenvalues ascend.  Non-Hermitian input is
-    rejected with the measured residual, and a decomposition that does not
-    rebuild its input to RECONSTRUCTION_TOL raises RuntimeError with the
-    measured reconstruction residual.
-    """
-    a = _as_operator(a, "eig_hermitian input")
-    h = _require_hermitian(a, "eig_hermitian input")
+def _eigh(h: np.ndarray) -> EigenDecomposition:
+    """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
     values, vectors = np.linalg.eigh(h)
     res = frobenius((vectors * values[..., None, :]) @ dagger(vectors) - h)
     bound = RECONSTRUCTION_TOL * np.maximum(1.0, frobenius(h))
@@ -158,6 +168,18 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
             f"exceeds {bound.flat[i]:.3e}"
         )
     return EigenDecomposition(values=values, vectors=vectors)
+
+
+def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
+    """Diagonalize complex Hermitian matrices with LAPACK ``eigh``.
+
+    Takes one matrix or a stack; eigenvalues ascend.  Non-Hermitian input is
+    rejected with the measured residual, and a decomposition that does not
+    rebuild its input to RECONSTRUCTION_TOL raises RuntimeError with the
+    measured reconstruction residual.
+    """
+    a = _as_operator(a, "eig_hermitian input")
+    return _eigh(_require_hermitian(a, "eig_hermitian input"))
 
 
 def partial_trace_A(m: np.ndarray) -> np.ndarray:
@@ -172,37 +194,40 @@ def partial_trace_A(m: np.ndarray) -> np.ndarray:
     return m[..., :2, :2] + m[..., 2:, 2:]
 
 
-def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; return the Hermitian part.
+def validate_density_matrix(rho, name: str = "state") -> DensityStates:
+    """Check operator shape, Hermiticity, unit trace and positivity, once.
 
+    Returns the Hermitian part with the eigendecomposition that the
+    positivity check computed; a DensityStates is returned unchanged.
     Raises ValueError with the measured residuals on violation.
     """
-    rho = _as_operator(rho, name)
-    h = _require_hermitian(rho, name)
+    if isinstance(rho, DensityStates):
+        return rho
+    h = _require_hermitian(_as_operator(rho, name), name)
     tr = trace(h).real
     i = first_cell(np.abs(tr - 1.0) > TRACE_TOL)
     if i is not None:
         t = float(tr.flat[i])
         raise ValueError(f"{name} trace is {t!r}, off unity by {abs(t - 1.0):.3e}")
-    lam_min = eig_hermitian(h).values[..., 0]
+    eig = _eigh(h)
+    lam_min = eig.values[..., 0]
     i = first_cell(lam_min < -PSD_TOL)
     if i is not None:
         raise ValueError(
             f"{name} is not positive semidefinite: "
             f"min eigenvalue {lam_min.flat[i]:.3e}"
         )
-    return h
+    return DensityStates(values=eig.values, vectors=eig.vectors, matrix=h)
 
 
-def vn_entropy(rho: np.ndarray):
+def vn_entropy(rho):
     """Von Neumann entropy -Tr(rho log2 rho) in bits, of each state of a stack.
 
     Eigenvalues are clamped to [0, 1] before the log; low-temperature Gibbs
     states round-trip into tiny negative eigenvalues that would otherwise
     poison the log.  A single state gives a float.
     """
-    h = validate_density_matrix(rho, "vn_entropy input")
-    lam = np.clip(eig_hermitian(h).values, 0.0, 1.0)
+    lam = np.clip(validate_density_matrix(rho, "vn_entropy input").values, 0.0, 1.0)
     return shannon_bits(np.moveaxis(lam, -1, 0))
 
 

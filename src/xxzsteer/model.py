@@ -29,6 +29,7 @@ one density matrix per cell.  A single point is a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -108,8 +109,8 @@ class SpinParams:
 
     def __post_init__(self):
         given = (self.J, self.Jz, self.B, self.T)
-        # anything but a number fails as NaN does, shown as given
-        cell = [float(x) if isinstance(x, (int, float)) else math.nan for x in given]
+        # anything but a real number fails as NaN does, shown as given
+        cell = [float(x) if isinstance(x, numbers.Real) else math.nan for x in given]
         check_params(np.array(cell)[:, None], given=given)
         for name, x in zip(PARAM_NAMES, cell):
             object.__setattr__(self, name, x)
@@ -183,7 +184,7 @@ def check_entries(a, b, d, v) -> None:
     diagonal = np.array((a, b, d))
     in_range = (-tol <= diagonal) & (diagonal <= 1.0 + tol)
     norm_res = np.abs(a + 2 * b + d - 1.0)
-    bad = np.array((*~in_range, norm_res > tol, np.abs(v) > b + tol))
+    bad = np.array((*~in_range, norm_res > tol, ~(np.abs(v) <= b + tol)))
     if not bad.any():
         return
     i = first_cell(bad.any(axis=0))

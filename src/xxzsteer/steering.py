@@ -48,11 +48,9 @@ from .model import GibbsState, ThermalBatch
 
 __all__ = [
     "PauliAxis",
-    "PauliBasis",
     "CoherenceKind",
     "ConditionalState",
     "ConditionalEnsemble",
-    "pauli_basis",
     "measurement_operator",
     "steer",
     "coherence",
@@ -87,42 +85,6 @@ _PAULI_MATRICES = {
     PauliAxis.Z: PAULI_Z,
 }
 
-# Eigenvectors of each Pauli operator, +1 eigenvector first.
-_PAULI_KETS = {
-    PauliAxis.X: (
-        np.array([1, 1], dtype=complex) / math.sqrt(2),
-        np.array([1, -1], dtype=complex) / math.sqrt(2),
-    ),
-    PauliAxis.Y: (
-        np.array([1, 1j], dtype=complex) / math.sqrt(2),
-        np.array([1, -1j], dtype=complex) / math.sqrt(2),
-    ),
-    PauliAxis.Z: (
-        np.array([1, 0], dtype=complex),
-        np.array([0, 1], dtype=complex),
-    ),
-}
-
-
-@dataclass(frozen=True)
-class PauliBasis:
-    """Eigenbasis of one Pauli operator, +1 eigenvector first."""
-
-    axis: PauliAxis
-    kets: tuple[np.ndarray, np.ndarray]
-
-
-def pauli_basis(axis: PauliAxis) -> PauliBasis:
-    kets = _PAULI_KETS[axis]
-    for k, ket in enumerate(kets):
-        residual = float(np.linalg.norm(axis.matrix @ ket - (-1) ** k * ket))
-        if residual > 1e-14:
-            raise AssertionError(
-                f"{axis} eigenvector {k} off by {residual:.3e}"
-            )
-    return PauliBasis(axis=axis, kets=kets)
-
-
 class CoherenceKind(enum.Enum):
     L1 = "l1"
     RELATIVE_ENTROPY = "relative_entropy"
@@ -141,7 +103,11 @@ _PROJECTORS = {
     for axis in PauliAxis
 }
 # Each axis's eigenbasis as the columns of a unitary, +1 eigenvector first.
-_BASES = {axis: np.column_stack(kets) for axis, kets in _PAULI_KETS.items()}
+_BASES = {
+    PauliAxis.X: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    PauliAxis.Y: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
+    PauliAxis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
+}
 
 
 @dataclass(frozen=True)
@@ -173,9 +139,10 @@ def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
     p_a = Tr[(Pi_a ox I) rho];  Bob's state is the normalized partial trace
     of the projected state.  Outcomes with p <= 1e-12 are recorded as I/2.
     `rho` is one 4x4 state, giving float probabilities and 2x2 states, or a
-    stack, giving an array of probabilities and a stack of states.
+    stack, giving an array of probabilities and a stack of states; a
+    DensityStates is not checked again.
     """
-    rho = validate_density_matrix(rho, "steered state")
+    rho = validate_density_matrix(rho, "steered state").matrix
     if rho.shape[-1] != 4:
         raise ValueError("steering requires a two-qubit (4x4) state")
     entries = []
@@ -200,13 +167,14 @@ def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
 
     L1: sum of the magnitudes of the off-diagonal elements in that basis.
     Relative entropy: H(diagonal populations) - S(rho), in bits.
-    One 2x2 state gives a float, a stack an array.
+    One 2x2 state gives a float, a stack an array; a DensityStates is not
+    checked or decomposed again.
     """
     rho2 = validate_density_matrix(rho2, "coherence input")
-    if rho2.shape[-1] != 2:
+    if rho2.matrix.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
     u = _BASES[basis_axis]
-    in_basis = dagger(u) @ rho2 @ u
+    in_basis = dagger(u) @ rho2.matrix @ u
     if kind is CoherenceKind.L1:
         return as_cells(2.0 * np.abs(in_basis[..., 0, 1]))
     population = in_basis[..., 0, 0].real
@@ -226,9 +194,11 @@ def sqc_direct(rho: np.ndarray, kind: CoherenceKind):
     entropy is evaluated explicitly - so it can arbitrate the closed forms.
     One 4x4 state gives a float, an (N, 4, 4) stack N values.
     """
+    rho = validate_density_matrix(rho, "steered state")
     ensembles = [steer(rho, mu) for mu in PauliAxis]
-    # Bob's six conditional states, taken in each basis by one call per basis
+    # Bob's six conditional states, checked once and taken in each basis
     states = np.array([[e.state for e in ens.entries] for ens in ensembles])
+    states = validate_density_matrix(states, "coherence input")
     coh = {nu: coherence(states, nu, kind) for nu in PauliAxis}
     total = 0.0
     for m, ens in enumerate(ensembles):

@@ -42,19 +42,19 @@ OZ = collective_observable(PauliAxis.Z)
 # ----------------------------------------------------------- observables
 
 def test_collective_z_matrix():
-    assert np.allclose(OZ.matrix, np.diag([1.0, 0.0, 0.0, -1.0]))
+    assert np.allclose(OZ, np.diag([1.0, 0.0, 0.0, -1.0]))
 
 
 def test_collective_x_matrix():
     expect = np.zeros((4, 4))
     for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
         expect[i, j] = expect[j, i] = 0.5
-    assert np.allclose(OX.matrix, expect)
+    assert np.allclose(OX, expect)
 
 
 def test_collective_spectra():
     for obs in (OX, OY, OZ):
-        vals = eig_hermitian(obs.matrix).values
+        vals = eig_hermitian(obs).values
         assert np.abs(vals - np.array([-1.0, 0.0, 0.0, 1.0])).max() <= 1e-12
 
 
@@ -121,7 +121,7 @@ def test_qfi_closed_matches_spectral_on_draws(rng):
 def test_gauge_aligned_generator_keeps_qfi_even_in_j(rng):
     gp = gibbs_closed(SpinParams(10, 2, 0, 0.01))
     gm = gibbs_closed(SpinParams(-10, 2, 0, 0.01))
-    assert np.array_equal(calibrated_observable(gp), OX.matrix)
+    assert np.array_equal(calibrated_observable(gp), OX)
     assert abs(qfi_spectral(gm.rho, calibrated_observable(gm)) - 4.0) <= 1e-6
     # the fixed collective-X generator is blind to the singlet-like state
     assert qfi_spectral(gm.rho, OX) <= 1e-6

@@ -15,8 +15,11 @@ from xxzsteer.linalg import (
     kron,
     logsumexp,
     partial_trace_A,
+    validate_density_matrix,
     vn_entropy,
 )
+from xxzsteer.fisher import qfi_spectral
+from xxzsteer.steering import CoherenceKind, PauliAxis, coherence, steer
 
 from conftest import random_density, random_hermitian, random_unitary
 
@@ -193,6 +196,32 @@ def test_vn_entropy_rejects_bad_states():
         vn_entropy(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="trace"):
         vn_entropy(np.diag([0.7, 0.7]).astype(complex))
+
+
+def test_validated_states_are_not_checked_or_decomposed_again(rng, monkeypatch):
+    rho, bob = random_density(rng, 4), random_density(rng, 2)
+    obs = kron(PAULI_X, IDENTITY_2)
+    checked, checked_bob = validate_density_matrix(rho), validate_density_matrix(bob)
+    assert validate_density_matrix(checked) is checked
+    assert np.array_equal(checked.matrix, (rho + rho.conj().T) / 2)
+    assert np.array_equal(checked.values, eig_hermitian(checked.matrix).values)
+    want = (
+        steer(rho, PauliAxis.X).entries[0].state,
+        coherence(bob, PauliAxis.Y, CoherenceKind.RELATIVE_ENTROPY),
+        vn_entropy(bob),
+        qfi_spectral(rho, obs),
+    )
+    calls = []
+    lapack = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or lapack(a))
+    got = (
+        steer(checked, PauliAxis.X).entries[0].state,
+        coherence(checked_bob, PauliAxis.Y, CoherenceKind.RELATIVE_ENTROPY),
+        vn_entropy(checked_bob),
+        qfi_spectral(checked, obs),
+    )
+    assert calls == []
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 def test_binary_entropy_values():

@@ -57,6 +57,15 @@ def test_params_reject_non_finite():
         SpinParams(J=1, Jz=1, B=float("nan"), T=1)
 
 
+def test_params_store_numpy_numbers_as_floats():
+    p = SpinParams(np.int64(1), np.int32(-2), np.float32(0.5), np.int64(1))
+    assert (p.J, p.Jz, p.B, p.T) == (1.0, -2.0, 0.5, 1.0)
+    assert all(type(x) is float for x in (p.J, p.Jz, p.B, p.T))
+    for bad in ("1", None):
+        with pytest.raises(ValueError, match=f"^T={bad!r} is not a finite number$"):
+            SpinParams(0, 0, 0, bad)
+
+
 # ---------------------------------------------------------- Hamiltonian
 
 def test_hamiltonian_zero():
@@ -239,6 +248,11 @@ def test_spin_params_reports_its_first_failing_clause(cell, message):
         (
             (0.25, 0.25, 0.25, -0.4),
             "Gibbs coherence |v|=0.4 exceeds b=0.25: central block not positive "
+            "semidefinite",
+        ),
+        (
+            (0.25, 0.25, 0.25, np.nan),
+            "Gibbs coherence |v|=nan exceeds b=0.25: central block not positive "
             "semidefinite",
         ),
     ],

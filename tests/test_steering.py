@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from xxzsteer.linalg import validate_density_matrix
 from xxzsteer.model import GibbsState, SpinParams, gibbs_closed
 from xxzsteer.steering import (
+    _BASES,
     CoherenceKind,
     PauliAxis,
     coherence,
     measurement_operator,
-    pauli_basis,
     scn_closed,
     scre_closed,
     scre_published,
@@ -67,9 +67,10 @@ def test_measurement_operator_rejects_bad_outcome():
 
 
 def test_pauli_bases_are_eigenbases():
+    # the bases coherence reads, +1 eigenvector in the first column
     for axis in PauliAxis:
-        basis = pauli_basis(axis)
-        for k, ket in enumerate(basis.kets):
+        basis = _BASES[axis]
+        for k, ket in enumerate(basis.T):
             assert np.linalg.norm(axis.matrix @ ket - (-1) ** k * ket) <= 1e-14
 
 

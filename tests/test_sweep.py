@@ -405,6 +405,34 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
     assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, calls
 
 
+def test_oracle_decomposes_each_stack_once(monkeypatch):
+    """Six eigh calls for every measure on the oracle, whatever the stack size.
+
+    One for the Hamiltonians, one each for rho and Bob's conditional states
+    in each of the two steered-coherence kinds, and one for the QFI's rho.
+    """
+    calls = []
+    lapack = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    evaluate_point(SpinParams(1.5, 0.5, 1.0, 1.0), MEASURES, "oracle")
+    assert len(calls) <= 6, calls
+    point = len(calls)
+    calls.clear()
+    run_sweep(
+        SweepSpec(
+            axes=(AxisSpec("J", -2.0, 2.0, 0.5), AxisSpec("Jz", -2.0, 2.0, 0.5)),
+            fixed={"B": 1.0, "T": 1.0},
+            engine="both",
+        )
+    )
+    assert len(calls) == point, calls
+
+
 def test_sweep_engine_both_cross_check():
     spec = SweepSpec(
         axes=(AxisSpec("J", -3, 3, 1.0),),
