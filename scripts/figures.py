@@ -11,7 +11,8 @@ Panels
   grooves_J/  measures vs J at B=1, Jz=0 for T in {0.1,...,1}
   vs_Jz/      measures vs Jz at B=1, J=1 for T in {0.1,...,1}
 
-Roughly half a minute of closed-engine evaluation in total.
+About 6 to 8 s of closed-engine evaluation in total (one core, CPython 3.11,
+numpy 2.4).
 """
 
 from __future__ import annotations

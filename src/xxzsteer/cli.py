@@ -168,8 +168,6 @@ def _build_spec(ns) -> SweepSpec:
             fixed=_collect_fixed(ns.fix),
             measures=measures,
             engine=ns.engine,
-            out=ns.out,
-            fmt=getattr(ns, "format", "csv"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -184,7 +182,7 @@ def _cmd_point(ns) -> int:
         params = SpinParams(**fixed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    measures = tuple(dict.fromkeys(ns.measure)) if ns.measure else MEASURES
+    measures = tuple(ns.measure) if ns.measure else MEASURES
     record = evaluate_point(params, measures, ns.engine)
 
     def render(value) -> str:
@@ -202,7 +200,7 @@ def _cmd_point(ns) -> int:
     params_json = ", ".join(
         f'"{n}": {format_value(getattr(params, n))}' for n in PARAM_NAMES
     )
-    measures_json = ", ".join(f'"{m}": {render(record[m])}' for m in measures)
+    measures_json = ", ".join(f'"{m}": {render(v)}' for m, v in record.items())
     print(
         '{"params": {%s}, "engine": %s, "measures": {%s}}'
         % (params_json, json.dumps(ns.engine), measures_json)
@@ -213,12 +211,8 @@ def _cmd_point(ns) -> int:
 def _cmd_sweep(ns) -> int:
     if not ns.out:
         raise UsageError("sweep requires --out PATH")
-    spec = _build_spec(ns)
-    table = run_sweep(spec)
-    if spec.fmt == "csv":
-        write_csv(table, spec.out)
-    else:
-        write_json(table, spec.out)
+    write = write_csv if ns.format == "csv" else write_json
+    write(run_sweep(_build_spec(ns)), ns.out)
     return 0
 
 

@@ -233,9 +233,9 @@ def vn_entropy(rho):
 
 def xlog2x(q: np.ndarray) -> np.ndarray:
     """q log2 q elementwise, 0 where q <= 0 (0 log 0 = 0)."""
-    pos = q > 0.0
-    safe = np.where(pos, q, 1.0)
-    return np.where(pos, safe * np.log2(safe), 0.0)
+    # 1 log2 1 is exactly 0, so the cells set to 1 give 0
+    safe = np.where(q > 0.0, q, 1.0)
+    return safe * np.log2(safe)
 
 
 def shannon_bits(probs):
@@ -273,7 +273,7 @@ def checked_probability(q) -> np.ndarray:
         if not math.isfinite(bad):
             raise ValueError(f"binary_entropy argument is not finite: {bad!r}")
         raise ValueError(f"binary_entropy argument {bad!r} outside [0, 1] tolerance")
-    return np.clip(q, 0.0, 1.0)
+    return q.clip(0.0, 1.0)
 
 
 class LogSumExp(NamedTuple):

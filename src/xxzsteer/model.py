@@ -58,6 +58,7 @@ __all__ = [
     "SpinParams",
     "GibbsState",
     "ThermalBatch",
+    "param_cell",
     "check_params",
     "check_entries",
     "hamiltonian",
@@ -109,11 +110,22 @@ class SpinParams:
 
     def __post_init__(self):
         given = (self.J, self.Jz, self.B, self.T)
-        # anything but a real number fails as NaN does, shown as given
-        cell = [float(x) if isinstance(x, numbers.Real) else math.nan for x in given]
+        cell = param_cell(given)
         check_params(np.array(cell)[:, None], given=given)
         for name, x in zip(PARAM_NAMES, cell):
             object.__setattr__(self, name, x)
+
+
+def param_cell(given) -> list[float]:
+    """One cell's J, Jz, B, T as floats, for :func:`check_params`.
+
+    Anything but a real number becomes NaN, so it fails as NaN does and
+    the check shows it as given.  A float is tested first, which skips the
+    slower abstract-base-class check.
+    """
+    return [
+        float(x) if isinstance(x, (float, numbers.Real)) else math.nan for x in given
+    ]
 
 
 def check_params(x: np.ndarray, given: tuple | None = None) -> None:
@@ -123,8 +135,9 @@ def check_params(x: np.ndarray, given: tuple | None = None) -> None:
     |J|, |Jz|, |B| <= COUPLING_MAX and T_FLOOR <= T, all finite.  Raises
     ValueError for the first failing cell, in array order, naming the first
     of J, Jz, B, T that is not a finite number, else T below the floor,
-    else the first coupling out of bounds.  `given` is one cell's values as
-    passed to :class:`SpinParams`, shown when one is not finite.
+    else the first coupling out of bounds.  `given` is the failing cell's
+    values before :func:`param_cell` converted them, shown when one is not
+    finite.
     """
     inside = (_PARAM_LOW <= x) & (x <= _PARAM_HIGH)
     if inside.all():
@@ -234,15 +247,6 @@ class GibbsState:
         r[1, 2] = self.v
         r[2, 1] = self.v
         return r
-
-    @property
-    def Z(self) -> float:
-        if self.log_Z > _MAX_LOG:
-            raise ParameterRegimeError(
-                f"partition function overflows double precision "
-                f"(log Z = {self.log_Z:.6g}); use log_Z"
-            )
-        return math.exp(self.log_Z)
 
 
 class ThermalBatch:

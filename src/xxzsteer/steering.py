@@ -34,11 +34,11 @@ from .linalg import (
     PAULI_Z,
     as_cells,
     binary_entropy,
-    checked_probability,
     dagger,
     first_cell,
     kron,
     partial_trace_A,
+    shannon_bits,
     trace,
     validate_density_matrix,
     vn_entropy,
@@ -211,14 +211,6 @@ def sqc_direct(rho: np.ndarray, kind: CoherenceKind):
     return as_cells(0.5 * total)
 
 
-def _entropy(terms) -> np.ndarray:
-    """-sum of q log2 q terms, as linalg.shannon_bits sums them: from 0, in order."""
-    total = 0.0
-    for x in terms:
-        total = total - x
-    return total
-
-
 def _radius(a, d, v):
     """r = sqrt((a-d)^2 + 4v^2), shared by the three steering forms."""
     return np.sqrt((a - d) ** 2 + 4 * v * v)
@@ -241,11 +233,13 @@ def scn_closed(g: GibbsState) -> float:
 def scre_kernel(cells: ThermalBatch) -> np.ndarray:
     """:func:`scre_closed` over a batch of thermal states."""
     a, b, d, v = cells.entries()
-    # checked and clamped to [0, 1] as binary_entropy takes its arguments
-    q = checked_probability(a + b)
-    u = checked_probability(np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0))
-    x = xlog2x(np.array([q, 1.0 - q, a, b, b, d, u, 1.0 - u]))
-    return 2.0 + 2.0 * _entropy(x[0:2]) - _entropy(x[2:6]) - 2.0 * _entropy(x[6:8])
+    u = np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0)
+    return (
+        2.0
+        + 2.0 * binary_entropy(a + b)
+        - shannon_bits((a, b, b, d))
+        - 2.0 * binary_entropy(u)
+    )
 
 
 def scre_closed(g: GibbsState) -> float:

@@ -11,8 +11,10 @@ Two evaluation engines exist:
 
 Both engines evaluate a grid as a stack of cells in one process: the
 closed engine one kernel call per measure, the oracle one call per
-definition over the stacked spectral states.  A single point is a grid of
-one through the same code, so it is bit-identical to its row in any sweep.
+definition over the stacked spectral states.  A grid has zero, one or two
+axes, and a single point is a sweep with no axes: :func:`evaluate_point`
+reads its one row from :func:`run_sweep`, so it is bit-identical to its
+row in any sweep and gets the same checks.
 
 A sweep that fails raises what evaluating its cells one at a time, in grid
 order, would raise first: the first failing cell's error, and within that
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher, steering
+from .linalg import validate_density_matrix
 from .model import (
     PARAM_NAMES,
     SpinParams,
@@ -38,6 +41,7 @@ from .model import (
     ThermalBatch,
     check_params,
     gibbs_spectral,
+    param_cell,
 )
 from .steering import CoherenceKind
 
@@ -59,6 +63,8 @@ __all__ = [
 
 MEASURES = ("SCn", "SCRE", "SCREpaper", "QFI", "QFIclosed")
 ENGINES = ("oracle", "closed", "both")
+# Suffixes of each measure's three value columns on the both engine.
+_RECORD_FIELDS = ("oracle", "closed", "absdiff")
 
 MAX_AXIS_POINTS = 10**6
 
@@ -106,35 +112,29 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative description of a 1D or 2D scan.
+    """Declarative description of a scan over zero, one or two axes.
 
     The axis names and the fixed-parameter names must together cover
-    J, Jz, B, T exactly once.  The first axis is the outer (slowest) one.
+    J, Jz, B, T exactly once.  The first axis is the outer (slowest) one;
+    with no axes the spec is a single point.
     """
 
     axes: tuple[AxisSpec, ...]
     fixed: dict[str, float]
     measures: tuple[str, ...] = MEASURES
     engine: str = "closed"
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}; use csv or json")
         if not self.measures:
             raise ValueError("at least one measure is required")
-        seen = []
         for m in self.measures:
             if m not in MEASURES:
                 raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
-            if m not in seen:
-                seen.append(m)
-        object.__setattr__(self, "measures", tuple(seen))
+        object.__setattr__(self, "measures", tuple(dict.fromkeys(self.measures)))
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        if not 1 <= len(self.axes) <= 2:
-            raise ValueError("a sweep takes one or two axes")
+        if len(self.axes) > 2:
+            raise ValueError("a sweep takes at most two axes")
         axis_names = [ax.name for ax in self.axes]
         if len(set(axis_names)) != len(axis_names):
             raise ValueError(f"axis names must be distinct, got {axis_names}")
@@ -153,7 +153,7 @@ class SweepSpec:
         cols = []
         for m in self.measures:
             if self.engine == "both":
-                cols += [f"{m}_oracle", f"{m}_closed", f"{m}_absdiff"]
+                cols += [f"{m}_{k}" for k in _RECORD_FIELDS]
             else:
                 cols.append(m)
         return tuple(cols)
@@ -208,11 +208,13 @@ _DEFINITION = {
     "QFI": "qfi",
     "QFIclosed": "qfi",
 }
-# Each takes the cells and their stacked spectral states.
+# Each takes the cells and their stacked spectral states, checked once.
 _DEFINITIONS = {
     "sqc_l1": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.L1),
     "sqc_re": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY),
-    "qfi": lambda cells, rho: fisher.qfi_spectral(rho, fisher.calibrated_observable(rho)),
+    "qfi": lambda cells, rho: fisher.qfi_spectral(
+        rho, fisher.calibrated_observable(rho.matrix)
+    ),
 }
 
 
@@ -220,13 +222,14 @@ def _run(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
     """Value columns of every cell, in SweepSpec.value_columns() order.
 
     The closed kernels run first, then each definition once over the
-    stacked spectral states.  Any check raises for its own first failing
-    cell, so which error a stack raises depends on the stack.
+    stacked spectral states, which are checked and decomposed once for all
+    of them.  Any check raises for its own first failing cell, so which
+    error a stack raises depends on the stack.
     """
     closed = [_CLOSED[m](cells) for m in measures] if engine != "oracle" else []
     if engine == "closed":
         return closed
-    rho = gibbs_spectral(cells)
+    rho = validate_density_matrix(gibbs_spectral(cells), "steered state")
     found: dict[str, np.ndarray] = {}
     for m in measures:
         kind = _DEFINITION[m]
@@ -281,41 +284,38 @@ def evaluate_point(
 ) -> dict[str, float | EngineRecord]:
     """Evaluate the requested measures at a single parameter point.
 
-    The point is a grid of one: the values are bit-identical to the same
-    node's row in any sweep.
+    The point is a sweep with no axes: the values are its one row, so they
+    are bit-identical to the same node's row in any sweep.  Repeated
+    measures are reported once.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    for m in measures:
-        if m not in MEASURES:
-            raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
-    columns = _evaluate(ThermalBatch.of(params), measures, engine)
-    values = [float(col[0]) for col in columns]
+    fixed = {name: getattr(params, name) for name in PARAM_NAMES}
+    spec = SweepSpec(axes=(), fixed=fixed, measures=measures, engine=engine)
+    table = run_sweep(spec)
+    row = dict(zip(table.columns, table.data[0].tolist()))
     if engine != "both":
-        return dict(zip(measures, values))
+        return {m: row[m] for m in spec.measures}
     return {
-        m: EngineRecord(*values[3 * k : 3 * k + 3]) for k, m in enumerate(measures)
+        m: EngineRecord(*(row[f"{m}_{k}"] for k in _RECORD_FIELDS))
+        for m in spec.measures
     }
 
 
 def _grid(spec: SweepSpec) -> ThermalBatch:
     """The grid's cells, outer axis slowest, checked as SpinParams checks them."""
     values = [ax.values() for ax in spec.axes]
-    # The first cell as SpinParams also checks that the fixed values are numbers.
-    first = {ax.name: float(v[0]) for ax, v in zip(spec.axes, values)}
-    SpinParams(**spec.fixed, **first)
-    if len(values) == 2:
-        values = [
-            np.repeat(values[0], len(values[1])),
-            np.tile(values[1], len(values[0])),
-        ]
-    n = len(values[0])
-    columns = {ax.name: v for ax, v in zip(spec.axes, values)}
-    for name, value in spec.fixed.items():
-        columns[name] = np.full(n, float(value))
-    cols = [columns[name] for name in PARAM_NAMES]
-    check_params(np.array(cols))
-    return ThermalBatch(*cols)
+    first = {**spec.fixed, **{ax.name: v[0] for ax, v in zip(spec.axes, values)}}
+    given = tuple(first[name] for name in PARAM_NAMES)
+    # One grid per parameter: the first cell's value, then each axis's values
+    # along its own dimension (np.ix_ shapes them so), the outer axis first.
+    x = np.empty((len(PARAM_NAMES), *(len(v) for v in values)))
+    x.T[...] = param_cell(given)
+    for ax, v in zip(spec.axes, np.ix_(*values)):
+        x[PARAM_NAMES.index(ax.name)] = v
+    x = x.reshape(len(PARAM_NAMES), -1)
+    # Axis values are finite, so only a fixed value can be non-finite, and
+    # it fails the first cell, whose values are `given`.
+    check_params(x, given=given)
+    return ThermalBatch(*x)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -328,9 +328,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     cells = _grid(spec)
     values = _evaluate(cells, spec.measures, spec.engine)
     axes = [getattr(cells, ax.name) for ax in spec.axes]
-    data = np.column_stack(axes + values)
+    data = np.array(axes + values).T
 
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         bad = np.argwhere(~np.isfinite(data))[0]
         raise RuntimeError(
             f"sweep produced a non-finite value in column "

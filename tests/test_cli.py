@@ -69,6 +69,30 @@ def test_sweep_requires_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_sweep_rejects_unknown_format(capsys, tmp_path):
+    out = tmp_path / "grid.xml"
+    assert main(["sweep", "--axis", "J=0:1:0.5", "--fix", "Jz=1", "--fix", "B=1",
+                 "--fix", "T=1", "--format", "xml", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "'xml'" in err
+    assert not out.exists()
+
+
+def test_sweep_and_plot_need_an_axis(capsys, tmp_path):
+    for command in ("sweep", "plot"):
+        assert main([command, "--fix", "J=1", "--fix", "Jz=1", "--fix", "B=1",
+                     "--fix", "T=1", "--out", str(tmp_path / "x")]) == 2
+        assert "a sweep needs at least one --axis" in capsys.readouterr().err
+
+
+def test_point_reports_repeated_measures_once(capsys):
+    assert main(["point", "--measure", "QFI", "--measure", "SCn",
+                 "--measure", "QFI", *BELL_POINT]) == 0
+    repeated = capsys.readouterr().out
+    assert main(["point", "--measure", "QFI", "--measure", "SCn", *BELL_POINT]) == 0
+    assert capsys.readouterr().out == repeated
+
+
 def test_point_reports_all_measures_by_default(capsys):
     assert main(["point", *BELL_POINT]) == 0
     doc = json.loads(capsys.readouterr().out)

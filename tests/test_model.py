@@ -114,7 +114,7 @@ def test_partition_function_log_domain_stays_finite():
     p = SpinParams(J=10, Jz=2, B=0, T=0.01)
     log_z = log_partition_function(p)
     assert math.isfinite(log_z)
-    with pytest.raises(ParameterRegimeError, match="J=10"):
+    with pytest.raises(ParameterRegimeError, match=r"J=10\.0, .*\(log Z = 9"):
         partition_function(p)
 
 
@@ -274,14 +274,6 @@ def test_batch_keeps_entries_only_after_their_check(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="^entries rejected$"):
             scn_kernel(cells)
-
-
-def test_gibbs_state_z_property_overflow():
-    g = gibbs_closed(SpinParams(10, 2, 0, 0.01))
-    with pytest.raises(ParameterRegimeError, match="log Z"):
-        _ = g.Z
-    g2 = gibbs_closed(SpinParams(1, 1, 1, 1))
-    assert abs(g2.Z - 4 * math.cosh(1.0) * math.cosh(0.5)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -84,13 +84,10 @@ def test_spec_preserves_measure_order_and_dedups():
     assert spec.columns() == ("J", "QFI", "SCn")
 
 
-def test_spec_rejects_unknown_format():
-    with pytest.raises(ValueError, match="format"):
-        SweepSpec(
-            axes=(AxisSpec("J", 0, 1, 0.5),),
-            fixed={"Jz": 1, "B": 1, "T": 1},
-            fmt="xml",
-        )
+def test_spec_takes_at_most_two_axes():
+    axes = (AxisSpec("J", 0, 1, 0.5), AxisSpec("Jz", 0, 1, 0.5), AxisSpec("B", 0, 1, 0.5))
+    with pytest.raises(ValueError, match="^a sweep takes at most two axes$"):
+        SweepSpec(axes=axes, fixed={"T": 1})
 
 
 def test_spec_both_engine_column_layout():
@@ -123,6 +120,19 @@ def test_evaluate_point_surfaces_parameter_errors():
         evaluate_point(SpinParams(1, 1, 1, 1e-9))
 
 
+def test_evaluate_point_requires_a_measure():
+    with pytest.raises(ValueError, match="^at least one measure is required$"):
+        evaluate_point(SpinParams(1, 1, 1, 1), ())
+
+
+@pytest.mark.parametrize("engine", ["closed", "oracle", "both"])
+def test_evaluate_point_reports_repeated_measures_once(engine):
+    p = SpinParams(1.5, 0.7, 1.0, 2.0)
+    rec = evaluate_point(p, ("QFI", "SCn", "QFI", "SCn"), engine)
+    assert list(rec) == ["QFI", "SCn"]
+    assert rec == evaluate_point(p, ("QFI", "SCn"), engine)
+
+
 def test_single_point_sweep_matches_evaluate_point():
     """Every sweep row is bit-identical to evaluate_point at that node."""
     p = SpinParams(J=2.0, Jz=1.0, B=0.5, T=0.7)
@@ -139,7 +149,10 @@ def test_single_point_sweep_matches_evaluate_point():
     assert table.data[0, 2] == rec["QFI"]
 
     cases = [
-        # one cell, then one axis
+        # no axes on each engine, one cell, then one axis
+        ((), {"J": 1.5, "Jz": 0.7, "B": 1.0, "T": 2.0}, MEASURES, "closed"),
+        ((), {"J": 1.5, "Jz": 0.7, "B": 1.0, "T": 2.0}, MEASURES, "oracle"),
+        ((), {"J": 1.5, "Jz": 0.7, "B": 1.0, "T": 2.0}, MEASURES, "both"),
         ((("J", 2.0, 2.0, 1.0),), {"Jz": 1.0, "B": 0.5, "T": 0.7}, MEASURES, "closed"),
         ((("T", 1e-3, 1e3, 125.0),), {"J": -1e3, "Jz": 1e3, "B": 0.0},
          ("SCn", "SCRE", "SCREpaper", "QFI"), "closed"),
@@ -237,6 +250,8 @@ def test_sweep_raises_at_the_first_failing_node():
         run_sweep(SweepSpec(axes=axis, fixed={"Jz": 0.0, "B": 1.0, "T": 1.0}))
     with pytest.raises(ValueError, match="^Jz=nan is not a finite number"):
         run_sweep(SweepSpec(axes=axis, fixed={"Jz": float("nan"), "B": 1.0, "T": 1.0}))
+    with pytest.raises(ValueError, match="^Jz='1.5' is not a finite number"):
+        run_sweep(SweepSpec(axes=axis, fixed={"Jz": "1.5", "B": 1.0, "T": 1.0}))
 
 
 @pytest.mark.parametrize(
@@ -406,10 +421,11 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
 
 
 def test_oracle_decomposes_each_stack_once(monkeypatch):
-    """Six eigh calls for every measure on the oracle, whatever the stack size.
+    """Four eigh calls for every measure on the oracle, whatever the stack size.
 
-    One for the Hamiltonians, one each for rho and Bob's conditional states
-    in each of the two steered-coherence kinds, and one for the QFI's rho.
+    One for the Hamiltonians, one for rho, which every definition shares,
+    and one for Bob's conditional states in each of the two
+    steered-coherence kinds, which build those states once each.
     """
     calls = []
     lapack = np.linalg.eigh
@@ -420,7 +436,7 @@ def test_oracle_decomposes_each_stack_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     evaluate_point(SpinParams(1.5, 0.5, 1.0, 1.0), MEASURES, "oracle")
-    assert len(calls) <= 6, calls
+    assert len(calls) == 4, calls
     point = len(calls)
     calls.clear()
     run_sweep(
