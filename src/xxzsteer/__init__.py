@@ -7,7 +7,7 @@ The library builds the Gibbs state of
 
 by two independent routes, evaluates three measures (l1 steered coherence
 SCn, relative-entropy steered coherence SCRE, quantum Fisher information
-QFI) both from their definitions and through closed-form fast paths, and
+QFI) both from their definitions and through their closed forms, and
 drives parameter sweeps with CSV/JSON/SVG output.  See the ``xxzsteer``
 command-line tool for the sweep front end.
 """

@@ -6,7 +6,8 @@ Subcommands:
            evaluate one parameter point, print a JSON record to stdout
     sweep  --axis J=-20:20:0.25 [--axis Jz=...] --fix ... --out FILE
            run a 1D/2D grid and write CSV or JSON
-    plot   like sweep, but render an SVG (heatmap for 2 axes, lines for 1)
+    plot   like sweep, but render an SVG (heatmap for 2 axes, lines for 1;
+           a --mode that does not fit the axes is a usage error)
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -141,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument(
         "--mode",
         choices=("heatmap", "lines"),
-        help="plot mode (default: heatmap for 2 axes, lines for 1)",
+        help="heatmap for 2 axes, lines for 1 (set by the axes; any other "
+        "mode is a usage error)",
     )
 
     return parser
@@ -220,7 +222,10 @@ def _cmd_plot(ns) -> int:
     if not ns.out:
         raise UsageError("plot requires --out PATH")
     spec = _build_spec(ns)
-    mode = ns.mode or ("heatmap" if len(spec.axes) == 2 else "lines")
+    mode = "heatmap" if len(spec.axes) == 2 else "lines"
+    if ns.mode not in (None, mode):
+        wants = "two axes" if ns.mode == "heatmap" else "one axis"
+        raise UsageError(f"--mode {ns.mode} needs {wants}, got {len(spec.axes)}")
     if mode == "heatmap" and (len(spec.measures) != 1 or spec.engine == "both"):
         raise UsageError(
             "heatmap needs exactly one value column: one --measure and a "

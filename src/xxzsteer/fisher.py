@@ -15,7 +15,7 @@ collective X generator, which collapses the spectral sum on the X state to
 
     F = 2 (a-p)^2/(a+p) + 2 (d-p)^2/(d+p),      p = b + |v|,
 
-the :func:`qfi_closed` fast path.  |v| rather than v appears because the
+the closed form :func:`qfi_closed`.  |v| rather than v appears because the
 J<0 states are the sigma_z ox I gauge copies of the J>0 ones and the
 generator is transported along (:func:`calibrated_observable`), keeping the
 measure even in J as the model's phase diagrams show.
@@ -26,7 +26,8 @@ the spectral definition for every collective-generator candidate; on this
 family the comparison fails for all of them (its numerator differs from
 the X-state reduction in a single term, 2 e^{2B/T} u^3 in place of
 2 e^{B/T} u^3, so agreement holds only at B = 0), which is why the ratio
-is exposed as a separate measure and not as the canonical fast path.
+is exposed as a separate measure and not as the canonical closed form.
+Both closed forms take a ThermalBatch or one point (see ``closed_form``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .model import (
     ParameterRegimeError,
     SpinParams,
     ThermalBatch,
+    closed_form,
     gibbs_closed,
 )
 from .steering import PauliAxis
@@ -61,9 +63,7 @@ __all__ = [
     "calibrated_observable",
     "qfi_spectral",
     "qfi_closed",
-    "qfi_kernel",
     "qfi_published",
-    "qfi_published_kernel",
     "CalibrationReport",
     "calibrate_observable",
 ]
@@ -133,8 +133,13 @@ def qfi_spectral(rho: np.ndarray, obs):
     return as_cells(np.maximum(2.0 * total, 0.0))
 
 
-def qfi_kernel(cells: ThermalBatch) -> np.ndarray:
-    """:func:`qfi_closed` over a batch of thermal states."""
+@closed_form
+def qfi_closed(cells: ThermalBatch) -> np.ndarray:
+    """X-state closed form: 2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
+
+    Terms whose denominator is below the pair floor are dropped, matching
+    the removable-singularity convention of the spectral sum.
+    """
     a, b, d, v = cells.entries()
     p = b + np.abs(v)
     total = 0.0
@@ -147,17 +152,22 @@ def qfi_kernel(cells: ThermalBatch) -> np.ndarray:
     return total
 
 
-def qfi_closed(g: GibbsState) -> float:
-    """X-state fast path: 2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
+@closed_form
+def qfi_published(cells: ThermalBatch) -> np.ndarray:
+    """A published closed-form ratio m/n for the thermal QFI, as printed.
 
-    Terms whose denominator is below the pair floor are dropped, matching
-    the removable-singularity convention of the spectral sum.
-    """
-    return float(qfi_kernel(ThermalBatch.of(g))[0])
+    With x = e^{Jz/T}, y = e^{B/T}, u = sinh(|J|/T) + cosh(J/T) = e^{|J|/T}:
 
+        m = x^2 u (1/y - 4y + y^3) - x u^2 (y^2 + 1) + 2 y^2 u^3
+            + x^3 (y^2 + 1)
+        n = (x cosh(B/T) + cosh(J/T)) (u + xy) (yu + x)
 
-def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
-    """:func:`qfi_published` over a batch of parameter cells.
+    Evaluated entirely in the log domain (signed log-sum-exp for m), so the
+    full parameter box stays finite.  The term 2 y^2 u^3 is what separates
+    this expression from the X-state reduction (which carries 2 y u^3);
+    consequently it matches :func:`qfi_closed` and :func:`qfi_spectral`
+    only at B = 0.  Kept for comparison as the QFIclosed measure.  It reads
+    only the parameters, so a point may also be a SpinParams.
 
     Raises :class:`ParameterRegimeError` for the first cell where the ratio
     leaves double range.
@@ -202,24 +212,6 @@ def qfi_published_kernel(cells: ThermalBatch) -> np.ndarray:
             f"B={p.B}, T={p.T}"
         )
     return value
-
-
-def qfi_published(p: SpinParams) -> float:
-    """A published closed-form ratio m/n for the thermal QFI, as printed.
-
-    With x = e^{Jz/T}, y = e^{B/T}, u = sinh(|J|/T) + cosh(J/T) = e^{|J|/T}:
-
-        m = x^2 u (1/y - 4y + y^3) - x u^2 (y^2 + 1) + 2 y^2 u^3
-            + x^3 (y^2 + 1)
-        n = (x cosh(B/T) + cosh(J/T)) (u + xy) (yu + x)
-
-    Evaluated entirely in the log domain (signed log-sum-exp for m), so the
-    full parameter box stays finite.  The term 2 y^2 u^3 is what separates
-    this expression from the X-state reduction (which carries 2 y u^3);
-    consequently it matches :func:`qfi_closed` and :func:`qfi_spectral`
-    only at B = 0.  Kept for comparison as the QFIclosed measure.
-    """
-    return float(qfi_published_kernel(ThermalBatch.of(p))[0])
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,15 @@ exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
 
 Both routes work array-at-a-time over a :class:`ThermalBatch` of parameter
-cells: the closed route holds one array per entry, and the closed measures
-are kernels over such batches; the spectral route stacks one Hamiltonian and
-one density matrix per cell.  A single point is a batch of one.
+cells: the closed route holds one array per entry, and the spectral route
+stacks one Hamiltonian and one density matrix per cell.  Each closed measure
+is one function, made by :func:`closed_form`, that takes either a batch
+(one value per cell) or one point (a float); a point is a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -58,6 +60,7 @@ __all__ = [
     "SpinParams",
     "GibbsState",
     "ThermalBatch",
+    "closed_form",
     "param_cell",
     "check_params",
     "check_entries",
@@ -252,10 +255,10 @@ class GibbsState:
 class ThermalBatch:
     """Thermal X states of N parameter cells, one array per quantity.
 
-    The closed engine evaluates each measure as a kernel over a whole batch;
-    a single point is a batch of one.  J, Jz, B, T are the parameter columns
-    (already checked, see :func:`check_params`); the entries a, b, d, v and
-    log Z are computed, checked and kept on first use.
+    The closed engine evaluates each measure once over a whole batch (see
+    :func:`closed_form`); a single point is a batch of one.  J, Jz, B, T are
+    the parameter columns (already checked, see :func:`check_params`); the
+    entries a, b, d, v and log Z are computed, checked and kept on first use.
 
     Every check on a batch raises for its first failing cell.  Which cell
     and check a whole sweep reports is settled in ``sweep._evaluate``.
@@ -324,6 +327,24 @@ class ThermalBatch:
         return GibbsState(
             params=self.params(i), a=a, b=b, d=d, v=v, log_Z=float(self._log_z[i])
         )
+
+
+def closed_form(formula):
+    """A closed measure that takes a point or a batch.
+
+    `formula` maps a ThermalBatch to one value per cell.  The measure it
+    makes returns that array for a ThermalBatch, and the float of the batch
+    of one for a SpinParams or GibbsState, so a point's value is
+    bit-identical to its cell's in any batch.
+    """
+
+    @functools.wraps(formula)
+    def measure(source):
+        if isinstance(source, ThermalBatch):
+            return formula(source)
+        return float(formula(ThermalBatch.of(source))[0])
+
+    return measure
 
 
 def gibbs_closed(p: SpinParams) -> GibbsState:

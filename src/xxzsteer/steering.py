@@ -17,6 +17,7 @@ collapses to :func:`scn_closed` and the relative-entropy version to
 :func:`scre_closed`.  A previously published relative-entropy closed form
 is kept verbatim in :func:`scre_published`; it agrees with the definition
 only on the zero-field slice a = d and is reported, not silently fixed.
+Each closed form takes a ThermalBatch or one GibbsState (``closed_form``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .linalg import (
     vn_entropy,
     xlog2x,
 )
-from .model import GibbsState, ThermalBatch
+from .model import ThermalBatch, closed_form
 
 __all__ = [
     "PauliAxis",
@@ -56,11 +57,8 @@ __all__ = [
     "coherence",
     "sqc_direct",
     "scn_closed",
-    "scn_kernel",
     "scre_closed",
-    "scre_kernel",
     "scre_published",
-    "scre_published_kernel",
 ]
 
 # Outcomes below this weight contribute nothing to the average; their
@@ -216,33 +214,18 @@ def _radius(a, d, v):
     return np.sqrt((a - d) ** 2 + 4 * v * v)
 
 
-def scn_kernel(cells: ThermalBatch) -> np.ndarray:
-    """:func:`scn_closed` over a batch of thermal states."""
-    a, b, d, v = cells.entries()
-    return _radius(a, d, v) + np.abs(a - b) + np.abs(b - d) + 2 * np.abs(v)
-
-
-def scn_closed(g: GibbsState) -> float:
+@closed_form
+def scn_closed(cells: ThermalBatch) -> np.ndarray:
     """l1 steered coherence of the thermal X state.
 
     SCn = sqrt((a-d)^2 + 4v^2) + |a-b| + |b-d| + 2|v|
     """
-    return float(scn_kernel(ThermalBatch.of(g))[0])
-
-
-def scre_kernel(cells: ThermalBatch) -> np.ndarray:
-    """:func:`scre_closed` over a batch of thermal states."""
     a, b, d, v = cells.entries()
-    u = np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0)
-    return (
-        2.0
-        + 2.0 * binary_entropy(a + b)
-        - shannon_bits((a, b, b, d))
-        - 2.0 * binary_entropy(u)
-    )
+    return _radius(a, d, v) + np.abs(a - b) + np.abs(b - d) + 2 * np.abs(v)
 
 
-def scre_closed(g: GibbsState) -> float:
+@closed_form
+def scre_closed(cells: ThermalBatch) -> np.ndarray:
     """Relative-entropy steered coherence of the thermal X state.
 
     With r = sqrt((a-d)^2 + 4v^2):
@@ -254,11 +237,29 @@ def scre_closed(g: GibbsState) -> float:
     and Y ensembles the r term); it is validated against
     :func:`sqc_direct` rather than trusted.
     """
-    return float(scre_kernel(ThermalBatch.of(g))[0])
+    a, b, d, v = cells.entries()
+    u = np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0)
+    return (
+        2.0
+        + 2.0 * binary_entropy(a + b)
+        - shannon_bits((a, b, b, d))
+        - 2.0 * binary_entropy(u)
+    )
 
 
-def scre_published_kernel(cells: ThermalBatch) -> np.ndarray:
-    """:func:`scre_published` over a batch of thermal states."""
+@closed_form
+def scre_published(cells: ThermalBatch) -> np.ndarray:
+    """A published closed form for SCRE, reproduced exactly as printed.
+
+    1/4 [(1-a-2b+3d) log(1-a-2b+3d) + (1+3a-2b-d) log(1+3a-2b-d)]
+      + 1/2 (1-a+2b-d) log(1-a+2b-d)
+      + sum_{+-} (1 +- r) log(1 +- r),      r = sqrt((a-d)^2 + 4v^2)
+
+    Where the definitional average produces the term 2 H2(a+b), this
+    expression carries the constant 2, so it matches :func:`sqc_direct`
+    only when a = d (zero field).  It is kept for comparison; the canonical
+    closed form is :func:`scre_closed`.
+    """
     a, b, d, v = cells.entries()
     r = _radius(a, d, v)
     x = xlog2x(
@@ -273,18 +274,3 @@ def scre_published_kernel(cells: ThermalBatch) -> np.ndarray:
         )
     )
     return 0.25 * (x[0] + x[1]) + 0.5 * x[2] + x[3] + x[4]
-
-
-def scre_published(g: GibbsState) -> float:
-    """A published closed form for SCRE, reproduced exactly as printed.
-
-    1/4 [(1-a-2b+3d) log(1-a-2b+3d) + (1+3a-2b-d) log(1+3a-2b-d)]
-      + 1/2 (1-a+2b-d) log(1-a+2b-d)
-      + sum_{+-} (1 +- r) log(1 +- r),      r = sqrt((a-d)^2 + 4v^2)
-
-    Where the definitional average produces the term 2 H2(a+b), this
-    expression carries the constant 2, so it matches :func:`sqc_direct`
-    only when a = d (zero field).  It is kept for comparison; the canonical
-    fast path is :func:`scre_closed`.
-    """
-    return float(scre_published_kernel(ThermalBatch.of(g))[0])

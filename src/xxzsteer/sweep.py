@@ -1,20 +1,19 @@
 """Parameter sweeps over (J, Jz, B, T) with CSV/JSON output.
 
 Every grid node is an independent evaluation of the requested measures.
-Two evaluation engines exist:
+One table, ``_MEASURES``, gives each measure its closed form and the
+definition it is checked against.  Both engines evaluate a grid as one
+stack of cells in this process:
 
-* ``closed``  - closed-form entries plus closed-form measures (fast path),
-  each measure one array kernel over the whole grid;
-* ``oracle``  - spectral state construction plus the definitional measures
-  (brute-force path), each definition one call over the stacked states;
+* ``closed``  - closed-form entries, and each measure's closed form called
+  once over the whole grid;
+* ``oracle``  - spectral state construction, and each definition called
+  once over the stacked states (brute-force path);
 * ``both``    - run the two and record oracle, closed and |difference|.
 
-Both engines evaluate a grid as a stack of cells in one process: the
-closed engine one kernel call per measure, the oracle one call per
-definition over the stacked spectral states.  A grid has zero, one or two
-axes, and a single point is a sweep with no axes: :func:`evaluate_point`
-reads its one row from :func:`run_sweep`, so it is bit-identical to its
-row in any sweep and gets the same checks.
+A grid has zero, one or two axes, and a single point is a sweep with no
+axes: :func:`evaluate_point` reads its one row from :func:`run_sweep`, so
+it is bit-identical to its row in any sweep and gets the same checks.
 
 A sweep that fails raises what evaluating its cells one at a time, in grid
 order, would raise first: the first failing cell's error, and within that
@@ -61,7 +60,28 @@ __all__ = [
     "write_json",
 ]
 
-MEASURES = ("SCn", "SCRE", "SCREpaper", "QFI", "QFIclosed")
+# Each measure: its closed form over a ThermalBatch, and the key in
+# _DEFINITIONS of the definition it is checked against on the oracle
+# engine; the published forms share the definition of the quantity they
+# claim to give.  The closed forms are looked up in their modules at call
+# time, as the definitions are, so a wrapper installed there sees each call.
+_MEASURES = {
+    "SCn": (lambda cells: steering.scn_closed(cells), "sqc_l1"),
+    "SCRE": (lambda cells: steering.scre_closed(cells), "sqc_re"),
+    "SCREpaper": (lambda cells: steering.scre_published(cells), "sqc_re"),
+    "QFI": (lambda cells: fisher.qfi_closed(cells), "qfi"),
+    "QFIclosed": (lambda cells: fisher.qfi_published(cells), "qfi"),
+}
+MEASURES = tuple(_MEASURES)
+# Each definition takes the cells and their stacked spectral states,
+# checked once.
+_DEFINITIONS = {
+    "sqc_l1": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.L1),
+    "sqc_re": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY),
+    "qfi": lambda cells, rho: fisher.qfi_spectral(
+        rho, fisher.calibrated_observable(rho.matrix)
+    ),
+}
 ENGINES = ("oracle", "closed", "both")
 # Suffixes of each measure's three value columns on the both engine.
 _RECORD_FIELDS = ("oracle", "closed", "absdiff")
@@ -92,10 +112,11 @@ class AxisSpec:
             raise ValueError(f"axis {self.name}: step must be positive")
         if self.start > self.stop:
             raise ValueError(f"axis {self.name}: start {self.start} > stop {self.stop}")
-        if self.count > MAX_AXIS_POINTS:
-            raise ValueError(
-                f"axis {self.name}: {self.count} points exceeds {MAX_AXIS_POINTS}"
-            )
+        # a span whose ratio to the step overflows counts as inf points
+        span = (self.stop - self.start) / self.step
+        count = self.count if math.isfinite(span) else span
+        if count > MAX_AXIS_POINTS:
+            raise ValueError(f"axis {self.name}: {count} points exceeds {MAX_AXIS_POINTS}")
         if self.name == "T" and self.start < T_FLOOR:
             raise ValueError(
                 f"axis T: start {self.start} is below the temperature floor {T_FLOOR}"
@@ -190,52 +211,21 @@ class EngineRecord:
     absdiff: float
 
 
-# Closed form of each measure: a kernel over a ThermalBatch.
-_CLOSED = {
-    "SCn": steering.scn_kernel,
-    "SCRE": steering.scre_kernel,
-    "SCREpaper": steering.scre_published_kernel,
-    "QFI": fisher.qfi_kernel,
-    "QFIclosed": fisher.qfi_published_kernel,
-}
-
-# Definition each measure is checked against on the oracle engine; the
-# published forms share the definition of the quantity they claim to give.
-_DEFINITION = {
-    "SCn": "sqc_l1",
-    "SCRE": "sqc_re",
-    "SCREpaper": "sqc_re",
-    "QFI": "qfi",
-    "QFIclosed": "qfi",
-}
-# Each takes the cells and their stacked spectral states, checked once.
-_DEFINITIONS = {
-    "sqc_l1": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.L1),
-    "sqc_re": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY),
-    "qfi": lambda cells, rho: fisher.qfi_spectral(
-        rho, fisher.calibrated_observable(rho.matrix)
-    ),
-}
-
-
 def _run(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
     """Value columns of every cell, in SweepSpec.value_columns() order.
 
-    The closed kernels run first, then each definition once over the
+    The closed forms run first, then each definition once over the
     stacked spectral states, which are checked and decomposed once for all
     of them.  Any check raises for its own first failing cell, so which
     error a stack raises depends on the stack.
     """
-    closed = [_CLOSED[m](cells) for m in measures] if engine != "oracle" else []
+    forms, kinds = zip(*(_MEASURES[m] for m in measures))
+    closed = [form(cells) for form in forms] if engine != "oracle" else []
     if engine == "closed":
         return closed
     rho = validate_density_matrix(gibbs_spectral(cells), "steered state")
-    found: dict[str, np.ndarray] = {}
-    for m in measures:
-        kind = _DEFINITION[m]
-        if kind not in found:
-            found[kind] = _DEFINITIONS[kind](cells, rho)
-    oracle = [found[_DEFINITION[m]] for m in measures]
+    found = {k: _DEFINITIONS[k](cells, rho) for k in dict.fromkeys(kinds)}
+    oracle = [found[k] for k in kinds]
     if engine == "oracle":
         return oracle
     columns = []
@@ -322,7 +312,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid and return the table, axis values included.
 
     Every engine evaluates the whole grid as one stack in this process: the
-    closed engine calls each measure's kernel once, the oracle each
+    closed engine calls each measure's closed form once, the oracle each
     definition once.  The output depends on nothing but the spec.
     """
     cells = _grid(spec)

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import xxzsteer
+from xxzsteer import cli
 from xxzsteer.cli import main
 from xxzsteer.sweep import MEASURES, read_csv
 
@@ -174,6 +177,52 @@ def test_plot_heatmap_needs_single_measure(capsys, tmp_path):
             "--fix", "B=1", "--fix", "T=2", "--out", str(tmp_path / "h.svg")]
     assert main(argv) == 2
     assert "one value column" in capsys.readouterr().err
+
+
+def test_axis_count_past_double_range_exits_two(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--axis", "J=0:1e300:1e-300", "--fix", "Jz=1",
+            "--fix", "B=1", "--fix", "T=1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "xxzsteer: error: axis J: inf points exceeds 1000000\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, axes",
+    [
+        ("lines", ["--axis", "J=-1:1:0.5", "--axis", "Jz=-1:1:0.5", "--fix", "B=1"]),
+        ("heatmap", ["--axis", "J=-1:1:0.5", "--fix", "Jz=0", "--fix", "B=1"]),
+    ],
+)
+def test_plot_mode_that_does_not_fit_the_axes_exits_two_before_the_sweep(
+    capsys, tmp_path, monkeypatch, mode, axes
+):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "p.svg"
+    argv = ["plot", "--mode", mode, "--measure", "SCn", *axes, "--fix", "T=2",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"xxzsteer: error: --mode {mode} needs ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["lines", "heatmap"])
+def test_plot_accepts_the_mode_its_axes_give(tmp_path, mode):
+    out = tmp_path / "p.svg"
+    axes = ["--axis", "J=-1:1:0.5", "--fix", "Jz=0"]
+    if mode == "heatmap":
+        axes = ["--axis", "J=-1:1:0.5", "--axis", "Jz=-1:1:0.5"]
+    argv = ["plot", "--mode", mode, "--measure", "SCn", *axes, "--fix", "B=1",
+            "--fix", "T=2", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_plot_heatmap_single_measure(tmp_path):

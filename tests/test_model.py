@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzsteer import model
+from xxzsteer import fisher, model, steering
 from xxzsteer.linalg import PROBABILITY_TOL, binary_entropy, eig_hermitian
 from xxzsteer.model import (
     COUPLING_MAX,
@@ -23,7 +23,7 @@ from xxzsteer.model import (
     log_partition_function,
     partition_function,
 )
-from xxzsteer.steering import scn_kernel
+from xxzsteer.steering import scn_closed
 
 from conftest import draw_params
 
@@ -273,7 +273,31 @@ def test_batch_keeps_entries_only_after_their_check(monkeypatch):
     cells = ThermalBatch.of(SpinParams(1, 1, 1, 1))
     for _ in range(2):
         with pytest.raises(ValueError, match="^entries rejected$"):
-            scn_kernel(cells)
+            scn_closed(cells)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (steering, "scn_closed"),
+        (steering, "scre_closed"),
+        (steering, "scre_published"),
+        (fisher, "qfi_closed"),
+        (fisher, "qfi_published"),
+    ],
+)
+def test_closed_form_gives_a_point_the_bits_of_its_cell(module, name, rng):
+    """A point gives a float with the same bits as its cell in a batch."""
+    measure = getattr(module, name)
+    points = [draw_params(rng, b=(-10, 10)) for _ in range(30)]
+    points += [SpinParams(j, jz, 0.0, 1.0) for j in (-2, 0, 2) for jz in (-1, 1)]
+    cells = ThermalBatch(*np.array([[p.J, p.Jz, p.B, p.T] for p in points]).T)
+    values = measure(cells)
+    assert isinstance(values, np.ndarray) and values.shape == (len(points),)
+    for p, cell in zip(points, values):
+        value = measure(p if name == "qfi_published" else gibbs_closed(p))
+        assert type(value) is float
+        assert np.float64(value).tobytes() == cell.tobytes(), (p, value, cell)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from xxzsteer import sweep
+from xxzsteer import fisher, steering, sweep
 from xxzsteer.model import ParameterRegimeError, SpinParams
 from xxzsteer.sweep import (
     MEASURES,
@@ -48,6 +48,13 @@ def test_axis_rejects_bad_specs():
         AxisSpec("K", 0, 1, 0.1)
     with pytest.raises(ValueError, match="exceeds"):
         AxisSpec("J", 0, 1000, 1e-6)
+
+
+def test_axis_count_past_double_range_is_too_many_points():
+    with pytest.raises(ValueError, match=r"^axis J: inf points exceeds 1000000$"):
+        AxisSpec("J", 0, 1e300, 1e-300)
+    with pytest.raises(ValueError, match=r"^axis B: inf points exceeds 1000000$"):
+        AxisSpec("B", -1e308, 1e308, 1.0)
 
 
 # ------------------------------------------------------------ SweepSpec
@@ -367,7 +374,7 @@ def test_sweep_error_is_the_first_failing_cells_error(monkeypatch):
         # a definition that fails at one seeded cell of the grid
         cells = sweep._grid(spec)
         at = int(rng.integers(len(cells)))
-        kind = sweep._DEFINITION[measures[int(rng.integers(len(measures)))]]
+        kind = sweep._MEASURES[measures[int(rng.integers(len(measures)))]][1]
         real = sweep._DEFINITIONS[kind]
 
         def failing(batch, rho, b=cells.B[at], t=cells.T[at], j=cells.J[at]):
@@ -447,6 +454,31 @@ def test_oracle_decomposes_each_stack_once(monkeypatch):
         )
     )
     assert len(calls) == point, calls
+
+
+def test_closed_engine_calls_each_closed_form_through_its_module(monkeypatch):
+    """A wrapper set on a module's closed form sees the sweep's one call."""
+    calls = []
+    names = {
+        "SCn": (steering, "scn_closed"),
+        "SCRE": (steering, "scre_closed"),
+        "SCREpaper": (steering, "scre_published"),
+        "QFI": (fisher, "qfi_closed"),
+        "QFIclosed": (fisher, "qfi_published"),
+    }
+    for module, name in names.values():
+
+        def counted(cells, form=getattr(module, name), name=name):
+            calls.append(name)
+            return form(cells)
+
+        monkeypatch.setattr(module, name, counted)
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -2.0, 2.0, 0.5),),
+        fixed={"Jz": 1.0, "B": 1.0, "T": 1.0},
+    )
+    run_sweep(spec)
+    assert calls == [names[m][1] for m in MEASURES]
 
 
 def test_sweep_engine_both_cross_check():
