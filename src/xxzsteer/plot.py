@@ -1,7 +1,10 @@
 """Deterministic SVG rendering of sweep tables.
 
 No plotting library: the documents are assembled from fixed style
-constants, so identical tables produce byte-identical files.  Two modes:
+constants, so identical tables produce byte-identical files.  Rects and
+polyline points are formatted by %-templates over whole arrays, and a
+heatmap formats each cell's x and y coordinates once per column and row.
+Two modes:
 
 * ``heatmap`` - a 2-axis table with exactly one value column; one rect of
   class "cell" per grid node, linear three-stop color map over
@@ -12,8 +15,9 @@ constants, so identical tables produce byte-identical files.  Two modes:
 
 from __future__ import annotations
 
+import numpy as np
 
-from .sweep import SweepTable
+from .sweep import SweepTable, _write
 
 __all__ = ["render_svg", "heatmap_svg", "lines_svg"]
 
@@ -34,19 +38,64 @@ LINE_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 COLORBAR_SEGMENTS = 64
 
 
+# Six significant digits for coordinates and labels, as a %-field.
+_NUM = "%.6g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+    return _NUM % x
+
+
+def _fmt_all(values: np.ndarray) -> np.ndarray:
+    """_fmt of each value of a 1-D array, as an object array."""
+    return np.array([_fmt(x) for x in values.tolist()], dtype=object)
+
+
+_STOPS = np.array(COLOR_STOPS, dtype=float)
+# Two lowercase hex digits of each channel value.
+_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+
+
+def _channels(t: np.ndarray) -> np.ndarray:
+    """Red, green and blue (a last axis of 3) at positions t of the color map.
+
+    t is clipped to [0, 1], each half of the map is a linear interpolation
+    between two stops, and the channels are rounded half to even.
+    """
+    t = np.clip(t, 0.0, 1.0)
+    if np.isnan(t).any():
+        raise ValueError("a NaN has no color on the color map")
+    low = t <= 0.5
+    f = np.where(low, t * 2.0, (t - 0.5) * 2.0)[..., None]
+    low = low[..., None]
+    lo = np.where(low, _STOPS[0], _STOPS[1])
+    hi = np.where(low, _STOPS[1], _STOPS[2])
+    return np.rint(lo + (hi - lo) * f).astype(np.intp)
 
 
 def color_for(t: float) -> str:
-    """Hex color at position t in [0, 1] of the linear three-stop map."""
-    t = min(max(t, 0.0), 1.0)
-    if t <= 0.5:
-        lo, hi, f = COLOR_STOPS[0], COLOR_STOPS[1], t * 2.0
-    else:
-        lo, hi, f = COLOR_STOPS[1], COLOR_STOPS[2], (t - 0.5) * 2.0
-    rgb = tuple(round(a + (b - a) * f) for a, b in zip(lo, hi))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    """Hex color at position t in [0, 1] of the linear three-stop map.
+
+    The heatmap colors its cells and color bar with the same map, applied
+    to whole arrays.
+    """
+    return "#%s%s%s" % tuple(_HEX[_channels(np.float64(t))])
+
+
+def _rects(cls: str, x, y, width, height, t: np.ndarray) -> str:
+    """One rect line per entry of t, in C order, filled with its color.
+
+    x and y are text, or arrays of text that broadcast against t.
+    """
+    args = np.empty(t.shape + (5,), dtype=object)
+    args[..., 0] = x
+    args[..., 1] = y
+    args[..., 2:] = _HEX[_channels(t)]
+    rect = (
+        f'<rect class="{cls}" x="%s" y="%s" width="{width}" '
+        f'height="{height}" fill="#%s%s%s"/>\n'
+    )
+    return ((rect * t.size) % tuple(args.ravel().tolist()))[:-1]
 
 
 def _svg_document(body: list[str]) -> str:
@@ -87,17 +136,14 @@ def heatmap_svg(table: SweepTable) -> str:
     cw = w / inner.count
     ch = h / outer.count
 
-    body = [f'<text x="{x0}" y="{MARGIN_TOP - 14}" {FONT}>{name}</text>']
+    t = np.zeros_like(grid) if span == 0.0 else (grid - vmin) / span
     # row 0 (smallest outer value) at the bottom
-    for i in range(outer.count):
-        for j in range(inner.count):
-            t = 0.0 if span == 0.0 else (float(grid[i, j]) - vmin) / span
-            cx = x0 + j * cw
-            cy = y0 + h - (i + 1) * ch
-            body.append(
-                f'<rect class="cell" x="{_fmt(cx)}" y="{_fmt(cy)}" '
-                f'width="{_fmt(cw)}" height="{_fmt(ch)}" fill="{color_for(t)}"/>'
-            )
+    cx = x0 + np.arange(inner.count) * cw
+    cy = y0 + h - (np.arange(outer.count) + 1) * ch
+    body = [
+        f'<text x="{x0}" y="{MARGIN_TOP - 14}" {FONT}>{name}</text>',
+        _rects("cell", _fmt_all(cx), _fmt_all(cy)[:, None], _fmt(cw), _fmt(ch), t),
+    ]
     body.append(_plot_frame(x0, y0, w, h))
 
     # axis labels: inner axis along x, outer axis along y
@@ -115,13 +161,10 @@ def heatmap_svg(table: SweepTable) -> str:
     bx = PLOT_WIDTH - MARGIN_RIGHT + 30
     bw = 18
     seg_h = h / COLORBAR_SEGMENTS
-    for k in range(COLORBAR_SEGMENTS):
-        t = (k + 0.5) / COLORBAR_SEGMENTS
-        cy = y0 + h - (k + 1) * seg_h
-        body.append(
-            f'<rect class="cbar" x="{bx}" y="{_fmt(cy)}" width="{bw}" '
-            f'height="{_fmt(seg_h)}" fill="{color_for(t)}"/>'
-        )
+    k = np.arange(COLORBAR_SEGMENTS)
+    cy = y0 + h - (k + 1) * seg_h
+    t = (k + 0.5) / COLORBAR_SEGMENTS
+    body.append(_rects("cbar", bx, _fmt_all(cy), bw, _fmt(seg_h), t))
     body += [
         _plot_frame(bx, y0, bw, h),
         f'<text x="{bx + bw + 6}" y="{y0 + h}" {FONT}>{_fmt(vmin)}</text>',
@@ -150,19 +193,13 @@ def lines_svg(table: SweepTable) -> str:
     h = PLOT_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     xspan = float(xs[-1] - xs[0]) if len(xs) > 1 and xs[-1] > xs[0] else 1.0
 
-    def sx(x: float) -> float:
-        return x0 + (x - float(xs[0])) / xspan * w
-
-    def sy(y: float) -> float:
-        return y0 + (ymax - y) / (ymax - ymin) * h
-
+    sx = x0 + (xs - float(xs[0])) / xspan * w
     body = [_plot_frame(x0, y0, w, h)]
     for k, col in enumerate(value_cols):
         color = LINE_COLORS[k % len(LINE_COLORS)]
-        pts = " ".join(
-            f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}"
-            for x, y in zip(xs, table.column(col))
-        )
+        sy = y0 + (ymax - table.column(col)) / (ymax - ymin) * h
+        xy = np.column_stack([sx, sy])
+        pts = ((f"{_NUM},{_NUM} " * len(xy)) % tuple(xy.ravel().tolist()))[:-1]
         body.append(
             f'<polyline class="series" data-name="{col}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -197,8 +234,4 @@ def render_svg(table: SweepTable, mode: str, path) -> None:
         text = lines_svg(table)
     else:
         raise ValueError(f"unknown plot mode {mode!r}; use 'heatmap' or 'lines'")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {path}: {exc}") from exc
+    _write(path, "SVG", [text])

@@ -21,10 +21,14 @@ cell the first failing measure's, the oracle before the closed form.  Every
 check raises for its own first failing cell; a failing stack is then halved
 down to the first failing cell (see ``_evaluate``), which costs about one
 more pass over the cells.
+
+The CSV and JSON writers apply one %-template of a row to blocks of rows;
+their bytes are those of :func:`format_value` applied to each value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -87,6 +91,14 @@ ENGINES = ("oracle", "closed", "both")
 _RECORD_FIELDS = ("oracle", "closed", "absdiff")
 
 MAX_AXIS_POINTS = 10**6
+# Cells of a whole grid, the product of its axis counts; the closed engine
+# holds about 0.4 kB a cell and the both engine about 4 kB.
+MAX_GRID_CELLS = 10**6
+
+
+def _count_text(count: float) -> str:
+    """A point count for a message: exact up to 10**7, else three digits."""
+    return f"{count}" if count <= 10**7 else f"{count:.3g}"
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,9 @@ class AxisSpec:
         span = (self.stop - self.start) / self.step
         count = self.count if math.isfinite(span) else span
         if count > MAX_AXIS_POINTS:
-            raise ValueError(f"axis {self.name}: {count} points exceeds {MAX_AXIS_POINTS}")
+            raise ValueError(
+                f"axis {self.name}: {_count_text(count)} points exceeds {MAX_AXIS_POINTS}"
+            )
         if self.name == "T" and self.start < T_FLOOR:
             raise ValueError(
                 f"axis T: start {self.start} is below the temperature floor {T_FLOOR}"
@@ -159,6 +173,12 @@ class SweepSpec:
         axis_names = [ax.name for ax in self.axes]
         if len(set(axis_names)) != len(axis_names):
             raise ValueError(f"axis names must be distinct, got {axis_names}")
+        cells = math.prod(ax.count for ax in self.axes)
+        if cells > MAX_GRID_CELLS:
+            counts = " x ".join(str(ax.count) for ax in self.axes)
+            raise ValueError(
+                f"grid of {counts} = {cells} cells exceeds {MAX_GRID_CELLS}"
+            )
         fixed_names = set(self.fixed)
         overlap = fixed_names & set(axis_names)
         if overlap:
@@ -334,17 +354,58 @@ def format_value(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(table: SweepTable, path) -> None:
-    """Plain CSV: header, comma separators, LF endings, 17-digit values."""
-    lines = [",".join(table.columns)]
-    for row in table.data.tolist():
-        lines.append(",".join(map(format_value, row)))
-    text = "\n".join(lines) + "\n"
+# format_value's conversion as a %-field, for the writers' row templates.
+_FIELD = "%.17g"
+# Rows formatted per pass of a writer's row template.
+_BLOCK_ROWS = 4096
+
+
+def _distinct_texts(column: np.ndarray) -> np.ndarray:
+    """format_value of each entry, each distinct double formatted once."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    return np.array([format_value(x) for x in values], dtype=object)[where]
+
+
+def _rows(table: SweepTable, before: str, after: str):
+    """The table's rows as text, each row's fields between before and after.
+
+    One %-template of a row is applied to _BLOCK_ROWS rows at a time, so
+    each block is formatted in one pass and the writer holds one block's
+    text.  An axis with at most half as many points as the table has rows
+    repeats its values, so each of them is formatted once and goes into the
+    template as text.
+    """
+    data = np.asarray(table.data, dtype=np.float64)
+    repeated = {ax.name for ax in table.axes or () if 2 * ax.count <= len(data)}
+    texts = {
+        k: _distinct_texts(data[:, k])
+        for k, name in enumerate(table.columns)
+        if name in repeated
+    }
+    fields = ["%s" if k in texts else _FIELD for k in range(len(table.columns))]
+    row = before + ",".join(fields) + after
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start : start + _BLOCK_ROWS].astype(object)
+        for k, text in texts.items():
+            block[:, k] = text[start : start + _BLOCK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write(path, kind: str, parts) -> None:
+    """Write the text parts in order to path, naming kind and path on failure."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
+
+
+def write_csv(table: SweepTable, path) -> None:
+    """Plain CSV: header, comma separators, LF endings, 17-digit values."""
+    head = ",".join(table.columns) + "\n"
+    _write(path, "CSV", itertools.chain([head], _rows(table, "", "\n")))
 
 
 def read_csv(path) -> SweepTable:
@@ -369,12 +430,8 @@ def read_csv(path) -> SweepTable:
 
 def write_json(table: SweepTable, path) -> None:
     """One object with "columns" and "rows"; numbers use the 17-digit rule."""
-    rows = ",".join(
-        "[" + ",".join(map(format_value, row)) + "]" for row in table.data.tolist()
-    )
-    text = '{"columns": ' + json.dumps(list(table.columns)) + ', "rows": [' + rows + "]}\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
+    # Each row is led by its comma, which the first row drops.
+    rows = _rows(table, ",[", "]")
+    head = '{"columns": ' + json.dumps(list(table.columns)) + ', "rows": ['
+    first = next(rows, ",")[1:]
+    _write(path, "JSON", itertools.chain([head, first], rows, ["]}\n"]))

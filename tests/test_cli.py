@@ -189,6 +189,32 @@ def test_axis_count_past_double_range_exits_two(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_huge_axis_count_is_printed_short(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--axis", "J=0:1e200:1", "--fix", "Jz=1",
+            "--fix", "B=1", "--fix", "T=1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "xxzsteer: error: axis J: 1e+200 points exceeds 1000000\n"
+    assert not out.exists()
+
+
+def test_grid_over_the_cell_cap_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--axis", "J=0:999999:1", "--axis", "Jz=0:999999:1",
+            "--fix", "B=1", "--fix", "T=1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "xxzsteer: error: grid of 1000000 x 1000000 = 1000000000000 cells "
+        "exceeds 1000000\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "mode, axes",
     [

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xxzsteer import plot
 from xxzsteer.plot import color_for, heatmap_svg, lines_svg, render_svg
 from xxzsteer.sweep import AxisSpec, SweepSpec, SweepTable, run_sweep
 
@@ -113,3 +118,114 @@ def test_render_is_deterministic(tmp_path):
     render_svg(table, "heatmap", a)
     render_svg(table, "heatmap", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------- heatmap against a per-cell loop
+
+def reference_color(t):
+    """The three-stop map evaluated one position at a time."""
+    t = min(max(t, 0.0), 1.0)
+    if t <= 0.5:
+        lo, hi, f = plot.COLOR_STOPS[0], plot.COLOR_STOPS[1], t * 2.0
+    else:
+        lo, hi, f = plot.COLOR_STOPS[1], plot.COLOR_STOPS[2], (t - 0.5) * 2.0
+    rgb = tuple(round(a + (b - a) * f) for a, b in zip(lo, hi))
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def reference_rects(table):
+    """The heatmap's cell and color-bar rects, drawn one at a time."""
+    fmt = "{:.6g}".format
+    outer, inner = table.axes
+    grid = table.grid(table.columns[-1])
+    vmin, vmax = float(grid.min()), float(grid.max())
+    span = vmax - vmin
+    x0, y0 = plot.MARGIN_LEFT, plot.MARGIN_TOP
+    w = plot.PLOT_WIDTH - plot.MARGIN_LEFT - plot.MARGIN_RIGHT
+    h = plot.PLOT_HEIGHT - plot.MARGIN_TOP - plot.MARGIN_BOTTOM
+    cw, ch = w / inner.count, h / outer.count
+    rects = []
+    for i in range(outer.count):
+        for j in range(inner.count):
+            t = 0.0 if span == 0.0 else (float(grid[i, j]) - vmin) / span
+            cx, cy = x0 + j * cw, y0 + h - (i + 1) * ch
+            rects.append(
+                f'<rect class="cell" x="{fmt(cx)}" y="{fmt(cy)}" width="{fmt(cw)}" '
+                f'height="{fmt(ch)}" fill="{reference_color(t)}"/>'
+            )
+    bx = plot.PLOT_WIDTH - plot.MARGIN_RIGHT + 30
+    seg_h = h / plot.COLORBAR_SEGMENTS
+    for k in range(plot.COLORBAR_SEGMENTS):
+        t = (k + 0.5) / plot.COLORBAR_SEGMENTS
+        cy = y0 + h - (k + 1) * seg_h
+        rects.append(
+            f'<rect class="cbar" x="{bx}" y="{fmt(cy)}" width="18" '
+            f'height="{fmt(seg_h)}" fill="{reference_color(t)}"/>'
+        )
+    return rects
+
+
+def grid_table(values):
+    """A 2-axis SCn table holding the given 2D grid of values."""
+    values = np.asarray(values, dtype=float)
+    rows, cols = values.shape
+    axes = (AxisSpec("J", 0, rows - 1, 1.0), AxisSpec("Jz", 0, cols - 1, 1.0))
+    J, Jz = np.meshgrid(axes[0].values(), axes[1].values(), indexing="ij")
+    data = np.column_stack([J.ravel(), Jz.ravel(), values.ravel()])
+    return SweepTable(columns=("J", "Jz", "SCn"), data=data, axes=axes)
+
+
+# Over [0, 64]: t = 0.5 exactly at 32; the green channel lands on 5.5 at 1
+# and on 14.5 at 3, red on 50.5 at 16 and blue on 88.5 at 48, which round
+# half to even.
+HALVES = [[0.0, 1.0, 3.0, 16.0], [32.0, 48.0, 64.0, 40.0]]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        HALVES,
+        np.full((3, 4), 1.5),  # span == 0
+        -np.arange(12.0).reshape(3, 4) ** 2,
+        np.random.default_rng(5).normal(size=(17, 23)) * 1e-3 - 2.0,
+        np.random.default_rng(6).uniform(-1e300, 1e300, size=(9, 8)),
+        [[7.0]],
+    ],
+    ids=["halves", "constant", "negative", "seeded", "wide", "one-cell"],
+)
+def test_heatmap_rects_match_a_per_cell_loop(values):
+    table = grid_table(values)
+    lines = heatmap_svg(table).split("\n")
+    rects = [line for line in lines if line.startswith('<rect class=')]
+    assert rects == reference_rects(table)
+    # the cells follow the title, and the color bar the plot frame and labels
+    assert lines[3:3 + table.data.shape[0]] == rects[: table.data.shape[0]]
+
+
+def test_color_for_is_the_per_position_map():
+    positions = [0.0, 1 / 64, 3 / 64, 0.25, 0.5, 0.75, 1.0, -0.3, 1.7, 0.5 + 2**-53]
+    positions += np.random.default_rng(8).random(200).tolist()
+    assert [color_for(t) for t in positions] == [reference_color(t) for t in positions]
+    assert color_for(1 / 64) == "#430656"  # green 5.5 rounds up to 6
+    assert color_for(3 / 64) == "#410e59"  # green 14.5 rounds down to 14
+
+
+def test_heatmap_of_a_nan_table_is_an_error():
+    with pytest.raises(ValueError, match="NaN"):
+        heatmap_svg(grid_table([[0.0, float("nan")], [1.0, 2.0]]))
+
+
+def test_figures_script_writes_the_line_panels(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "figures.py"), "--only", "lines",
+         "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    csvs = sorted(p.stem for p in tmp_path.glob("*.csv"))
+    svgs = sorted(p.stem for p in tmp_path.glob("*.svg"))
+    assert len(csvs) == 28 and csvs == svgs
+    assert all(name.startswith(("vsB_", "vsT_", "vsJ_", "vsJz_")) for name in csvs)
+    text = (tmp_path / "vsB_J1Jz1_T2.svg").read_text(encoding="utf-8")
+    assert text.count('class="series"') == 3

@@ -57,6 +57,21 @@ def test_axis_count_past_double_range_is_too_many_points():
         AxisSpec("B", -1e308, 1e308, 1.0)
 
 
+@pytest.mark.parametrize(
+    "stop, step, count",
+    [
+        (1e200, 1.0, "1e+200"),
+        (1e7, 1.0, "1e+07"),
+        (2e6, 1.0, "2000001"),
+        (1e7 - 1, 1.0, "10000000"),
+    ],
+)
+def test_too_many_points_message_is_short(stop, step, count):
+    with pytest.raises(ValueError) as info:
+        AxisSpec("J", 0, stop, step)
+    assert str(info.value) == f"axis J: {count} points exceeds 1000000"
+
+
 # ------------------------------------------------------------ SweepSpec
 
 def test_spec_requires_full_parameter_cover():
@@ -79,6 +94,20 @@ def test_spec_rejects_duplicate_axes_and_bad_names():
             fixed={"Jz": 1, "B": 1, "T": 1},
             measures=("SCX",),
         )
+
+
+def test_spec_caps_the_cells_of_the_whole_grid():
+    fixed = {"B": 1.0, "T": 1.0}
+    at_cap = (AxisSpec("J", 0, 999, 1.0), AxisSpec("Jz", 0, 999, 1.0))
+    assert math.prod(ax.count for ax in at_cap) == sweep.MAX_GRID_CELLS
+    SweepSpec(axes=at_cap, fixed=fixed)  # built only, never run
+    over = (AxisSpec("J", 0, 1000, 1.0), AxisSpec("Jz", 0, 999, 1.0))
+    with pytest.raises(ValueError) as info:
+        SweepSpec(axes=over, fixed=fixed)
+    assert str(info.value) == "grid of 1001 x 1000 = 1001000 cells exceeds 1000000"
+    widest = (AxisSpec("J", 0, 1e6 - 1, 1.0), AxisSpec("Jz", 0, 1e6 - 1, 1.0))
+    with pytest.raises(ValueError, match=r"^grid of 1000000 x 1000000 = 10{12} cells"):
+        SweepSpec(axes=widest, fixed=fixed)
 
 
 def test_spec_preserves_measure_order_and_dedups():
@@ -600,6 +629,78 @@ def test_json_structure_and_numbers(tmp_path):
     assert list(doc) == ["columns", "rows"]
     assert doc["columns"] == ["J", "SCn"]
     assert np.array_equal(np.array(doc["rows"]), table.data)
+
+
+# Doubles whose 17-digit text is easy to get wrong: signed zeros, the
+# smallest subnormal, the ends of the exponent range, integer values.
+AWKWARD = (
+    0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+    1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3,
+)
+
+
+def reference_csv(table):
+    """The CSV bytes written one value at a time with format_value."""
+    lines = [",".join(table.columns)]
+    lines += [",".join(map(format_value, row)) for row in table.data.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(table):
+    """The JSON bytes written one value at a time with format_value."""
+    rows = ",".join(
+        "[" + ",".join(map(format_value, row)) + "]" for row in table.data.tolist()
+    )
+    return '{"columns": ' + json.dumps(list(table.columns)) + ', "rows": [' + rows + "]}\n"
+
+
+def awkward_table(seed, rows, columns, n_axes):
+    """A seeded table mixing random doubles over the whole exponent range with
+    AWKWARD values; its first n_axes columns are axes, each repeating a few
+    values, -0.0 and 0.0 among them."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-300, 300, (rows, columns))
+    picked = rng.random((rows, columns)) < 0.3
+    data[picked] = rng.choice(AWKWARD, picked.sum())
+    names = ("J", "Jz")[:n_axes] + tuple(f"m{k}" for k in range(columns - n_axes))
+    axes = tuple(AxisSpec(name, 0, 1, 1.0) for name in names[:n_axes])
+    for k in range(n_axes):
+        data[:, k] = rng.choice((0.0, -0.0, 0.25, -20.0, 1e-300), rows)
+    return SweepTable(columns=names, data=data, axes=axes or None)
+
+
+@pytest.mark.parametrize(
+    "rows, columns, n_axes",
+    [
+        (1, 6, 0),
+        (1, 3, 2),
+        (300, 1, 0),
+        (300, 1, 1),
+        (0, 3, 2),
+        (2 * sweep._BLOCK_ROWS + 3, 3, 0),
+        (2 * sweep._BLOCK_ROWS + 3, 7, 2),
+    ],
+)
+def test_writers_match_format_value_byte_for_byte(tmp_path, rows, columns, n_axes):
+    for seed in (11, 12):
+        table = awkward_table(seed, rows, columns, n_axes)
+        write_csv(table, tmp_path / "t.csv")
+        write_json(table, tmp_path / "t.json")
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode()
+        assert (tmp_path / "t.json").read_bytes() == reference_json(table).encode()
+
+
+def test_writers_match_format_value_on_a_sweep(tmp_path):
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -2, 2, 0.25), AxisSpec("Jz", -1, 1, 0.5)),
+        fixed={"B": 1.0, "T": 0.5},
+        engine="both",
+    )
+    table = run_sweep(spec)
+    write_csv(table, tmp_path / "t.csv")
+    write_json(table, tmp_path / "t.json")
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode()
+    assert (tmp_path / "t.json").read_bytes() == reference_json(table).encode()
 
 
 def test_csv_write_failure_carries_path_context(tmp_path):
