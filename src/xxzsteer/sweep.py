@@ -360,35 +360,17 @@ _FIELD = "%.17g"
 _BLOCK_ROWS = 4096
 
 
-def _distinct_texts(column: np.ndarray) -> np.ndarray:
-    """format_value of each entry, each distinct double formatted once."""
-    bits, where = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64).tolist()
-    return np.array([format_value(x) for x in values], dtype=object)[where]
-
-
 def _rows(table: SweepTable, before: str, after: str):
     """The table's rows as text, each row's fields between before and after.
 
     One %-template of a row is applied to _BLOCK_ROWS rows at a time, so
     each block is formatted in one pass and the writer holds one block's
-    text.  An axis with at most half as many points as the table has rows
-    repeats its values, so each of them is formatted once and goes into the
-    template as text.
+    text.
     """
     data = np.asarray(table.data, dtype=np.float64)
-    repeated = {ax.name for ax in table.axes or () if 2 * ax.count <= len(data)}
-    texts = {
-        k: _distinct_texts(data[:, k])
-        for k, name in enumerate(table.columns)
-        if name in repeated
-    }
-    fields = ["%s" if k in texts else _FIELD for k in range(len(table.columns))]
-    row = before + ",".join(fields) + after
+    row = before + ",".join([_FIELD] * len(table.columns)) + after
     for start in range(0, len(data), _BLOCK_ROWS):
-        block = data[start : start + _BLOCK_ROWS].astype(object)
-        for k, text in texts.items():
-            block[:, k] = text[start : start + _BLOCK_ROWS]
+        block = data[start : start + _BLOCK_ROWS]
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
