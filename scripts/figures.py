@@ -11,7 +11,7 @@ Panels
   grooves_J/  measures vs J at B=1, Jz=0 for T in {0.1,...,1}
   vs_Jz/      measures vs Jz at B=1, J=1 for T in {0.1,...,1}
 
-About 2 s in total, evaluation and writing of all 110 files (2 vCPUs, one
+About 2 to 2.5 s in total, evaluation and writing of all 110 files (2 vCPUs, one
 used; CPython 3.11, numpy 2.4).
 """
 
