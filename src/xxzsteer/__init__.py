@@ -30,14 +30,12 @@ from .linalg import (
     vn_entropy,
 )
 from .model import (
-    GibbsState,
     ParameterRegimeError,
     SpinParams,
+    ThermalBatch,
     gibbs_closed,
     gibbs_spectral,
     hamiltonian,
-    log_partition_function,
-    partition_function,
 )
 from .plot import render_svg
 from .steering import (
@@ -78,13 +76,13 @@ __all__ = [
     "EigenDecomposition",
     "EngineRecord",
     "ENGINES",
-    "GibbsState",
     "MEASURES",
     "ParameterRegimeError",
     "PauliAxis",
     "SpinParams",
     "SweepSpec",
     "SweepTable",
+    "ThermalBatch",
     "binary_entropy",
     "calibrate_observable",
     "calibrated_observable",
@@ -96,10 +94,8 @@ __all__ = [
     "gibbs_spectral",
     "hamiltonian",
     "kron",
-    "log_partition_function",
     "measurement_operator",
     "partial_trace_A",
-    "partition_function",
     "qfi_closed",
     "qfi_published",
     "qfi_spectral",

@@ -18,16 +18,13 @@ import argparse
 import json
 import sys
 
-from .model import SpinParams
 from .plot import render_svg
 from .sweep import (
     ENGINES,
     MEASURES,
     PARAM_NAMES,
     AxisSpec,
-    EngineRecord,
     SweepSpec,
-    evaluate_point,
     format_value,
     run_sweep,
     write_csv,
@@ -159,20 +156,19 @@ def _collect_fixed(pairs: list[str]) -> dict[str, float]:
     return fixed
 
 
-def _build_spec(ns) -> SweepSpec:
+def _build_spec(ns, axes: tuple[AxisSpec, ...], fixed: dict[str, float]) -> SweepSpec:
+    measures = tuple(ns.measure) if ns.measure else MEASURES
+    try:
+        return SweepSpec(axes=axes, fixed=fixed, measures=measures, engine=ns.engine)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _sweep_spec(ns) -> SweepSpec:
     axes = tuple(_parse_axis(a) for a in ns.axis)
     if not axes:
         raise UsageError("a sweep needs at least one --axis")
-    measures = tuple(ns.measure) if ns.measure else MEASURES
-    try:
-        return SweepSpec(
-            axes=axes,
-            fixed=_collect_fixed(ns.fix),
-            measures=measures,
-            engine=ns.engine,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _build_spec(ns, axes, _collect_fixed(ns.fix))
 
 
 def _cmd_point(ns) -> int:
@@ -180,32 +176,19 @@ def _cmd_point(ns) -> int:
     missing = [n for n in PARAM_NAMES if n not in fixed]
     if missing:
         raise UsageError(f"point requires --fix for every parameter; missing {missing}")
-    try:
-        params = SpinParams(**fixed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    measures = tuple(ns.measure) if ns.measure else MEASURES
-    record = evaluate_point(params, measures, ns.engine)
-
-    def render(value) -> str:
-        if isinstance(value, EngineRecord):
-            return (
-                '{"oracle": %s, "closed": %s, "absdiff": %s}'
-                % (
-                    format_value(value.oracle),
-                    format_value(value.closed),
-                    format_value(value.absdiff),
-                )
-            )
-        return format_value(value)
-
-    params_json = ", ".join(
-        f'"{n}": {format_value(getattr(params, n))}' for n in PARAM_NAMES
-    )
-    measures_json = ", ".join(f'"{m}": {render(v)}' for m, v in record.items())
+    spec = _build_spec(ns, (), fixed)
+    row = [format_value(x) for x in run_sweep(spec).data[0].tolist()]
+    if spec.engine == "both":
+        # each measure's oracle, closed and absdiff columns, in that order
+        row = [
+            '{"oracle": %s, "closed": %s, "absdiff": %s}' % tuple(row[k : k + 3])
+            for k in range(0, len(row), 3)
+        ]
+    params_json = ", ".join(f'"{n}": {format_value(fixed[n])}' for n in PARAM_NAMES)
+    measures_json = ", ".join(f'"{m}": {v}' for m, v in zip(spec.measures, row))
     print(
         '{"params": {%s}, "engine": %s, "measures": {%s}}'
-        % (params_json, json.dumps(ns.engine), measures_json)
+        % (params_json, json.dumps(spec.engine), measures_json)
     )
     return 0
 
@@ -214,14 +197,14 @@ def _cmd_sweep(ns) -> int:
     if not ns.out:
         raise UsageError("sweep requires --out PATH")
     write = write_csv if ns.format == "csv" else write_json
-    write(run_sweep(_build_spec(ns)), ns.out)
+    write(run_sweep(_sweep_spec(ns)), ns.out)
     return 0
 
 
 def _cmd_plot(ns) -> int:
     if not ns.out:
         raise UsageError("plot requires --out PATH")
-    spec = _build_spec(ns)
+    spec = _sweep_spec(ns)
     mode = "heatmap" if len(spec.axes) == 2 else "lines"
     if ns.mode not in (None, mode):
         wants = "two axes" if ns.mode == "heatmap" else "one axis"

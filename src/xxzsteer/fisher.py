@@ -27,7 +27,10 @@ family the comparison fails for all of them (its numerator differs from
 the X-state reduction in a single term, 2 e^{2B/T} u^3 in place of
 2 e^{B/T} u^3, so agreement holds only at B = 0), which is why the ratio
 is exposed as a separate measure and not as the canonical closed form.
-Both closed forms take a ThermalBatch or one point (see ``closed_form``).
+
+The closed forms give one value per cell of a ThermalBatch, or the float of
+a SpinParams point (see ``closed_form``); the spectral definition takes one
+density matrix or an (N, 4, 4) stack, such as ``gibbs_closed(cells)``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .linalg import (
     validate_density_matrix,
 )
 from .model import (
-    GibbsState,
     ParameterRegimeError,
     SpinParams,
     ThermalBatch,
@@ -95,7 +97,7 @@ _COLLECTIVE_X.flags.writeable = False
 _STAGGERED_X.flags.writeable = False
 
 
-def calibrated_observable(state) -> np.ndarray:
+def calibrated_observable(rho) -> np.ndarray:
     """Generator under which the thermal family's QFI is even in J.
 
     For v >= 0 this is the collective X component; for v < 0 the state is
@@ -103,11 +105,11 @@ def calibrated_observable(state) -> np.ndarray:
     the same way.  Both choices couple |00> and |11> to whichever of the
     central eigenstates carries the weight b + |v|.
 
-    `state` is a GibbsState, a density matrix or a stack of them; each cell
-    gets its generator from the sign of its coherence v = rho[1, 2].
+    `rho` is a density matrix or a stack of them; each gets its generator
+    from the sign of its coherence v = rho[1, 2].
     """
-    v = state.v if isinstance(state, GibbsState) else np.asarray(state)[..., 1, 2].real
-    return np.where(np.asarray(v >= 0.0)[..., None, None], _COLLECTIVE_X, _STAGGERED_X)
+    v = np.asarray(rho)[..., 1, 2].real
+    return np.where((v >= 0.0)[..., None, None], _COLLECTIVE_X, _STAGGERED_X)
 
 
 def qfi_spectral(rho: np.ndarray, obs):
@@ -167,7 +169,7 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
     this expression from the X-state reduction (which carries 2 y u^3);
     consequently it matches :func:`qfi_closed` and :func:`qfi_spectral`
     only at B = 0.  Kept for comparison as the QFIclosed measure.  It reads
-    only the parameters, so a point may also be a SpinParams.
+    only the parameters, never the entries.
 
     Raises :class:`ParameterRegimeError` for the first cell where the ratio
     leaves double range.
@@ -248,8 +250,10 @@ def calibrate_observable(
         "collective_y_unhalved": 2 * collective_observable(PauliAxis.Y),
         "collective_z_unhalved": 2 * collective_observable(PauliAxis.Z),
     }
-    reference = np.array([qfi_published(p) for p in draws])
-    rho = np.array([gibbs_closed(p).rho for p in draws]).reshape(-1, 4, 4)
+    columns = np.array([[p.J, p.Jz, p.B, p.T] for p in draws]).reshape(-1, 4).T
+    cells = ThermalBatch(*columns)
+    reference = qfi_published(cells)
+    rho = gibbs_closed(cells)
     scale = np.maximum(np.abs(reference), 1e-12)
     worst = {
         name: float(np.max(np.abs(qfi_spectral(rho, m) - reference) / scale, initial=0.0))

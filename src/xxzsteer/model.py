@@ -20,11 +20,14 @@ a spectral matrix exponential - and must agree entrywise to 1e-10.  All
 exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
 
-Both routes work array-at-a-time over a :class:`ThermalBatch` of parameter
-cells: the closed route holds one array per entry, and the spectral route
-stacks one Hamiltonian and one density matrix per cell.  Each closed measure
-is one function, made by :func:`closed_form`, that takes either a batch
-(one value per cell) or one point (a float); a point is a batch of one.
+:class:`ThermalBatch` is the one thermal-state type: N parameter cells, one
+array per parameter, entry and log Z.  A single point is a batch of one,
+``ThermalBatch.of(SpinParams(...))``.  Both routes work array-at-a-time over
+a batch and give an (N, 4, 4) stack: :func:`gibbs_closed` assembles the
+density matrices from the closed-form entries, :func:`gibbs_spectral`
+exponentiates the stacked Hamiltonians of :func:`hamiltonian`.  Each closed
+measure is one function, made by :func:`closed_form`, that gives one value
+per cell of a batch, or the float of a SpinParams point.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +61,12 @@ __all__ = [
     "COUPLING_MAX",
     "ParameterRegimeError",
     "SpinParams",
-    "GibbsState",
     "ThermalBatch",
     "closed_form",
     "param_cell",
     "check_params",
     "check_entries",
     "hamiltonian",
-    "log_partition_function",
-    "partition_function",
     "gibbs_closed",
     "gibbs_spectral",
 ]
@@ -79,8 +79,6 @@ PARAM_NAMES = ("J", "Jz", "B", "T")
 # The supported box, one row per parameter; NaN and +-inf fall outside it.
 _PARAM_LOW = np.array([[-COUPLING_MAX]] * 3 + [[T_FLOOR]])
 _PARAM_HIGH = np.array([[COUPLING_MAX]] * 3 + [[sys.float_info.max]])
-
-_MAX_LOG = math.log(sys.float_info.max)  # ~709.78
 
 # Number operator sz ox I + I ox sz, conserved by H (U(1) symmetry).
 _TOTAL_SZ = kron(PAULI_Z, IDENTITY_2) + kron(IDENTITY_2, PAULI_Z)
@@ -161,32 +159,13 @@ def check_params(x: np.ndarray, given: tuple | None = None) -> None:
     )
 
 
-def hamiltonian(source: SpinParams | ThermalBatch) -> np.ndarray:
-    """H as the operator sum J H_J + Jz H_Jz + B H_B (real entries).
+def hamiltonian(cells: ThermalBatch) -> np.ndarray:
+    """H of each cell as the operator sum J H_J + Jz H_Jz + B H_B.
 
-    A point gives one 4x4 matrix, a batch of N cells an (N, 4, 4) stack.
+    Real entries, one 4x4 matrix per cell: an (N, 4, 4) stack.
     """
-    cells = ThermalBatch.of(source) if isinstance(source, SpinParams) else source
     J, Jz, B = (x[:, None, None] for x in (cells.J, cells.Jz, cells.B))
-    h = J * _H_J + Jz * _H_JZ + B * _H_B
-    return h[0] if cells is not source else h
-
-
-def log_partition_function(p: SpinParams) -> float:
-    """log Z, always finite on the supported parameter box."""
-    return float(ThermalBatch.of(p).log_Z[0])
-
-
-def partition_function(p: SpinParams) -> float:
-    """Z = sum_i e^{-E_i/T}.  Raises when Z itself overflows a double."""
-    log_z = log_partition_function(p)
-    if log_z > _MAX_LOG:
-        raise ParameterRegimeError(
-            f"partition function overflows double precision at "
-            f"J={p.J}, Jz={p.Jz}, B={p.B}, T={p.T} (log Z = {log_z:.6g}); "
-            f"use log_partition_function in this regime"
-        )
-    return math.exp(log_z)
+    return J * _H_J + Jz * _H_JZ + B * _H_B
 
 
 def check_entries(a, b, d, v) -> None:
@@ -218,40 +197,6 @@ def check_entries(a, b, d, v) -> None:
     )
 
 
-@dataclass(frozen=True)
-class GibbsState:
-    """Validated thermal X state: entries (a, b, d, v) plus log Z.
-
-    The density matrix is exposed through :attr:`rho`; a spectral
-    construction stores the matrix it actually computed, the closed route
-    assembles it from the entries on demand.
-    """
-
-    params: SpinParams
-    a: float
-    b: float
-    d: float
-    v: float
-    log_Z: float
-    _rho: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        check_entries(*np.array([[self.a], [self.b], [self.d], [self.v]]))
-
-    @property
-    def rho(self) -> np.ndarray:
-        if self._rho is not None:
-            return self._rho
-        r = np.zeros((4, 4), dtype=complex)
-        r[0, 0] = self.a
-        r[1, 1] = self.b
-        r[2, 2] = self.b
-        r[3, 3] = self.d
-        r[1, 2] = self.v
-        r[2, 1] = self.v
-        return r
-
-
 class ThermalBatch:
     """Thermal X states of N parameter cells, one array per quantity.
 
@@ -270,16 +215,9 @@ class ThermalBatch:
         self._log_z = None
 
     @classmethod
-    def of(cls, source: SpinParams | GibbsState) -> "ThermalBatch":
-        """A batch of one: a parameter point, or a state with its entries."""
-        p = source if isinstance(source, SpinParams) else source.params
-        batch = cls(*(np.array([x]) for x in (p.J, p.Jz, p.B, p.T)))
-        if isinstance(source, GibbsState):
-            batch._entries = tuple(
-                np.array([x]) for x in (source.a, source.b, source.d, source.v)
-            )
-            batch._log_z = np.array([source.log_Z])
-        return batch
+    def of(cls, p: SpinParams) -> "ThermalBatch":
+        """A parameter point as a batch of one."""
+        return cls(*(np.array([x]) for x in (p.J, p.Jz, p.B, p.T)))
 
     def __len__(self) -> int:
         return len(self.T)
@@ -295,7 +233,7 @@ class ThermalBatch:
         )
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Closed-form (a, b, d, v), checked as GibbsState checks them."""
+        """Closed-form (a, b, d, v), checked by :func:`check_entries`."""
         if self._entries is None:
             J, Jz, B, T = self.J, self.Jz, self.B, self.T
             # -E_i/T for |00>, |11>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
@@ -318,24 +256,18 @@ class ThermalBatch:
 
     @property
     def log_Z(self) -> np.ndarray:
+        """log Z of each cell, finite on the whole supported box."""
         self.entries()
         return self._log_z
 
-    def state(self, i: int) -> GibbsState:
-        """Cell i as a validated GibbsState."""
-        a, b, d, v = (float(x[i]) for x in self.entries())
-        return GibbsState(
-            params=self.params(i), a=a, b=b, d=d, v=v, log_Z=float(self._log_z[i])
-        )
-
 
 def closed_form(formula):
-    """A closed measure that takes a point or a batch.
+    """A closed measure that takes a batch or a point.
 
     `formula` maps a ThermalBatch to one value per cell.  The measure it
     makes returns that array for a ThermalBatch, and the float of the batch
-    of one for a SpinParams or GibbsState, so a point's value is
-    bit-identical to its cell's in any batch.
+    of one for a SpinParams, so a point's value is bit-identical to its
+    cell's in any batch.
     """
 
     @functools.wraps(formula)
@@ -347,21 +279,25 @@ def closed_form(formula):
     return measure
 
 
-def gibbs_closed(p: SpinParams) -> GibbsState:
-    """Thermal state from the closed-form X-state entries."""
-    return ThermalBatch.of(p).state(0)
+def gibbs_closed(cells: ThermalBatch) -> np.ndarray:
+    """The (N, 4, 4) density matrices assembled from the closed-form entries."""
+    a, b, d, v = cells.entries()
+    rho = np.zeros((len(cells), 4, 4), dtype=complex)
+    rho[:, 0, 0] = a
+    rho[:, 1, 1] = rho[:, 2, 2] = b
+    rho[:, 3, 3] = d
+    rho[:, 1, 2] = rho[:, 2, 1] = v
+    return rho
 
 
-def gibbs_spectral(source: SpinParams | ThermalBatch):
+def gibbs_spectral(cells: ThermalBatch) -> np.ndarray:
     """Thermal states via eigendecomposition of H and a shifted exponential.
 
-    A point gives its validated GibbsState; a batch of N cells gives the
-    (N, 4, 4) stack of density matrices, each checked as a GibbsState.
-    Checks the X structure, Hermiticity, trace and U(1) commutation of the
-    computed matrices and raises, for the first failing cell, with the
-    measured residuals.
+    Gives the (N, 4, 4) stack of density matrices.  Checks the X structure,
+    Hermiticity, trace and U(1) commutation of the computed matrices and
+    raises, for the first failing cell, with the measured residuals; then
+    checks their X-state entries as :func:`check_entries` does.
     """
-    cells = ThermalBatch.of(source) if isinstance(source, SpinParams) else source
     eig = eig_hermitian(hamiltonian(cells))
     lowest = eig.values[:, 0]
     weights = np.exp(-(eig.values - lowest[:, None]) / cells.T[:, None])
@@ -391,15 +327,5 @@ def gibbs_spectral(source: SpinParams | ThermalBatch):
     a, d = rho[:, 0, 0].real, rho[:, 3, 3].real
     b = (rho[:, 1, 1].real + rho[:, 2, 2].real) / 2
     v = (rho[:, 1, 2] + rho[:, 2, 1]).real / 2
-    if cells is not source:
-        return GibbsState(
-            params=source,
-            a=float(a[0]),
-            b=float(b[0]),
-            d=float(d[0]),
-            v=float(v[0]),
-            log_Z=float(-lowest[0] / source.T + np.log(total[0])),
-            _rho=rho[0],
-        )
     check_entries(a, b, d, v)
     return rho

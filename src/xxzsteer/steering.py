@@ -17,7 +17,10 @@ collapses to :func:`scn_closed` and the relative-entropy version to
 :func:`scre_closed`.  A previously published relative-entropy closed form
 is kept verbatim in :func:`scre_published`; it agrees with the definition
 only on the zero-field slice a = d and is reported, not silently fixed.
-Each closed form takes a ThermalBatch or one GibbsState (``closed_form``).
+
+The closed forms read the entries of a ThermalBatch and give one value per
+cell, or the float of a SpinParams point (``closed_form``).  The definition
+and its parts take one matrix or a stack, such as ``gibbs_spectral(cells)``.
 """
 
 from __future__ import annotations

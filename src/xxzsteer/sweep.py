@@ -151,7 +151,9 @@ class SweepSpec:
 
     The axis names and the fixed-parameter names must together cover
     J, Jz, B, T exactly once.  The first axis is the outer (slowest) one;
-    with no axes the spec is a single point.
+    with no axes the spec is a single point.  The first cell, the fixed
+    values with each axis at its start, is checked as SpinParams checks it;
+    a later cell outside the box fails when the sweep runs.
     """
 
     axes: tuple[AxisSpec, ...]
@@ -189,6 +191,7 @@ class SweepSpec:
         extra = fixed_names - set(PARAM_NAMES)
         if extra:
             raise ValueError(f"unknown fixed parameters: {sorted(extra)}")
+        SpinParams(**self.fixed, **{ax.name: ax.start for ax in self.axes})
 
     def value_columns(self) -> tuple[str, ...]:
         cols = []
@@ -314,17 +317,16 @@ def _grid(spec: SweepSpec) -> ThermalBatch:
     """The grid's cells, outer axis slowest, checked as SpinParams checks them."""
     values = [ax.values() for ax in spec.axes]
     first = {**spec.fixed, **{ax.name: v[0] for ax, v in zip(spec.axes, values)}}
-    given = tuple(first[name] for name in PARAM_NAMES)
     # One grid per parameter: the first cell's value, then each axis's values
     # along its own dimension (np.ix_ shapes them so), the outer axis first.
     x = np.empty((len(PARAM_NAMES), *(len(v) for v in values)))
-    x.T[...] = param_cell(given)
+    x.T[...] = param_cell([first[name] for name in PARAM_NAMES])
     for ax, v in zip(spec.axes, np.ix_(*values)):
         x[PARAM_NAMES.index(ax.name)] = v
     x = x.reshape(len(PARAM_NAMES), -1)
-    # Axis values are finite, so only a fixed value can be non-finite, and
-    # it fails the first cell, whose values are `given`.
-    check_params(x, given=given)
+    # SweepSpec checked the first cell; a later one fails only where an axis
+    # leaves the box after its start.
+    check_params(x[:, 1:])
     return ThermalBatch(*x)
 
 

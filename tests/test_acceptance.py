@@ -17,6 +17,7 @@ Check index:
   A10 The published SCRE closed form holds exactly on (and only on) B=0
   A11 Bounds, generator equivalences, covariance, pure-state variance law
   A12 Byte-identical sweeps across --jobs values; CSV round trip
+  A13 SCRE and QFI share SCn's grooves (A8) and its fall with T (A9)
 
 A3 pins the rate at which each measure vanishes in the nearly mixed state
 rho = (1 - H/T)/4 + O(T^-2).  The conditional Bloch vectors of Bob are
@@ -36,7 +37,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import find_peaks
 
 from xxzsteer.fisher import (
     calibrated_observable,
@@ -44,7 +44,7 @@ from xxzsteer.fisher import (
     qfi_closed,
     qfi_spectral,
 )
-from xxzsteer.model import SpinParams, gibbs_closed, gibbs_spectral
+from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed, gibbs_spectral
 from xxzsteer.steering import (
     CoherenceKind,
     PauliAxis,
@@ -63,7 +63,14 @@ from xxzsteer.sweep import (
     write_csv,
 )
 
-from conftest import draw_params, random_hermitian, random_pure_density, random_unitary
+from conftest import (
+    batch,
+    draw_params,
+    random_hermitian,
+    random_pure_density,
+    random_unitary,
+    spectral_log_z,
+)
 
 BELL_POINT = SpinParams(J=10, Jz=2, B=0, T=0.01)
 POLARIZED_POINT = SpinParams(J=1, Jz=0, B=20, T=0.1)
@@ -75,32 +82,59 @@ def check(name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def prominent_minima(values: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local minima of `values` with at least this prominence.
+
+    A flat run of equal values that is lower than both its neighbours is one
+    minimum, at its middle index; the ends of the array are never minima.
+    A minimum's prominence is the smaller of its rises to the highest value
+    on each side before a lower value (or the end of the array).  This is
+    scipy.signal.find_peaks(-values, prominence=prominence)[0].
+    """
+    x = -np.asarray(values, dtype=float)
+    n = len(x)
+    found = []
+    i = 1
+    while i < n - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < n - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                found.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    kept = []
+    for p in found:
+        higher = np.flatnonzero(x[:p] > x[p])
+        left = x[(higher[-1] + 1 if higher.size else 0) : p + 1].min()
+        higher = np.flatnonzero(x[p + 1 :] > x[p])
+        right = x[p : (p + 1 + higher[0] if higher.size else n)].min()
+        if x[p] - max(left, right) >= prominence:
+            kept.append(p)
+    return np.array(kept, dtype=int)
+
+
 @pytest.fixture(scope="module")
 def bulk():
     """1000 seeded draws (J, Jz in [-20,20], B in [0,10], T in [0.05,10])
-    with every per-draw quantity the bulk checks need, computed once."""
+    as one batch, with every per-draw quantity the bulk checks need,
+    computed once."""
     rng = np.random.default_rng(424242)
-    out = {
-        "params": [],
-        "scn_closed": [], "scre_closed": [], "qfi_closed": [],
-        "sqc_l1": [], "sqc_re": [], "qfi_spectral": [],
-        "entry_diff": [], "z_rel": [],
+    cells = batch([draw_params(rng) for _ in range(1000)])
+    rho = gibbs_closed(cells)
+    return {
+        "rho": rho,
+        "scn_closed": scn_closed(cells),
+        "scre_closed": scre_closed(cells),
+        "qfi_closed": qfi_closed(cells),
+        "sqc_l1": sqc_direct(rho, CoherenceKind.L1),
+        "sqc_re": sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY),
+        "qfi_spectral": qfi_spectral(rho, calibrated_observable(rho)),
+        "entry_diff": np.abs(rho - gibbs_spectral(cells)).max(axis=(1, 2)),
+        # log Z of the closed route against the Hamiltonian's eigenvalues
+        "z_rel": np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))),
     }
-    for _ in range(1000):
-        p = draw_params(rng)
-        gc = gibbs_closed(p)
-        gs = gibbs_spectral(p)
-        rho = gc.rho
-        out["params"].append(p)
-        out["scn_closed"].append(scn_closed(gc))
-        out["scre_closed"].append(scre_closed(gc))
-        out["qfi_closed"].append(qfi_closed(gc))
-        out["sqc_l1"].append(sqc_direct(rho, CoherenceKind.L1))
-        out["sqc_re"].append(sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY))
-        out["qfi_spectral"].append(qfi_spectral(rho, calibrated_observable(gc)))
-        out["entry_diff"].append(float(np.abs(gc.rho - gs.rho).max()))
-        out["z_rel"].append(abs(math.expm1(gc.log_Z - gs.log_Z)))
-    return {k: (v if k == "params" else np.array(v)) for k, v in out.items()}
 
 
 def test_a1_bell_limit_anchors():
@@ -289,7 +323,7 @@ def test_a8_grooves_on_the_j_line():
     ]
     # groove = feature-level minimum; prominence 1e-3 separates the two
     # grooves (depth ~0.29) from the 8e-6-deep cusp at J=0 where |v| kinks
-    idx, _ = find_peaks(-vals, prominence=1e-3)
+    idx = prominent_minima(vals, prominence=1e-3)
     locations = j[idx]
     even_residual = max(abs(vals[i] - vals[n - 1 - i]) for i in range(n))
     between = vals[idx[0] : idx[-1] + 1].max() if len(idx) == 2 else float("nan")
@@ -314,9 +348,7 @@ def test_a9_temperature_monotonicity():
     t_grid = [0.5 * k for k in range(1, 21)]
     for jz in (2.0, 5.0, 8.0):
         for b in (0.0, 2.0, 5.0):
-            vals = [
-                scn_closed(gibbs_closed(SpinParams(10.0, jz, b, t))) for t in t_grid
-            ]
+            vals = [scn_closed(SpinParams(10.0, jz, b, t)) for t in t_grid]
             rises = [b2 - a2 for a2, b2 in zip(vals, vals[1:])]
             worst_rise = max(worst_rise, max(rises))
     check(
@@ -328,16 +360,12 @@ def test_a9_temperature_monotonicity():
 
 def test_a10_published_scre_form_holds_only_at_zero_field():
     rng = np.random.default_rng(101010)
-    worst_b0 = 0.0
-    for _ in range(100):
-        g = gibbs_closed(draw_params(rng, b=(0, 0)))
-        direct = sqc_direct(g.rho, CoherenceKind.RELATIVE_ENTROPY)
-        worst_b0 = max(worst_b0, abs(scre_published(g) - direct))
-    worst_field = 0.0
-    for _ in range(100):
-        g = gibbs_closed(draw_params(rng, b=(1, 10)))
-        direct = sqc_direct(g.rho, CoherenceKind.RELATIVE_ENTROPY)
-        worst_field = max(worst_field, abs(scre_published(g) - direct))
+    deviation = {}
+    for field in ((0, 0), (1, 10)):
+        cells = batch([draw_params(rng, b=field) for _ in range(100)])
+        direct = sqc_direct(gibbs_closed(cells), CoherenceKind.RELATIVE_ENTROPY)
+        deviation[field] = float(np.abs(scre_published(cells) - direct).max())
+    worst_b0, worst_field = deviation[(0, 0)], deviation[(1, 10)]
     check(
         "A10 published SCRE form: exact at B=0, broken away from it",
         worst_b0 <= 1e-10 and worst_field > 0.1,
@@ -357,14 +385,12 @@ def test_a11_bounds_and_basis_properties(bulk):
 
     ox = collective_observable(PauliAxis.X)
     oy = collective_observable(PauliAxis.Y)
-    d_xy = max(
-        abs(qfi_spectral(g.rho, ox) - qfi_spectral(g.rho, oy))
-        for g in (gibbs_closed(p) for p in bulk["params"][:100])
-    )
+    rho = bulk["rho"][:100]
+    d_xy = np.abs(qfi_spectral(rho, ox) - qfi_spectral(rho, oy)).max()
 
     d_cov = 0.0
     for _ in range(50):
-        rho = gibbs_closed(draw_params(rng)).rho
+        rho = gibbs_closed(ThermalBatch.of(draw_params(rng)))[0]
         obs = random_hermitian(rng, 4)
         u = random_unitary(rng, 4)
         d_cov = max(
@@ -419,4 +445,45 @@ def test_a12_deterministic_parallel_sweeps(tmp_path):
         identical and round_trip_ok,
         f"CLI jobs=1 vs jobs=8 byte-identical: {identical}; "
         f"parse-rewrite byte-identical: {round_trip_ok} ({expected_rows} rows)",
+    )
+
+
+def test_a13_scre_and_qfi_share_the_scn_features():
+    """A8's grooves and A9's fall with temperature, for SCRE and QFI."""
+    measures = ("SCRE", "QFI")
+    line = run_sweep(
+        SweepSpec(
+            axes=(AxisSpec("J", -3, 3, 0.01),),
+            fixed={"B": 1.0, "Jz": 0.0, "T": 0.1},
+            measures=measures,
+        )
+    )
+    j = line.column("J")
+    grooves = {m: j[prominent_minima(line.column(m), prominence=1e-3)] for m in measures}
+    grooves_ok = all(
+        len(x) == 2 and x[0] < 0 < x[1] and all(0.9 <= abs(v) <= 1.1 for v in x)
+        for x in grooves.values()
+    )
+
+    worst_rise = dict.fromkeys(measures, -math.inf)
+    for jz in (2.0, 5.0, 8.0):
+        for b in (0.0, 2.0, 5.0):
+            table = run_sweep(
+                SweepSpec(
+                    axes=(AxisSpec("T", 0.5, 10, 0.5),),
+                    fixed={"J": 10.0, "Jz": jz, "B": b},
+                    measures=measures,
+                )
+            )
+            for m in measures:
+                worst_rise[m] = max(worst_rise[m], float(np.diff(table.column(m)).max()))
+    check(
+        "A13 SCRE and QFI grooves near J = +-1 and non-increasing in T",
+        grooves_ok and all(r <= 1e-9 for r in worst_rise.values()),
+        "; ".join(
+            f"{m} grooves at J={[round(float(x), 3) for x in grooves[m]]} "
+            f"(2, opposite signs, 0.9 <= |J| <= 1.1), largest increase along T "
+            f"{worst_rise[m]:.2e} (slack 1e-9)"
+            for m in measures
+        ),
     )

@@ -40,6 +40,44 @@ def test_out_of_range_parameter_exits_two(capsys):
     assert "T=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fix, message",
+    [
+        ("T=1e-9", "T=1e-09 is below the supported floor 0.001"),
+        ("B=inf", "B=inf is not a finite number"),
+        ("Jz=-2e3", "|Jz|=2000.0 exceeds the supported bound 1000.0"),
+    ],
+)
+def test_bad_fix_value_exits_two_on_every_command(fix, message, capsys, tmp_path):
+    """point, sweep and plot reject a fixed value outside the box alike."""
+    name = fix.partition("=")[0]
+    fixed = [f"--fix={n}=1" for n in ("Jz", "B", "T") if n != name] + [f"--fix={fix}"]
+    out = str(tmp_path / "x")
+    for command in (
+        ["point", "--fix=J=0", *fixed],
+        ["sweep", "--axis", "J=0:1:0.5", *fixed, "--out", out],
+        ["plot", "--measure", "SCn", "--axis", "J=0:1:0.5", *fixed, "--out", out],
+    ):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"xxzsteer: error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_axis_outside_the_box_exits_two_at_its_start_and_one_after_it(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    base = ["sweep", "--fix", "Jz=1", "--fix", "B=1", "--fix", "T=1", "--out", str(out)]
+    assert main([*base, "--axis", "J=2e3:3e3:500"]) == 2
+    assert capsys.readouterr().err == (
+        "xxzsteer: error: |J|=2000.0 exceeds the supported bound 1000.0\n"
+    )
+    # grid-order error contract: a later cell fails when the sweep runs
+    assert main([*base, "--axis", "J=900:1100:100"]) == 1
+    assert capsys.readouterr().err == (
+        "xxzsteer: |J|=1100.0 exceeds the supported bound 1000.0\n"
+    )
+    assert not out.exists()
+
+
 def test_duplicate_fix_exits_two(capsys):
     assert main(["point", "--fix", "J=1", "--fix", "J=2", "--fix", "Jz=1",
                  "--fix", "B=1", "--fix", "T=1"]) == 2

@@ -18,10 +18,11 @@ from xxzsteer.fisher import (
     qfi_spectral,
 )
 from xxzsteer.linalg import eig_hermitian
-from xxzsteer.model import SpinParams, gibbs_closed
+from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
 from xxzsteer.steering import PauliAxis
 
 from conftest import (
+    batch,
     draw_params,
     random_hermitian,
     random_pure_density,
@@ -83,7 +84,7 @@ def test_qfi_pure_states_equal_four_variances(rng):
 
 def test_qfi_unitary_covariance(rng):
     for _ in range(50):
-        rho = gibbs_closed(draw_params(rng)).rho
+        rho = gibbs_closed(ThermalBatch.of(draw_params(rng)))[0]
         obs = random_hermitian(rng, 4)
         u = random_unitary(rng, 4)
         rotated = qfi_spectral(u @ rho @ u.conj().T, u @ obs @ u.conj().T)
@@ -91,9 +92,8 @@ def test_qfi_unitary_covariance(rng):
 
 
 def test_qfi_x_and_y_generators_agree_on_thermal_states(rng):
-    for _ in range(100):
-        rho = gibbs_closed(draw_params(rng)).rho
-        assert abs(qfi_spectral(rho, OX) - qfi_spectral(rho, OY)) <= 1e-10
+    rho = gibbs_closed(batch([draw_params(rng) for _ in range(100)]))
+    assert np.abs(qfi_spectral(rho, OX) - qfi_spectral(rho, OY)).max() <= 1e-10
 
 
 def test_qfi_rejects_invalid_state():
@@ -104,37 +104,35 @@ def test_qfi_rejects_invalid_state():
 # ------------------------------------------------------------ fast path
 
 def test_qfi_closed_free_spins_is_zero():
-    assert qfi_closed(gibbs_closed(SpinParams(0, 0, 0, 1))) == 0.0
+    assert qfi_closed(SpinParams(0, 0, 0, 1)) == 0.0
 
 
 def test_qfi_closed_bell_limit():
-    assert abs(qfi_closed(gibbs_closed(SpinParams(10, 2, 0, 0.01))) - 4.0) <= 1e-3
+    assert abs(qfi_closed(SpinParams(10, 2, 0, 0.01)) - 4.0) <= 1e-3
 
 
 def test_qfi_closed_matches_spectral_on_draws(rng):
-    for _ in range(150):
-        g = gibbs_closed(draw_params(rng))
-        spectral = qfi_spectral(g.rho, calibrated_observable(g))
-        assert abs(qfi_closed(g) - spectral) <= 1e-8
+    cells = batch([draw_params(rng) for _ in range(150)])
+    rho = gibbs_closed(cells)
+    spectral = qfi_spectral(rho, calibrated_observable(rho))
+    assert np.abs(qfi_closed(cells) - spectral).max() <= 1e-8
 
 
 def test_gauge_aligned_generator_keeps_qfi_even_in_j(rng):
-    gp = gibbs_closed(SpinParams(10, 2, 0, 0.01))
-    gm = gibbs_closed(SpinParams(-10, 2, 0, 0.01))
-    assert np.array_equal(calibrated_observable(gp), OX)
-    assert abs(qfi_spectral(gm.rho, calibrated_observable(gm)) - 4.0) <= 1e-6
+    rho_p = gibbs_closed(ThermalBatch.of(SpinParams(10, 2, 0, 0.01)))[0]
+    rho_m = gibbs_closed(ThermalBatch.of(SpinParams(-10, 2, 0, 0.01)))[0]
+    assert np.array_equal(calibrated_observable(rho_p), OX)
+    assert abs(qfi_spectral(rho_m, calibrated_observable(rho_m)) - 4.0) <= 1e-6
     # the fixed collective-X generator is blind to the singlet-like state
-    assert qfi_spectral(gm.rho, OX) <= 1e-6
-    for _ in range(50):
-        p = draw_params(rng)
-        q = SpinParams(-p.J, p.Jz, p.B, p.T)
-        assert abs(qfi_closed(gibbs_closed(p)) - qfi_closed(gibbs_closed(q))) <= 1e-10
+    assert qfi_spectral(rho_m, OX) <= 1e-6
+    cells = batch([draw_params(rng) for _ in range(50)])
+    flipped = ThermalBatch(-cells.J, cells.Jz, cells.B, cells.T)
+    assert np.abs(qfi_closed(cells) - qfi_closed(flipped)).max() <= 1e-10
 
 
 def test_qfi_bounds_on_draws(rng):
-    for _ in range(200):
-        g = gibbs_closed(draw_params(rng))
-        assert -1e-12 <= qfi_closed(g) <= 4.0 + 1e-12
+    qfi = qfi_closed(batch([draw_params(rng) for _ in range(200)]))
+    assert -1e-12 <= qfi.min() and qfi.max() <= 4.0 + 1e-12
 
 
 # ------------------------------------------------------- published ratio
@@ -150,13 +148,10 @@ def test_qfi_published_bell_limit_in_log_domain():
 
 
 def test_qfi_published_matches_definition_only_at_zero_field(rng):
-    for _ in range(60):
-        g = gibbs_closed(draw_params(rng, b=(0, 0)))
-        assert abs(qfi_published(g.params) - qfi_closed(g)) <= 1e-8
-    worst = 0.0
-    for _ in range(60):
-        g = gibbs_closed(draw_params(rng, b=(1, 10)))
-        worst = max(worst, abs(qfi_published(g.params) - qfi_closed(g)))
+    cells = batch([draw_params(rng, b=(0, 0)) for _ in range(60)])
+    assert np.abs(qfi_published(cells) - qfi_closed(cells)).max() <= 1e-8
+    cells = batch([draw_params(rng, b=(1, 10)) for _ in range(60)])
+    worst = np.abs(qfi_published(cells) - qfi_closed(cells)).max()
     assert worst > 0.1
 
 
@@ -189,13 +184,14 @@ def test_calibration_fails_for_every_collective_candidate(rng):
     }
     for deviation in report.max_relative_deviation.values():
         assert deviation > report.threshold
-    for p in draws[:50]:
-        g = gibbs_closed(p)
-        assert abs(qfi_closed(g) - qfi_spectral(g.rho, calibrated_observable(g))) <= 1e-10
+    cells = batch(draws[:50])
+    rho = gibbs_closed(cells)
+    spectral = qfi_spectral(rho, calibrated_observable(rho))
+    assert np.abs(qfi_closed(cells) - spectral).max() <= 1e-10
 
 
 def test_calibration_report_script_runs():
-    """The script feeds single 4x4 states and raw candidate matrices in."""
+    """The script feeds one batch of states and raw candidate matrices in."""
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     out = subprocess.run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from xxzsteer.linalg import PROBABILITY_TOL, binary_entropy, eig_hermitian
 from xxzsteer.model import (
     COUPLING_MAX,
     T_FLOOR,
-    GibbsState,
-    ParameterRegimeError,
     SpinParams,
     ThermalBatch,
     check_entries,
@@ -20,12 +19,10 @@ from xxzsteer.model import (
     gibbs_closed,
     gibbs_spectral,
     hamiltonian,
-    log_partition_function,
-    partition_function,
 )
 from xxzsteer.steering import scn_closed
 
-from conftest import draw_params
+from conftest import batch, draw_params, spectral_log_z
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -38,6 +35,17 @@ def kron_built_hamiltonian(p):
     """Independent operator-sum oracle using numpy's kron directly."""
     h = -0.5 * (p.J * (np.kron(SX, SX) + np.kron(SY, SY)) + p.Jz * np.kron(SZ, SZ))
     return h - 0.5 * p.B * (np.kron(SZ, I2) + np.kron(I2, SZ))
+
+
+def one_state(builder, p: SpinParams) -> np.ndarray:
+    """The 4x4 density matrix that a construction route gives for one point."""
+    return builder(ThermalBatch.of(p))[0]
+
+
+def x_entries(rho: np.ndarray) -> tuple[float, float, float, float]:
+    """(a, b, d, v) read off an X-state density matrix."""
+    b = (rho[1, 1].real + rho[2, 2].real) / 2
+    return rho[0, 0].real, b, rho[3, 3].real, (rho[1, 2] + rho[2, 1]).real / 2
 
 
 # ----------------------------------------------------------- SpinParams
@@ -69,16 +77,17 @@ def test_params_store_numpy_numbers_as_floats():
 # ---------------------------------------------------------- Hamiltonian
 
 def test_hamiltonian_zero():
-    assert np.array_equal(hamiltonian(SpinParams(0, 0, 0, 1)), np.zeros((4, 4)))
+    h = hamiltonian(ThermalBatch.of(SpinParams(0, 0, 0, 1)))
+    assert np.array_equal(h, np.zeros((1, 4, 4)))
 
 
 def test_hamiltonian_zeeman_only():
-    h = hamiltonian(SpinParams(J=0, Jz=0, B=1, T=1))
+    h = hamiltonian(ThermalBatch.of(SpinParams(J=0, Jz=0, B=1, T=1)))[0]
     assert np.allclose(h, np.diag([-1.0, 0.0, 0.0, 1.0]))
 
 
 def test_hamiltonian_isotropic_point():
-    h = hamiltonian(SpinParams(J=1, Jz=1, B=1, T=1))
+    h = hamiltonian(ThermalBatch.of(SpinParams(J=1, Jz=1, B=1, T=1)))[0]
     expect = np.array(
         [
             [-1.5, 0.0, 0.0, 0.0],
@@ -92,135 +101,129 @@ def test_hamiltonian_isotropic_point():
 
 
 def test_hamiltonian_matches_kron_oracle_on_draws(rng):
-    for _ in range(50):
-        p = draw_params(rng, b=(-10, 10))
-        assert np.abs(hamiltonian(p) - kron_built_hamiltonian(p)).max() <= 1e-13
+    points = [draw_params(rng, b=(-10, 10)) for _ in range(50)]
+    h = hamiltonian(batch(points))
+    assert h.shape == (50, 4, 4)
+    for p, hp in zip(points, h):
+        assert np.abs(hp - kron_built_hamiltonian(p)).max() <= 1e-13
 
 
 # ---------------------------------------------------- partition function
 
 def test_partition_function_free_spins():
-    assert abs(partition_function(SpinParams(0, 0, 0, 1)) - 4.0) <= 1e-14
+    log_z = ThermalBatch.of(SpinParams(0, 0, 0, 1)).log_Z[0]
+    assert abs(math.exp(log_z) - 4.0) <= 1e-14
 
 
 def test_partition_function_isotropic_point():
-    z = partition_function(SpinParams(1, 1, 1, 1))
+    cells = ThermalBatch.of(SpinParams(1, 1, 1, 1))
+    z = math.exp(cells.log_Z[0])
     assert abs(z - 4 * math.cosh(1.0) * math.cosh(0.5)) <= 1e-12
-    evals = eig_hermitian(hamiltonian(SpinParams(1, 1, 1, 1))).values
+    evals = eig_hermitian(hamiltonian(cells)[0]).values
     assert abs(z - np.exp(-evals).sum()) <= 1e-10 * z
 
 
 def test_partition_function_log_domain_stays_finite():
-    p = SpinParams(J=10, Jz=2, B=0, T=0.01)
-    log_z = log_partition_function(p)
+    """log Z stays finite where Z itself leaves double range."""
+    log_z = ThermalBatch.of(SpinParams(J=10, Jz=2, B=0, T=0.01)).log_Z[0]
     assert math.isfinite(log_z)
-    with pytest.raises(ParameterRegimeError, match=r"J=10\.0, .*\(log Z = 9"):
-        partition_function(p)
+    assert log_z > math.log(sys.float_info.max)
 
 
 def test_partition_function_matches_eigenvalue_sum(rng):
-    for _ in range(300):
-        p = draw_params(rng, b=(-10, 10))
-        evals = eig_hermitian(hamiltonian(p)).values
-        shifted = np.exp(-(evals - evals.min()) / p.T)
-        log_z_oracle = -evals.min() / p.T + math.log(shifted.sum())
-        assert abs(math.expm1(log_partition_function(p) - log_z_oracle)) <= 1e-10
+    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(300)])
+    assert np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))).max() <= 1e-10
 
 
 # ----------------------------------------------------------- Gibbs state
 
 def test_gibbs_free_spins_is_maximally_mixed():
     for builder in (gibbs_closed, gibbs_spectral):
-        g = builder(SpinParams(0, 0, 0, 1))
-        assert np.allclose((g.a, g.b, g.d, g.v), (0.25, 0.25, 0.25, 0.0), atol=1e-15)
-        assert np.allclose(g.rho, np.eye(4) / 4, atol=1e-15)
+        rho = one_state(builder, SpinParams(0, 0, 0, 1))
+        assert np.allclose(x_entries(rho), (0.25, 0.25, 0.25, 0.0), atol=1e-15)
+        assert np.allclose(rho, np.eye(4) / 4, atol=1e-15)
 
 
 def test_gibbs_bell_limit():
     p = SpinParams(J=10, Jz=2, B=0, T=0.01)
-    eig = eig_hermitian(hamiltonian(p))
+    eig = eig_hermitian(hamiltonian(ThermalBatch.of(p))[0])
     ground = np.outer(eig.vectors[:, 0], eig.vectors[:, 0].conj())
     for builder in (gibbs_closed, gibbs_spectral):
-        g = builder(p)
-        assert np.allclose((g.a, g.b, g.d, g.v), (0, 0.5, 0, 0.5), atol=1e-6)
-        assert np.abs(g.rho - ground).max() <= 1e-6
+        rho = one_state(builder, p)
+        assert np.allclose(x_entries(rho), (0, 0.5, 0, 0.5), atol=1e-6)
+        assert np.abs(rho - ground).max() <= 1e-6
 
 
 def test_gibbs_polarized_limit():
     p = SpinParams(J=1, Jz=0, B=20, T=0.1)
-    eig = eig_hermitian(hamiltonian(p))
+    eig = eig_hermitian(hamiltonian(ThermalBatch.of(p))[0])
     ground = np.outer(eig.vectors[:, 0], eig.vectors[:, 0].conj())
     for builder in (gibbs_closed, gibbs_spectral):
-        g = builder(p)
-        assert abs(g.a - 1.0) <= 1e-6
-        assert np.abs(g.rho - ground).max() <= 1e-6
+        rho = one_state(builder, p)
+        assert abs(x_entries(rho)[0] - 1.0) <= 1e-6
+        assert np.abs(rho - ground).max() <= 1e-6
 
 
 def test_gibbs_entries_match_printed_forms():
-    p = SpinParams(1, 1, 1, 1)
-    g = gibbs_closed(p)
-    z = partition_function(p)
-    assert abs(g.a - math.exp(1.5) / z) <= 1e-14
-    assert abs(g.a - 0.6439) <= 1e-4
-    assert abs(g.b - math.exp(-0.5) * math.cosh(1.0) / z) <= 1e-14
-    assert abs(g.d - math.exp(-0.5) / z) <= 1e-14
-    assert abs(g.v - math.exp(-0.5) * math.sinh(1.0) / z) <= 1e-14
+    cells = ThermalBatch.of(SpinParams(1, 1, 1, 1))
+    a, b, d, v = (float(x[0]) for x in cells.entries())
+    z = math.exp(cells.log_Z[0])
+    assert abs(a - math.exp(1.5) / z) <= 1e-14
+    assert abs(a - 0.6439) <= 1e-4
+    assert abs(b - math.exp(-0.5) * math.cosh(1.0) / z) <= 1e-14
+    assert abs(d - math.exp(-0.5) / z) <= 1e-14
+    assert abs(v - math.exp(-0.5) * math.sinh(1.0) / z) <= 1e-14
+    assert np.array_equal(gibbs_closed(cells)[0], np.array(
+        [[a, 0, 0, 0], [0, b, v, 0], [0, v, b, 0], [0, 0, 0, d]], dtype=complex
+    ))
 
 
 def test_gibbs_negative_coupling_flips_v_only():
-    gp = gibbs_closed(SpinParams(10, 2, 0, 0.01))
-    gm = gibbs_closed(SpinParams(-10, 2, 0, 0.01))
-    assert abs(gp.v - 0.5) <= 1e-6
-    assert abs(gm.v + 0.5) <= 1e-6
-    assert abs(gp.a - gm.a) <= 1e-15
-    assert abs(gp.b - gm.b) <= 1e-15
-    assert abs(gp.d - gm.d) <= 1e-15
+    ap, bp, dp, vp = ThermalBatch.of(SpinParams(10, 2, 0, 0.01)).entries()
+    am, bm, dm, vm = ThermalBatch.of(SpinParams(-10, 2, 0, 0.01)).entries()
+    assert abs(vp[0] - 0.5) <= 1e-6
+    assert abs(vm[0] + 0.5) <= 1e-6
+    assert abs(ap[0] - am[0]) <= 1e-15
+    assert abs(bp[0] - bm[0]) <= 1e-15
+    assert abs(dp[0] - dm[0]) <= 1e-15
 
 
 def test_gibbs_closed_equals_spectral_bulk(rng):
     """1000 random draws: entrywise and partition-function agreement."""
-    for _ in range(1000):
-        p = draw_params(rng, b=(-10, 10))
-        gc = gibbs_closed(p)
-        gs = gibbs_spectral(p)
-        assert np.abs(gc.rho - gs.rho).max() <= 1e-10
-        assert abs(math.expm1(gc.log_Z - gs.log_Z)) <= 1e-10
+    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(1000)])
+    assert np.abs(gibbs_closed(cells) - gibbs_spectral(cells)).max() <= 1e-10
+    assert np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))).max() <= 1e-10
 
 
 def test_gibbs_state_invariants_on_draws(rng):
-    for _ in range(100):
-        p = draw_params(rng, b=(-10, 10))
-        g = gibbs_spectral(p)
-        rho = g.rho
-        assert abs(g.a + 2 * g.b + g.d - 1.0) <= 1e-12
+    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(100)])
+    number = np.diag([2.0, 0.0, 0.0, -2.0])
+    for rho in gibbs_spectral(cells):
+        a, b, d, v = x_entries(rho)
+        assert abs(a + 2 * b + d - 1.0) <= 1e-12
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
-        assert abs(g.v) <= g.b + 1e-12
+        assert abs(v) <= b + 1e-12
         assert eig_hermitian(rho).values.min() >= -1e-12
-        number = np.diag([2.0, 0.0, 0.0, -2.0])
         assert np.linalg.norm(rho @ number - number @ rho) <= 1e-12
 
 
 def test_sigma_z_conjugation_maps_j_to_minus_j(rng):
-    for _ in range(100):
-        p = draw_params(rng, b=(-10, 10))
-        flipped = SpinParams(-p.J, p.Jz, p.B, p.T)
-        lhs = SZ_I @ gibbs_closed(p).rho @ SZ_I
-        assert np.abs(lhs - gibbs_closed(flipped).rho).max() <= 1e-10
+    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(100)])
+    flipped = ThermalBatch(-cells.J, cells.Jz, cells.B, cells.T)
+    lhs = SZ_I @ gibbs_closed(cells) @ SZ_I
+    assert np.abs(lhs - gibbs_closed(flipped)).max() <= 1e-10
 
 
 def test_degenerate_spectrum_is_deterministic():
     p = SpinParams(0, 0, 0, 0.5)
-    g1 = gibbs_spectral(p)
-    g2 = gibbs_spectral(p)
-    assert np.array_equal(g1.rho, g2.rho)
+    assert np.array_equal(one_state(gibbs_spectral, p), one_state(gibbs_spectral, p))
 
 
 def test_gibbs_state_rejects_inconsistent_entries():
-    p = SpinParams(0, 0, 0, 1)
     with pytest.raises(ValueError, match="a\\+2b\\+d"):
-        GibbsState(params=p, a=0.5, b=0.5, d=0.5, v=0.0, log_Z=1.0)
+        check_entries(*np.array([[0.5], [0.5], [0.5], [0.0]]))
     with pytest.raises(ValueError, match="central block"):
-        GibbsState(params=p, a=0.25, b=0.25, d=0.25, v=0.4, log_Z=1.0)
+        check_entries(*np.array([[0.25], [0.25], [0.25], [0.4]]))
 
 
 @pytest.mark.parametrize(
@@ -259,7 +262,7 @@ def test_spin_params_reports_its_first_failing_clause(cell, message):
 )
 def test_gibbs_state_reports_its_first_failing_clause(entries, message):
     with pytest.raises(ValueError) as err:
-        GibbsState(SpinParams(1, 1, 1, 1), *entries, log_Z=0.0)
+        check_entries(*np.array(entries, dtype=float)[:, None])
     assert str(err.value) == message
 
 
@@ -291,11 +294,10 @@ def test_closed_form_gives_a_point_the_bits_of_its_cell(module, name, rng):
     measure = getattr(module, name)
     points = [draw_params(rng, b=(-10, 10)) for _ in range(30)]
     points += [SpinParams(j, jz, 0.0, 1.0) for j in (-2, 0, 2) for jz in (-1, 1)]
-    cells = ThermalBatch(*np.array([[p.J, p.Jz, p.B, p.T] for p in points]).T)
-    values = measure(cells)
+    values = measure(batch(points))
     assert isinstance(values, np.ndarray) and values.shape == (len(points),)
     for p, cell in zip(points, values):
-        value = measure(p if name == "qfi_published" else gibbs_closed(p))
+        value = measure(p)
         assert type(value) is float
         assert np.float64(value).tobytes() == cell.tobytes(), (p, value, cell)
 
@@ -308,8 +310,8 @@ def test_closed_form_gives_a_point_the_bits_of_its_cell(module, name, rng):
     t=st.floats(0.05, 10),
 )
 def test_construction_routes_agree_property(j, jz, b, t):
-    p = SpinParams(J=j, Jz=jz, B=b, T=t)
-    assert np.abs(gibbs_closed(p).rho - gibbs_spectral(p).rho).max() <= 1e-10
+    cells = ThermalBatch.of(SpinParams(J=j, Jz=jz, B=b, T=t))
+    assert np.abs(gibbs_closed(cells) - gibbs_spectral(cells)).max() <= 1e-10
 
 
 # ------------------------------------------ stacked checks vs one cell alone
@@ -362,9 +364,6 @@ def _entropy_cells() -> np.ndarray:
     return np.array(values)[:, None]
 
 
-_PARAMS = SpinParams(1, 1, 1, 1)
-
-
 def _message(check, *args) -> str | None:
     try:
         check(*args)
@@ -383,14 +382,14 @@ def _message(check, *args) -> str | None:
             (1.0, -0.5, 2.0, 1.0),
         ),
         (
-            lambda a, b, d, v: GibbsState(_PARAMS, a, b, d, v, log_Z=0.0),
+            lambda *cell: check_entries(*np.array(cell)[:, None]),
             check_entries,
             _entry_cells(),
             (0.25, 0.25, 0.25, 0.1),
         ),
         (binary_entropy, binary_entropy, _entropy_cells(), (0.5,)),
     ],
-    ids=["SpinParams", "GibbsState", "binary_entropy"],
+    ids=["SpinParams", "check_entries", "binary_entropy"],
 )
 def test_array_checks_reject_what_scalar_checks_reject(scalar, stacked, cells, passing):
     """Each edge cell, after passing cells in a stack, raises as it does alone."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzsteer.linalg import validate_density_matrix
-from xxzsteer.model import GibbsState, SpinParams, gibbs_closed
+from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
 from xxzsteer.steering import (
     _BASES,
     CoherenceKind,
@@ -19,7 +19,7 @@ from xxzsteer.steering import (
     steer,
 )
 
-from conftest import draw_params
+from conftest import batch, draw_params, xstate
 
 I2 = np.eye(2, dtype=complex)
 SZ_I = np.kron(np.diag([1.0, -1.0]), I2)
@@ -29,11 +29,6 @@ BELL[1:3, 1:3] = 0.5
 
 KET00 = np.zeros((4, 4), dtype=complex)
 KET00[0, 0] = 1.0
-
-
-def xstate(a, b, d, v):
-    """Synthetic validated X state for exact-value checks."""
-    return GibbsState(params=SpinParams(0, 0, 0, 1), a=a, b=b, d=d, v=v, log_Z=0.0)
 
 
 # ------------------------------------------------------- measurements
@@ -93,16 +88,17 @@ def test_steer_product_state_leaves_bob_alone():
 
 def test_steer_thermal_state_bloch_vectors():
     """X-axis steering of the X state gives Bloch vectors (+-2v, 0, a-d)."""
-    g = gibbs_closed(SpinParams(1, 1, 1, 1))
-    ens = steer(g.rho, PauliAxis.X)
+    cells = ThermalBatch.of(SpinParams(1, 1, 1, 1))
+    a, _, d, v = (float(x[0]) for x in cells.entries())
+    ens = steer(gibbs_closed(cells)[0], PauliAxis.X)
     for entry, sign in zip(ens.entries, (1.0, -1.0)):
         nx = 2 * float(entry.state[0, 1].real)
         ny = -2 * float(entry.state[0, 1].imag)
         nz = float((entry.state[0, 0] - entry.state[1, 1]).real)
         assert abs(entry.probability - 0.5) <= 1e-14
-        assert abs(nx - sign * 2 * g.v) <= 1e-13
+        assert abs(nx - sign * 2 * v) <= 1e-13
         assert abs(ny) <= 1e-13
-        assert abs(nz - (g.a - g.d)) <= 1e-13
+        assert abs(nz - (a - d)) <= 1e-13
 
 
 def test_steer_zero_probability_outcome_uses_maximally_mixed():
@@ -118,8 +114,7 @@ def test_steer_rejects_invalid_state():
 
 
 def test_steer_ensembles_are_valid_on_draws(rng):
-    for _ in range(25):
-        rho = gibbs_closed(draw_params(rng)).rho
+    for rho in gibbs_closed(batch([draw_params(rng) for _ in range(25)])):
         for axis in PauliAxis:
             ens = steer(rho, axis)
             total = sum(e.probability for e in ens.entries)
@@ -162,64 +157,58 @@ def test_sqc_product_state_relative_entropy_reaches_two():
 
 def test_sqc_invariant_under_v_flip(rng):
     """Conjugation by sigma_z ox I only permutes Alice's X/Y outcome labels."""
-    for _ in range(25):
-        rho = gibbs_closed(draw_params(rng)).rho
-        flipped = SZ_I @ rho @ SZ_I
-        for kind in CoherenceKind:
-            assert abs(sqc_direct(rho, kind) - sqc_direct(flipped, kind)) <= 1e-12
+    rho = gibbs_closed(batch([draw_params(rng) for _ in range(25)]))
+    flipped = SZ_I @ rho @ SZ_I
+    for kind in CoherenceKind:
+        assert np.abs(sqc_direct(rho, kind) - sqc_direct(flipped, kind)).max() <= 1e-12
 
 
 # ---------------------------------------------------------- fast paths
 
 def test_scn_closed_examples():
-    assert scn_closed(xstate(0.25, 0.25, 0.25, 0.0)) == 0.0
-    assert scn_closed(xstate(0.0, 0.5, 0.0, 0.5)) == 3.0
+    assert scn_closed(xstate(0.25, 0.25, 0.25, 0.0))[0] == 0.0
+    assert scn_closed(xstate(0.0, 0.5, 0.0, 0.5))[0] == 3.0
 
 
 def test_scn_closed_matches_direct_average(rng):
-    for _ in range(120):
-        g = gibbs_closed(draw_params(rng))
-        assert abs(scn_closed(g) - sqc_direct(g.rho, CoherenceKind.L1)) <= 1e-10
+    cells = batch([draw_params(rng) for _ in range(120)])
+    direct = sqc_direct(gibbs_closed(cells), CoherenceKind.L1)
+    assert np.abs(scn_closed(cells) - direct).max() <= 1e-10
 
 
 def test_scre_closed_examples():
-    assert scre_closed(xstate(0.25, 0.25, 0.25, 0.0)) == 0.0
-    assert abs(scre_closed(xstate(0.0, 0.5, 0.0, 0.5)) - 3.0) <= 1e-14
-    assert abs(scre_closed(xstate(1.0, 0.0, 0.0, 0.0)) - 2.0) <= 1e-14
+    assert scre_closed(xstate(0.25, 0.25, 0.25, 0.0))[0] == 0.0
+    assert abs(scre_closed(xstate(0.0, 0.5, 0.0, 0.5))[0] - 3.0) <= 1e-14
+    assert abs(scre_closed(xstate(1.0, 0.0, 0.0, 0.0))[0] - 2.0) <= 1e-14
 
 
 def test_scre_closed_matches_direct_average(rng):
-    for _ in range(120):
-        g = gibbs_closed(draw_params(rng))
-        direct = sqc_direct(g.rho, CoherenceKind.RELATIVE_ENTROPY)
-        assert abs(scre_closed(g) - direct) <= 1e-10
+    cells = batch([draw_params(rng) for _ in range(120)])
+    direct = sqc_direct(gibbs_closed(cells), CoherenceKind.RELATIVE_ENTROPY)
+    assert np.abs(scre_closed(cells) - direct).max() <= 1e-10
 
 
 def test_scre_published_examples():
-    assert scre_published(xstate(0.25, 0.25, 0.25, 0.0)) == 0.0
-    assert abs(scre_published(xstate(0.0, 0.5, 0.0, 0.5)) - 3.0) <= 1e-14
+    assert scre_published(xstate(0.25, 0.25, 0.25, 0.0))[0] == 0.0
+    assert abs(scre_published(xstate(0.0, 0.5, 0.0, 0.5))[0] - 3.0) <= 1e-14
     # the printed expression overshoots the definition on the polarized state
-    assert abs(scre_published(xstate(1.0, 0.0, 0.0, 0.0)) - 4.0) <= 1e-14
+    assert abs(scre_published(xstate(1.0, 0.0, 0.0, 0.0))[0] - 4.0) <= 1e-14
     assert abs(sqc_direct(KET00, CoherenceKind.RELATIVE_ENTROPY) - 2.0) <= 1e-12
 
 
 def test_scre_published_agrees_only_at_zero_field(rng):
-    for _ in range(50):
-        g = gibbs_closed(draw_params(rng, b=(0, 0)))
-        assert abs(scre_published(g) - scre_closed(g)) <= 1e-10
-    worst = 0.0
-    for _ in range(50):
-        g = gibbs_closed(draw_params(rng, b=(1, 10)))
-        worst = max(worst, abs(scre_published(g) - scre_closed(g)))
+    cells = batch([draw_params(rng, b=(0, 0)) for _ in range(50)])
+    assert np.abs(scre_published(cells) - scre_closed(cells)).max() <= 1e-10
+    cells = batch([draw_params(rng, b=(1, 10)) for _ in range(50)])
+    worst = np.abs(scre_published(cells) - scre_closed(cells)).max()
     assert worst > 0.1
 
 
 def test_measures_even_in_coupling_sign(rng):
-    for _ in range(100):
-        p = draw_params(rng)
-        q = SpinParams(-p.J, p.Jz, p.B, p.T)
-        assert abs(scn_closed(gibbs_closed(p)) - scn_closed(gibbs_closed(q))) <= 1e-10
-        assert abs(scre_closed(gibbs_closed(p)) - scre_closed(gibbs_closed(q))) <= 1e-10
+    cells = batch([draw_params(rng) for _ in range(100)])
+    flipped = ThermalBatch(-cells.J, cells.Jz, cells.B, cells.T)
+    assert np.abs(scn_closed(cells) - scn_closed(flipped)).max() <= 1e-10
+    assert np.abs(scre_closed(cells) - scre_closed(flipped)).max() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,6 +219,6 @@ def test_measures_even_in_coupling_sign(rng):
     t=st.floats(0.05, 10),
 )
 def test_steered_coherence_bounds(j, jz, b, t):
-    g = gibbs_closed(SpinParams(J=j, Jz=jz, B=b, T=t))
-    assert -1e-12 <= scn_closed(g) <= 3.0 + 1e-12
-    assert -1e-12 <= scre_closed(g) <= 3.0 + 1e-12
+    p = SpinParams(J=j, Jz=jz, B=b, T=t)
+    assert -1e-12 <= scn_closed(p) <= 3.0 + 1e-12
+    assert -1e-12 <= scre_closed(p) <= 3.0 + 1e-12
