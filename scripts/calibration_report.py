@@ -30,6 +30,8 @@ def main() -> int:
     parser.add_argument("--draws", type=int, default=100)
     parser.add_argument("--seed", type=int, default=20260810)
     ns = parser.parse_args()
+    if ns.draws < 1:
+        parser.error(f"--draws must be at least 1, got {ns.draws}")
 
     rng = np.random.default_rng(ns.seed)
     draws = [

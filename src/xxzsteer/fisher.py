@@ -240,8 +240,11 @@ def calibrate_observable(
     threshold - the published numerator deviates from the X-state algebra
     away from B = 0 - so callers should expect ``selected is None`` and
     fall back to the spectral definition with the gauge-aligned collective
-    X generator (equivalently :func:`qfi_closed`).
+    X generator (equivalently :func:`qfi_closed`).  An empty list of draws
+    is a ValueError: no draw would pass every candidate.
     """
+    if not draws:
+        raise ValueError("calibration needs at least one draw")
     candidates = {
         "collective_x": collective_observable(PauliAxis.X),
         "collective_y": collective_observable(PauliAxis.Y),

@@ -12,11 +12,17 @@ normalization puts the Bell-state l1 value at 3 and the product-state
 relative-entropy value at 2).
 
 :func:`sqc_direct` evaluates that average literally and acts as the
-reference for the closed forms.  For the thermal X state the l1 version
-collapses to :func:`scn_closed` and the relative-entropy version to
-:func:`scre_closed`.  A previously published relative-entropy closed form
-is kept verbatim in :func:`scre_published`; it agrees with the definition
-only on the zero-field slice a = d and is reported, not silently fixed.
+reference for the closed forms.  It gives the l1 and the relative-entropy
+kind from one pass: the three ensembles, one check of Bob's six
+conditional states and one change into each reference basis serve both,
+and each kind adds only its own formula (the l1 kind reads the
+off-diagonals, the relative entropy the populations and one von Neumann
+entropy).  :func:`coherence` applies the same per-kind formulas to one
+basis.  For the thermal X state the l1 version collapses to
+:func:`scn_closed` and the relative-entropy version to :func:`scre_closed`.
+A previously published relative-entropy closed form is kept verbatim in
+:func:`scre_published`; it agrees with the definition only on the
+zero-field slice a = d and is reported, not silently fixed.
 
 The closed forms read the entries of a ThermalBatch and give one value per
 cell, or the float of a SpinParams point (``closed_form``).  The definition
@@ -36,6 +42,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    DensityStates,
     as_cells,
     binary_entropy,
     dagger,
@@ -163,6 +170,49 @@ def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
     return ConditionalEnsemble(axis=axis, entries=tuple(entries))
 
 
+def _in_basis(states: DensityStates, axis: PauliAxis) -> np.ndarray:
+    """The qubit states written in the eigenbasis of one Pauli axis."""
+    u = _BASES[axis]
+    return dagger(u) @ states.matrix @ u
+
+
+def _l1(in_basis: np.ndarray, entropy) -> np.ndarray:
+    """Sum of the magnitudes of the two off-diagonal elements."""
+    return 2.0 * np.abs(in_basis[..., 0, 1])
+
+
+def _relative_entropy(in_basis: np.ndarray, entropy) -> np.ndarray:
+    """H(diagonal populations) - S(rho) in bits, S(rho) given as `entropy`."""
+    population = in_basis[..., 0, 0].real
+    val = binary_entropy(population) - entropy
+    i = first_cell(val < -1e-12)
+    if i is not None:
+        raise AssertionError(
+            f"relative-entropy coherence came out negative: {float(np.ravel(val)[i])!r}"
+        )
+    return np.maximum(val, 0.0)
+
+
+# Each kind's coherence from the states in one basis and their von Neumann
+# entropy, which only the relative entropy reads.
+_FORMS = {CoherenceKind.L1: _l1, CoherenceKind.RELATIVE_ENTROPY: _relative_entropy}
+
+
+def _coherences(states: DensityStates, axes, kinds) -> dict:
+    """{kind: {axis: coherence}} of checked qubit states, in one pass.
+
+    Each basis change is made once for every kind, and S(rho) is taken once,
+    only when the relative entropy is asked for.
+    """
+    entropy = vn_entropy(states) if CoherenceKind.RELATIVE_ENTROPY in kinds else None
+    found = {kind: {} for kind in kinds}
+    for axis in axes:
+        in_basis = _in_basis(states, axis)
+        for kind in kinds:
+            found[kind][axis] = _FORMS[kind](in_basis, entropy)
+    return found
+
+
 def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     """Basis coherence of qubit states in the eigenbasis of one Pauli axis.
 
@@ -174,42 +224,40 @@ def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     rho2 = validate_density_matrix(rho2, "coherence input")
     if rho2.matrix.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
-    u = _BASES[basis_axis]
-    in_basis = dagger(u) @ rho2.matrix @ u
-    if kind is CoherenceKind.L1:
-        return as_cells(2.0 * np.abs(in_basis[..., 0, 1]))
-    population = in_basis[..., 0, 0].real
-    val = binary_entropy(population) - vn_entropy(rho2)
-    i = first_cell(val < -1e-12)
-    if i is not None:
-        raise AssertionError(
-            f"relative-entropy coherence came out negative: {float(np.ravel(val)[i])!r}"
-        )
-    return as_cells(np.maximum(val, 0.0))
+    return as_cells(_coherences(rho2, (basis_axis,), (kind,))[kind][basis_axis])
 
 
-def sqc_direct(rho: np.ndarray, kind: CoherenceKind):
-    """Steered quantum coherence straight from the definition.
+def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
+    """Steered quantum coherence of each kind asked, straight from the definition.
 
     Deliberately brute force - every projector, conditional state and
     entropy is evaluated explicitly - so it can arbitrate the closed forms.
-    One 4x4 state gives a float, an (N, 4, 4) stack N values.
+    Returns one value per kind, in the order asked: a float for one 4x4
+    state, N values for an (N, 4, 4) stack.  The kinds share one pass: the
+    three ensembles are built, Bob's six conditional states checked and
+    taken into each Pauli basis once, and only the work of the kinds asked
+    is done, so a kind raises nothing on behalf of another.
     """
+    if not kinds:
+        raise ValueError("sqc_direct needs at least one coherence kind")
     rho = validate_density_matrix(rho, "steered state")
     ensembles = [steer(rho, mu) for mu in PauliAxis]
-    # Bob's six conditional states, checked once and taken in each basis
+    # Bob's six conditional states, checked once and taken in each basis once
     states = np.array([[e.state for e in ens.entries] for ens in ensembles])
     states = validate_density_matrix(states, "coherence input")
-    coh = {nu: coherence(states, nu, kind) for nu in PauliAxis}
-    total = 0.0
-    for m, ens in enumerate(ensembles):
-        for a, entry in enumerate(ens.entries):
-            kept = entry.probability > PROBABILITY_FLOOR
-            for nu in PauliAxis:
-                if nu is not ens.axis:
-                    term = entry.probability * coh[nu][m, a]
-                    total = total + np.where(kept, term, 0.0)
-    return as_cells(0.5 * total)
+    coh = _coherences(states, PauliAxis, dict.fromkeys(kinds))
+    totals = {}
+    for kind, by_axis in coh.items():
+        total = 0.0
+        for m, ens in enumerate(ensembles):
+            for a, entry in enumerate(ens.entries):
+                kept = entry.probability > PROBABILITY_FLOOR
+                for nu in PauliAxis:
+                    if nu is not ens.axis:
+                        term = entry.probability * by_axis[nu][m, a]
+                        total = total + np.where(kept, term, 0.0)
+        totals[kind] = as_cells(0.5 * total)
+    return tuple(totals[kind] for kind in kinds)
 
 
 def _radius(a, d, v):

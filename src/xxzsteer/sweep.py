@@ -64,26 +64,34 @@ __all__ = [
     "write_json",
 ]
 
-# Each measure: its closed form over a ThermalBatch, and the key in
-# _DEFINITIONS of the definition it is checked against on the oracle
-# engine; the published forms share the definition of the quantity they
-# claim to give.  The closed forms are looked up in their modules at call
-# time, as the definitions are, so a wrapper installed there sees each call.
+# Each measure: its closed form over a ThermalBatch, and the definition it
+# is checked against on the oracle engine, as a key of _DEFINITIONS and the
+# argument that picks the measure's quantity there; the published forms
+# share the definition of the quantity they claim to give.  The closed forms
+# are looked up in their modules at call time, as the definitions are, so a
+# wrapper installed there sees each call.
 _MEASURES = {
-    "SCn": (lambda cells: steering.scn_closed(cells), "sqc_l1"),
-    "SCRE": (lambda cells: steering.scre_closed(cells), "sqc_re"),
-    "SCREpaper": (lambda cells: steering.scre_published(cells), "sqc_re"),
-    "QFI": (lambda cells: fisher.qfi_closed(cells), "qfi"),
-    "QFIclosed": (lambda cells: fisher.qfi_published(cells), "qfi"),
+    "SCn": (lambda cells: steering.scn_closed(cells), ("sqc", CoherenceKind.L1)),
+    "SCRE": (
+        lambda cells: steering.scre_closed(cells),
+        ("sqc", CoherenceKind.RELATIVE_ENTROPY),
+    ),
+    "SCREpaper": (
+        lambda cells: steering.scre_published(cells),
+        ("sqc", CoherenceKind.RELATIVE_ENTROPY),
+    ),
+    "QFI": (lambda cells: fisher.qfi_closed(cells), ("qfi", None)),
+    "QFIclosed": (lambda cells: fisher.qfi_published(cells), ("qfi", None)),
 }
 MEASURES = tuple(_MEASURES)
-# Each definition takes the cells and their stacked spectral states,
-# checked once.
+# Each definition takes the cells, their stacked spectral states, checked
+# once, and the arguments its measures ask of it, and returns one value per
+# argument in that order: one sqc_direct call gives every steered-coherence
+# kind of a stack.  The QFI has one quantity, so its argument is None.
 _DEFINITIONS = {
-    "sqc_l1": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.L1),
-    "sqc_re": lambda cells, rho: steering.sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY),
-    "qfi": lambda cells, rho: fisher.qfi_spectral(
-        rho, fisher.calibrated_observable(rho.matrix)
+    "sqc": lambda cells, rho, kinds: steering.sqc_direct(rho, *kinds),
+    "qfi": lambda cells, rho, _: (
+        fisher.qfi_spectral(rho, fisher.calibrated_observable(rho.matrix)),
     ),
 }
 ENGINES = ("oracle", "closed", "both")
@@ -239,16 +247,23 @@ def _run(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
 
     The closed forms run first, then each definition once over the
     stacked spectral states, which are checked and decomposed once for all
-    of them.  Any check raises for its own first failing cell, so which
-    error a stack raises depends on the stack.
+    of them, with every argument the measures ask of it; definitions and
+    arguments run in first-seen order.  Any check raises for its own first
+    failing cell, so which error a stack raises depends on the stack.
     """
-    forms, kinds = zip(*(_MEASURES[m] for m in measures))
+    forms, definitions = zip(*(_MEASURES[m] for m in measures))
     closed = [form(cells) for form in forms] if engine != "oracle" else []
     if engine == "closed":
         return closed
     rho = validate_density_matrix(gibbs_spectral(cells), "steered state")
-    found = {k: _DEFINITIONS[k](cells, rho) for k in dict.fromkeys(kinds)}
-    oracle = [found[k] for k in kinds]
+    asked = {}
+    for name, arg in dict.fromkeys(definitions):
+        asked.setdefault(name, []).append(arg)
+    found = {}
+    for name, args in asked.items():
+        values = _DEFINITIONS[name](cells, rho, args)
+        found.update(zip([(name, arg) for arg in args], values))
+    oracle = [found[d] for d in definitions]
     if engine == "oracle":
         return oracle
     columns = []
@@ -266,14 +281,16 @@ def _evaluate(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
     failing stack is halved, keeping the left half if it fails and the
     right half if not, down to its first failing cell, about one more pass
     over the cells.  That cell then runs measure by measure.  If it passes
-    alone, the stack's own error is raised.  One cell on one engine already
-    raises in measure order, so a single failing point runs once.
+    alone, the stack's own error is raised.  One cell on the closed engine
+    already raises in measure order, so a single failing closed point runs
+    once; the oracle evaluates the two steered-coherence kinds together,
+    so it does not.
     """
     try:
         return _run(cells, measures, engine)
     except Exception as exc:
         error = exc
-    if len(cells) == 1 and engine != "both":
+    if len(cells) == 1 and engine == "closed":
         raise error
     while len(cells) > 1:
         left = cells[: len(cells) // 2]

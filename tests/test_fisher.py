@@ -203,3 +203,24 @@ def test_calibration_report_script_runs():
     assert "selected candidate: None" in out
     worst = float(out.rsplit("max |difference|", 1)[1])
     assert worst <= 1e-8
+
+
+def test_calibration_of_no_draws_is_an_error():
+    """Zero draws would pass every candidate with deviation 0.0."""
+    with pytest.raises(ValueError, match="^calibration needs at least one draw$"):
+        calibrate_observable([])
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_calibration_report_script_rejects_fewer_than_one_draw(draws):
+    """A draw count below 1 is a usage error (exit 2), not a traceback."""
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    run = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "calibration_report.py"), "--draws", draws],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert f"error: --draws must be at least 1, got {draws}" in run.stderr
+    assert "Traceback" not in run.stderr

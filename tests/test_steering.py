@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzsteer.linalg import validate_density_matrix
-from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
+from xxzsteer.model import (
+    T_FLOOR,
+    SpinParams,
+    ThermalBatch,
+    gibbs_closed,
+    gibbs_spectral,
+)
 from xxzsteer.steering import (
     _BASES,
+    PROBABILITY_FLOOR,
     CoherenceKind,
     PauliAxis,
     coherence,
@@ -143,24 +150,62 @@ def test_coherence_maximal_in_conjugate_basis():
 
 def test_sqc_maximally_mixed_is_zero():
     rho = np.eye(4, dtype=complex) / 4
-    assert sqc_direct(rho, CoherenceKind.L1) <= 1e-14
-    assert sqc_direct(rho, CoherenceKind.RELATIVE_ENTROPY) <= 1e-14
+    scn, scre = sqc_direct(rho, CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY)
+    assert scn <= 1e-14
+    assert scre <= 1e-14
 
 
 def test_sqc_bell_state_l1_reaches_three():
-    assert abs(sqc_direct(BELL, CoherenceKind.L1) - 3.0) <= 1e-12
+    (scn,) = sqc_direct(BELL, CoherenceKind.L1)
+    assert abs(scn - 3.0) <= 1e-12
 
 
 def test_sqc_product_state_relative_entropy_reaches_two():
-    assert abs(sqc_direct(KET00, CoherenceKind.RELATIVE_ENTROPY) - 2.0) <= 1e-12
+    (scre,) = sqc_direct(KET00, CoherenceKind.RELATIVE_ENTROPY)
+    assert abs(scre - 2.0) <= 1e-12
 
 
 def test_sqc_invariant_under_v_flip(rng):
     """Conjugation by sigma_z ox I only permutes Alice's X/Y outcome labels."""
     rho = gibbs_closed(batch([draw_params(rng) for _ in range(25)]))
     flipped = SZ_I @ rho @ SZ_I
-    for kind in CoherenceKind:
-        assert np.abs(sqc_direct(rho, kind) - sqc_direct(flipped, kind)).max() <= 1e-12
+    kinds = tuple(CoherenceKind)
+    for value, flip in zip(sqc_direct(rho, *kinds), sqc_direct(flipped, *kinds)):
+        assert np.abs(value - flip).max() <= 1e-12
+
+
+def test_sqc_kinds_in_one_pass_match_single_kind_calls_bit_for_bit(rng):
+    """Seeded draws, the B = 0 slice and near-pure cells at the T floor."""
+    points = [draw_params(rng) for _ in range(40)]
+    points += [draw_params(rng, b=(0, 0)) for _ in range(20)]
+    points += [draw_params(rng, t=(T_FLOOR, T_FLOOR)) for _ in range(20)]
+    points += [SpinParams(J, Jz, B, T_FLOOR) for J, Jz, B in
+               ((5, 1, 0), (-5, 1, 0), (1, 3, 2), (20, -20, 10), (0, 0, 1))]
+    rho = gibbs_spectral(batch(points))
+    # near-pure cells at the floor give Alice outcomes below the probability
+    # floor, whose Bob state is I/2
+    probabilities = [e.probability for e in steer(rho, PauliAxis.Z).entries]
+    assert np.min(probabilities) <= PROBABILITY_FLOOR
+    l1, re = CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY
+    (alone_l1,) = sqc_direct(rho, l1)
+    (alone_re,) = sqc_direct(rho, re)
+    for kinds, want in (
+        ((l1, re), (alone_l1, alone_re)),
+        ((re, l1), (alone_re, alone_l1)),
+        ((re, l1, re), (alone_re, alone_l1, alone_re)),
+    ):
+        got = sqc_direct(rho, *kinds)
+        assert len(got) == len(want)
+        for value, expected in zip(got, want):
+            assert value.tobytes() == expected.tobytes()
+    # one matrix gives floats, the same as its cell of the stack
+    for value, cell in zip(sqc_direct(rho[-1], l1, re), (alone_l1, alone_re)):
+        assert isinstance(value, float) and value == cell[-1]
+
+
+def test_sqc_needs_a_kind():
+    with pytest.raises(ValueError, match="at least one coherence kind"):
+        sqc_direct(BELL)
 
 
 # ---------------------------------------------------------- fast paths
@@ -172,7 +217,7 @@ def test_scn_closed_examples():
 
 def test_scn_closed_matches_direct_average(rng):
     cells = batch([draw_params(rng) for _ in range(120)])
-    direct = sqc_direct(gibbs_closed(cells), CoherenceKind.L1)
+    (direct,) = sqc_direct(gibbs_closed(cells), CoherenceKind.L1)
     assert np.abs(scn_closed(cells) - direct).max() <= 1e-10
 
 
@@ -184,7 +229,7 @@ def test_scre_closed_examples():
 
 def test_scre_closed_matches_direct_average(rng):
     cells = batch([draw_params(rng) for _ in range(120)])
-    direct = sqc_direct(gibbs_closed(cells), CoherenceKind.RELATIVE_ENTROPY)
+    (direct,) = sqc_direct(gibbs_closed(cells), CoherenceKind.RELATIVE_ENTROPY)
     assert np.abs(scre_closed(cells) - direct).max() <= 1e-10
 
 
@@ -193,7 +238,7 @@ def test_scre_published_examples():
     assert abs(scre_published(xstate(0.0, 0.5, 0.0, 0.5))[0] - 3.0) <= 1e-14
     # the printed expression overshoots the definition on the polarized state
     assert abs(scre_published(xstate(1.0, 0.0, 0.0, 0.0))[0] - 4.0) <= 1e-14
-    assert abs(sqc_direct(KET00, CoherenceKind.RELATIVE_ENTROPY) - 2.0) <= 1e-12
+    assert abs(sqc_direct(KET00, CoherenceKind.RELATIVE_ENTROPY)[0] - 2.0) <= 1e-12
 
 
 def test_scre_published_agrees_only_at_zero_field(rng):

@@ -293,10 +293,10 @@ def test_sweep_raises_at_the_first_failing_node():
 @pytest.mark.parametrize(
     "oracle_fails_at, measures, raised, kind",
     [
-        (0.5, ("SCn", "QFIclosed"), "oracle", "sqc_l1"),
-        (1.0, ("SCn", "QFIclosed"), "oracle", "sqc_l1"),
-        (1.0, ("QFIclosed", "SCn"), "closed", "sqc_l1"),
-        (1.5, ("SCn", "QFIclosed"), "closed", "sqc_l1"),
+        (0.5, ("SCn", "QFIclosed"), "oracle", "sqc"),
+        (1.0, ("SCn", "QFIclosed"), "oracle", "sqc"),
+        (1.0, ("QFIclosed", "SCn"), "closed", "sqc"),
+        (1.5, ("SCn", "QFIclosed"), "closed", "sqc"),
         (1.0, ("QFIclosed",), "oracle", "qfi"),
     ],
     # an earlier node; same node, earlier measure; same node, later measure;
@@ -314,10 +314,10 @@ def test_engine_both_raises_in_node_then_measure_order(
 ):
     real = sweep._DEFINITIONS[kind]
 
-    def failing(cells, rho):
+    def failing(cells, rho, args):
         if np.any(cells.B == oracle_fails_at):
             raise ValueError("oracle failure")
-        return real(cells, rho)
+        return real(cells, rho, args)
 
     monkeypatch.setitem(sweep._DEFINITIONS, kind, failing)
     with pytest.raises(ValueError) as err:
@@ -334,14 +334,14 @@ def test_oracle_raises_for_the_first_failing_cell(monkeypatch):
     """Over a stack, a later definition failing at an earlier cell raises first."""
 
     def failing_at(b, real):
-        def definition(cells, rho):
+        def definition(cells, rho, args):
             if np.any(cells.B == b):
                 raise ValueError(f"oracle failure at B={b}")
-            return real(cells, rho)
+            return real(cells, rho, args)
 
         return definition
 
-    for kind, b in (("sqc_l1", 1.0), ("qfi", 0.5)):
+    for kind, b in (("sqc", 1.0), ("qfi", 0.5)):
         monkeypatch.setitem(
             sweep._DEFINITIONS, kind, failing_at(b, sweep._DEFINITIONS[kind])
         )
@@ -403,13 +403,13 @@ def test_sweep_error_is_the_first_failing_cells_error(monkeypatch):
         # a definition that fails at one seeded cell of the grid
         cells = sweep._grid(spec)
         at = int(rng.integers(len(cells)))
-        kind = sweep._MEASURES[measures[int(rng.integers(len(measures)))]][1]
+        kind = sweep._MEASURES[measures[int(rng.integers(len(measures)))]][1][0]
         real = sweep._DEFINITIONS[kind]
 
-        def failing(batch, rho, b=cells.B[at], t=cells.T[at], j=cells.J[at]):
+        def failing(batch, rho, args, b=cells.B[at], t=cells.T[at], j=cells.J[at]):
             if np.any((batch.B == b) & (batch.T == t) & (batch.J == j)):
                 raise RuntimeError(f"{kind} fails at B={b}, T={t}, J={j}")
-            return real(batch, rho)
+            return real(batch, rho, args)
 
         with monkeypatch.context() as m:
             m.setitem(sweep._DEFINITIONS, kind, failing)
@@ -433,10 +433,10 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
     )
     n = spec.axes[0].count * spec.axes[1].count
     last = [ax.values()[-1] for ax in spec.axes]
-    real = sweep._DEFINITIONS["sqc_l1"]
+    real = sweep._DEFINITIONS["sqc"]
 
-    def failing(cells, rho):
-        value = real(cells, rho)
+    def failing(cells, rho, args):
+        value = real(cells, rho, args)
         if np.any((cells.J == last[0]) & (cells.Jz == last[1])):
             raise ValueError("late failure")
         return value
@@ -448,7 +448,7 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
         calls.append(len(cells))
         return spectral(cells)
 
-    monkeypatch.setitem(sweep._DEFINITIONS, "sqc_l1", failing)
+    monkeypatch.setitem(sweep._DEFINITIONS, "sqc", failing)
     monkeypatch.setattr(sweep, "gibbs_spectral", counted)
     with pytest.raises(ValueError, match="^late failure$"):
         run_sweep(spec)
@@ -457,11 +457,11 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
 
 
 def test_oracle_decomposes_each_stack_once(monkeypatch):
-    """Four eigh calls for every measure on the oracle, whatever the stack size.
+    """Three eigh calls for every measure on the oracle, whatever the stack size.
 
     One for the Hamiltonians, one for rho, which every definition shares,
-    and one for Bob's conditional states in each of the two
-    steered-coherence kinds, which build those states once each.
+    and one for Bob's conditional states, which the two steered-coherence
+    kinds share.
     """
     calls = []
     lapack = np.linalg.eigh
@@ -472,7 +472,7 @@ def test_oracle_decomposes_each_stack_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     evaluate_point(SpinParams(1.5, 0.5, 1.0, 1.0), MEASURES, "oracle")
-    assert len(calls) == 4, calls
+    assert len(calls) == 3, calls
     point = len(calls)
     calls.clear()
     run_sweep(
@@ -483,6 +483,82 @@ def test_oracle_decomposes_each_stack_once(monkeypatch):
         )
     )
     assert len(calls) == point, calls
+
+
+@pytest.mark.parametrize(
+    "measures, kinds",
+    [
+        (MEASURES, ("L1", "RELATIVE_ENTROPY")),
+        (("QFI", "SCRE", "SCn", "SCREpaper"), ("RELATIVE_ENTROPY", "L1")),
+        (("SCn", "QFI"), ("L1",)),
+        (("SCREpaper",), ("RELATIVE_ENTROPY",)),
+        (("QFIclosed",), ()),
+    ],
+)
+def test_oracle_stack_makes_one_steering_call(monkeypatch, measures, kinds):
+    """Every steered-coherence kind of a stack comes from one sqc_direct call."""
+    calls = []
+    real = steering.sqc_direct
+
+    def counted(rho, *asked):
+        calls.append(tuple(kind.name for kind in asked))
+        return real(rho, *asked)
+
+    monkeypatch.setattr(steering, "sqc_direct", counted)
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -2.0, 2.0, 1.0), AxisSpec("Jz", -1.0, 1.0, 1.0)),
+        fixed={"B": 1.0, "T": 1.0},
+        measures=measures,
+        engine="both",
+    )
+    run_sweep(spec)
+    assert calls == ([kinds] if kinds else [])
+
+
+@pytest.mark.parametrize("name", ["vn_entropy", "binary_entropy"])
+def test_scn_oracle_never_reaches_relative_entropy_work(monkeypatch, name):
+    """An SCn-only oracle stack evaluates with the entropies out of reach."""
+    spec = dict(
+        axes=(AxisSpec("J", -2.0, 2.0, 0.5),),
+        fixed={"Jz": 0.5, "B": 1.0, "T": 1.0},
+        engine="oracle",
+    )
+    want = run_sweep(SweepSpec(**spec, measures=("SCn",))).data
+
+    def unreachable(*args):
+        raise RuntimeError(f"{name} reached")
+
+    monkeypatch.setattr(steering, name, unreachable)
+    got = run_sweep(SweepSpec(**spec, measures=("SCn",))).data
+    assert got.tobytes() == want.tobytes()
+    for measures in (("SCRE",), ("SCn", "SCRE")):
+        with pytest.raises(RuntimeError, match=f"^{name} reached$"):
+            run_sweep(SweepSpec(**spec, measures=measures))
+
+
+def test_oracle_point_raises_in_measure_order_around_the_shared_steering_call(
+    monkeypatch,
+):
+    """SCn and SCRE share one call, yet QFI listed between them fails first."""
+    real = sweep._DEFINITIONS["qfi"]
+
+    def failing(cells, rho, args):
+        raise ValueError("qfi failure")
+
+    def unreachable(*args):
+        raise RuntimeError("relative-entropy failure")
+
+    monkeypatch.setitem(sweep._DEFINITIONS, "qfi", failing)
+    monkeypatch.setattr(steering, "binary_entropy", unreachable)
+    point = SpinParams(1.5, 0.5, 1.0, 1.0)
+    for engine in ("oracle", "both"):
+        with pytest.raises(ValueError, match="^qfi failure$"):
+            evaluate_point(point, ("SCn", "QFI", "SCRE"), engine)
+        with pytest.raises(RuntimeError, match="^relative-entropy failure$"):
+            evaluate_point(point, ("SCRE", "QFI", "SCn"), engine)
+    monkeypatch.setitem(sweep._DEFINITIONS, "qfi", real)
+    with pytest.raises(RuntimeError, match="^relative-entropy failure$"):
+        evaluate_point(point, ("SCn", "QFI", "SCRE"), "oracle")
 
 
 def test_closed_engine_calls_each_closed_form_through_its_module(monkeypatch):
