@@ -52,7 +52,7 @@ def main() -> int:
         print(f"  {name:>24s}  max rel. deviation {dev:10.4f}  [{verdict}]")
     print(f"selected candidate: {report.selected}")
 
-    cells = ThermalBatch(*np.array([[p.J, p.Jz, p.B, p.T] for p in draws]).T)
+    cells = ThermalBatch.of(*draws)
     rho = gibbs_closed(cells)
     spectral = qfi_spectral(rho, calibrated_observable(rho))
     worst = np.abs(qfi_closed(cells) - spectral).max()

@@ -27,11 +27,11 @@ from xxzsteer.sweep import AxisSpec, SweepSpec, run_sweep, write_csv
 LINE_MEASURES = ("SCn", "SCRE", "QFI")
 
 
-def emit(outdir: pathlib.Path, name: str, spec: SweepSpec, mode: str) -> None:
+def emit(outdir: pathlib.Path, name: str, spec: SweepSpec) -> None:
     t0 = time.perf_counter()
     table = run_sweep(spec)
     write_csv(table, outdir / f"{name}.csv")
-    render_svg(table, mode, outdir / f"{name}.svg")
+    render_svg(table, outdir / f"{name}.svg")
     print(f"  {name}: {table.data.shape[0]} rows in {time.perf_counter() - t0:.1f}s")
 
 
@@ -43,7 +43,7 @@ def coupling_grids(outdir: pathlib.Path) -> None:
                 fixed={"T": 2.0, "B": float(b)},
                 measures=(measure,),
             )
-            emit(outdir, f"{measure.lower()}_grid_T2_B{b}", spec, "heatmap")
+            emit(outdir, f"{measure.lower()}_grid_T2_B{b}", spec)
 
 
 def field_temperature_grids(outdir: pathlib.Path) -> None:
@@ -54,7 +54,7 @@ def field_temperature_grids(outdir: pathlib.Path) -> None:
                 fixed={"J": 10.0, "Jz": float(jz)},
                 measures=(measure,),
             )
-            emit(outdir, f"{measure.lower()}_BT_J10_Jz{jz}", spec, "heatmap")
+            emit(outdir, f"{measure.lower()}_BT_J10_Jz{jz}", spec)
 
 
 def line_family(outdir, base, axis, fixed, family_name, family_values):
@@ -65,7 +65,7 @@ def line_family(outdir, base, axis, fixed, family_name, family_values):
             fixed={**fixed, family_name: float(val)},
             measures=LINE_MEASURES,
         )
-        emit(outdir, f"{base}_{family_name}{tag}", spec, "lines")
+        emit(outdir, f"{base}_{family_name}{tag}", spec)
 
 
 def main() -> int:

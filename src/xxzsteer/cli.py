@@ -23,6 +23,7 @@ from .sweep import (
     ENGINES,
     MEASURES,
     PARAM_NAMES,
+    _RECORD_FIELDS,
     AxisSpec,
     SweepSpec,
     format_value,
@@ -179,11 +180,10 @@ def _cmd_point(ns) -> int:
     spec = _build_spec(ns, (), fixed)
     row = [format_value(x) for x in run_sweep(spec).data[0].tolist()]
     if spec.engine == "both":
-        # each measure's oracle, closed and absdiff columns, in that order
-        row = [
-            '{"oracle": %s, "closed": %s, "absdiff": %s}' % tuple(row[k : k + 3])
-            for k in range(0, len(row), 3)
-        ]
+        # each measure's record fields, one column each, in that order
+        width = len(_RECORD_FIELDS)
+        record = "{%s}" % ", ".join(f'"{field}": %s' for field in _RECORD_FIELDS)
+        row = [record % tuple(row[k : k + width]) for k in range(0, len(row), width)]
     params_json = ", ".join(f'"{n}": {format_value(fixed[n])}' for n in PARAM_NAMES)
     measures_json = ", ".join(f'"{m}": {v}' for m, v in zip(spec.measures, row))
     print(
@@ -214,8 +214,7 @@ def _cmd_plot(ns) -> int:
             "heatmap needs exactly one value column: one --measure and a "
             "single engine (closed or oracle)"
         )
-    table = run_sweep(spec)
-    render_svg(table, mode, ns.out)
+    render_svg(run_sweep(spec), ns.out)
     return 0
 
 

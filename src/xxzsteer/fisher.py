@@ -203,16 +203,9 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
 
     i = first_cell(~np.isfinite(value))
     if i is not None:
-        p = cells.params(i)
-        if math.isfinite(exponent[i]):
-            raise ParameterRegimeError(
-                f"published QFI ratio overflows double precision at "
-                f"J={p.J}, Jz={p.Jz}, B={p.B}, T={p.T}"
-            )
-        raise ParameterRegimeError(
-            f"published QFI ratio is not finite at J={p.J}, Jz={p.Jz}, "
-            f"B={p.B}, T={p.T}"
-        )
+        finite = math.isfinite(exponent[i])
+        fault = "overflows double precision" if finite else "is not finite"
+        raise ParameterRegimeError(f"published QFI ratio {fault} at {cells.describe(i)}")
     return value
 
 
@@ -253,8 +246,7 @@ def calibrate_observable(
         "collective_y_unhalved": 2 * collective_observable(PauliAxis.Y),
         "collective_z_unhalved": 2 * collective_observable(PauliAxis.Z),
     }
-    columns = np.array([[p.J, p.Jz, p.B, p.T] for p in draws]).reshape(-1, 4).T
-    cells = ThermalBatch(*columns)
+    cells = ThermalBatch.of(*draws)
     reference = qfi_published(cells)
     rho = gibbs_closed(cells)
     scale = np.maximum(np.abs(reference), 1e-12)

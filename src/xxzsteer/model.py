@@ -20,8 +20,9 @@ a spectral matrix exponential - and must agree entrywise to 1e-10.  All
 exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
 
-:class:`ThermalBatch` is the one thermal-state type: N parameter cells, one
-array per parameter, entry and log Z.  A single point is a batch of one,
+:class:`ThermalBatch` is the one thermal-state type: N parameter cells,
+checked as SpinParams checks a point, one array per parameter, entry and
+log Z.  A single point is a batch of one,
 ``ThermalBatch.of(SpinParams(...))``.  Both routes work array-at-a-time over
 a batch and give an (N, 4, 4) stack: :func:`gibbs_closed` assembles the
 density matrices from the closed-form entries, :func:`gibbs_spectral`
@@ -63,7 +64,6 @@ __all__ = [
     "SpinParams",
     "ThermalBatch",
     "closed_form",
-    "param_cell",
     "check_params",
     "check_entries",
     "hamiltonian",
@@ -111,22 +111,16 @@ class SpinParams:
 
     def __post_init__(self):
         given = (self.J, self.Jz, self.B, self.T)
-        cell = param_cell(given)
+        # Anything but a real number becomes NaN, so it fails as NaN does and
+        # the check shows it as given.  A float is tested first, which skips
+        # the slower abstract-base-class check.
+        cell = [
+            float(x) if isinstance(x, (float, numbers.Real)) else math.nan
+            for x in given
+        ]
         check_params(np.array(cell)[:, None], given=given)
         for name, x in zip(PARAM_NAMES, cell):
             object.__setattr__(self, name, x)
-
-
-def param_cell(given) -> list[float]:
-    """One cell's J, Jz, B, T as floats, for :func:`check_params`.
-
-    Anything but a real number becomes NaN, so it fails as NaN does and
-    the check shows it as given.  A float is tested first, which skips the
-    slower abstract-base-class check.
-    """
-    return [
-        float(x) if isinstance(x, (float, numbers.Real)) else math.nan for x in given
-    ]
 
 
 def check_params(x: np.ndarray, given: tuple | None = None) -> None:
@@ -137,8 +131,7 @@ def check_params(x: np.ndarray, given: tuple | None = None) -> None:
     ValueError for the first failing cell, in array order, naming the first
     of J, Jz, B, T that is not a finite number, else T below the floor,
     else the first coupling out of bounds.  `given` is the failing cell's
-    values before :func:`param_cell` converted them, shown when one is not
-    finite.
+    values as SpinParams was given them, shown when one is not finite.
     """
     inside = (_PARAM_LOW <= x) & (x <= _PARAM_HIGH)
     if inside.all():
@@ -202,22 +195,34 @@ class ThermalBatch:
 
     The closed engine evaluates each measure once over a whole batch (see
     :func:`closed_form`); a single point is a batch of one.  J, Jz, B, T are
-    the parameter columns (already checked, see :func:`check_params`); the
-    entries a, b, d, v and log Z are computed, checked and kept on first use.
+    the parameter columns: 1-D float64 arrays of one length, kept as given
+    when they already are, and checked cell by cell (see
+    :func:`check_params`) when the batch is made.  The entries a, b, d, v
+    and log Z are computed, checked and kept on first use.
 
     Every check on a batch raises for its first failing cell.  Which cell
     and check a whole sweep reports is settled in ``sweep._evaluate``.
     """
 
     def __init__(self, J, Jz, B, T):
-        self.J, self.Jz, self.B, self.T = J, Jz, B, T
+        columns = [np.asarray(x, dtype=np.float64) for x in (J, Jz, B, T)]
+        shapes = [x.shape for x in columns]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(
+                f"J, Jz, B, T must be 1-D arrays of one length, got shapes "
+                f"{', '.join(map(str, shapes))}"
+            )
+        check_params(np.array(columns))
+        self.J, self.Jz, self.B, self.T = columns
         self._entries = None
         self._log_z = None
 
     @classmethod
-    def of(cls, p: SpinParams) -> "ThermalBatch":
-        """A parameter point as a batch of one."""
-        return cls(*(np.array([x]) for x in (p.J, p.Jz, p.B, p.T)))
+    def of(cls, *points: SpinParams) -> "ThermalBatch":
+        """The given points, in order, as the cells of one batch."""
+        return cls(
+            *(np.array([getattr(p, name) for p in points]) for name in PARAM_NAMES)
+        )
 
     def __len__(self) -> int:
         return len(self.T)
@@ -226,11 +231,9 @@ class ThermalBatch:
         """The cells of a slice, as a new batch."""
         return ThermalBatch(self.J[index], self.Jz[index], self.B[index], self.T[index])
 
-    def params(self, i: int) -> SpinParams:
-        """Cell i as SpinParams."""
-        return SpinParams(
-            float(self.J[i]), float(self.Jz[i]), float(self.B[i]), float(self.T[i])
-        )
+    def describe(self, i: int) -> str:
+        """Cell i as "J=..., Jz=..., B=..., T=...", for error messages."""
+        return ", ".join(f"{n}={float(getattr(self, n)[i])}" for n in PARAM_NAMES)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Closed-form (a, b, d, v), checked by :func:`check_entries`."""
@@ -317,10 +320,9 @@ def gibbs_spectral(cells: ThermalBatch) -> np.ndarray:
     }
     i = first_cell(np.any([r > tol for r in residuals.values()], axis=0))
     if i is not None:
-        p = cells.params(i)
         raise ValueError(
             f"spectral Gibbs construction violates X-state invariants at "
-            f"J={p.J}, Jz={p.Jz}, B={p.B}, T={p.T}: "
+            f"{cells.describe(i)}: "
             + ", ".join(f"{k}={r[i]:.3e}" for k, r in residuals.items() if r[i] > tol)
         )
 

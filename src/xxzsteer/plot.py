@@ -4,7 +4,7 @@ No plotting library: the documents are assembled from fixed style
 constants, so identical tables produce byte-identical files.  Rects and
 polyline points are formatted by %-templates over whole arrays, and a
 heatmap formats each cell's x and y coordinates once per column and row.
-Two modes:
+:func:`render_svg` picks one of two modes from the table's axes:
 
 * ``heatmap`` - a 2-axis table with exactly one value column; one rect of
   class "cell" per grid node, linear three-stop color map over
@@ -226,12 +226,11 @@ def lines_svg(table: SweepTable) -> str:
     return _svg_document(body)
 
 
-def render_svg(table: SweepTable, mode: str, path) -> None:
-    """Write a standalone SVG document for the table in the given mode."""
-    if mode == "heatmap":
-        text = heatmap_svg(table)
-    elif mode == "lines":
-        text = lines_svg(table)
-    else:
-        raise ValueError(f"unknown plot mode {mode!r}; use 'heatmap' or 'lines'")
-    _write(path, "SVG", [text])
+def render_svg(table: SweepTable, path) -> None:
+    """Write a standalone SVG document for the table.
+
+    A table with two axes is drawn as a heatmap, any other as lines, which
+    need one axis.
+    """
+    draw = heatmap_svg if len(table.axes or ()) == 2 else lines_svg
+    _write(path, "SVG", [draw(table)])

@@ -37,15 +37,7 @@ import numpy as np
 
 from . import fisher, steering
 from .linalg import validate_density_matrix
-from .model import (
-    PARAM_NAMES,
-    SpinParams,
-    T_FLOOR,
-    ThermalBatch,
-    check_params,
-    gibbs_spectral,
-    param_cell,
-)
+from .model import PARAM_NAMES, SpinParams, T_FLOOR, ThermalBatch, gibbs_spectral
 from .steering import CoherenceKind
 
 __all__ = [
@@ -160,8 +152,9 @@ class SweepSpec:
     The axis names and the fixed-parameter names must together cover
     J, Jz, B, T exactly once.  The first axis is the outer (slowest) one;
     with no axes the spec is a single point.  The first cell, the fixed
-    values with each axis at its start, is checked as SpinParams checks it;
-    a later cell outside the box fails when the sweep runs.
+    values with each axis at its start, is checked as SpinParams checks it,
+    and the fixed values are kept as that cell's floats; a later cell
+    outside the box fails when the sweep runs.
     """
 
     axes: tuple[AxisSpec, ...]
@@ -199,7 +192,10 @@ class SweepSpec:
         extra = fixed_names - set(PARAM_NAMES)
         if extra:
             raise ValueError(f"unknown fixed parameters: {sorted(extra)}")
-        SpinParams(**self.fixed, **{ax.name: ax.start for ax in self.axes})
+        first = SpinParams(**self.fixed, **{ax.name: ax.start for ax in self.axes})
+        object.__setattr__(
+            self, "fixed", {name: getattr(first, name) for name in self.fixed}
+        )
 
     def value_columns(self) -> tuple[str, ...]:
         cols = []
@@ -331,20 +327,16 @@ def evaluate_point(
 
 
 def _grid(spec: SweepSpec) -> ThermalBatch:
-    """The grid's cells, outer axis slowest, checked as SpinParams checks them."""
+    """The grid's cells, outer axis slowest, as one checked batch."""
     values = [ax.values() for ax in spec.axes]
-    first = {**spec.fixed, **{ax.name: v[0] for ax, v in zip(spec.axes, values)}}
-    # One grid per parameter: the first cell's value, then each axis's values
+    # One grid per parameter: a fixed value everywhere, or an axis's values
     # along its own dimension (np.ix_ shapes them so), the outer axis first.
     x = np.empty((len(PARAM_NAMES), *(len(v) for v in values)))
-    x.T[...] = param_cell([first[name] for name in PARAM_NAMES])
+    for name, value in spec.fixed.items():
+        x[PARAM_NAMES.index(name)] = value
     for ax, v in zip(spec.axes, np.ix_(*values)):
         x[PARAM_NAMES.index(ax.name)] = v
-    x = x.reshape(len(PARAM_NAMES), -1)
-    # SweepSpec checked the first cell; a later one fails only where an axis
-    # leaves the box after its start.
-    check_params(x[:, 1:])
-    return ThermalBatch(*x)
+    return ThermalBatch(*x.reshape(len(PARAM_NAMES), -1))
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

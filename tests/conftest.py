@@ -39,11 +39,6 @@ def draw_params(rng, j=(-20, 20), jz=(-20, 20), b=(0, 10), t=(0.05, 10)):
     )
 
 
-def batch(points) -> ThermalBatch:
-    """The given SpinParams, in order, as the cells of one batch."""
-    return ThermalBatch(*np.array([[p.J, p.Jz, p.B, p.T] for p in points]).T)
-
-
 def xstate(a, b, d, v) -> ThermalBatch:
     """A batch of one that carries the X-state entries (a, b, d, v), checked."""
     cells = ThermalBatch.of(SpinParams(0, 0, 0, 1))

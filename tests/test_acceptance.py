@@ -64,7 +64,6 @@ from xxzsteer.sweep import (
 )
 
 from conftest import (
-    batch,
     draw_params,
     random_hermitian,
     random_pure_density,
@@ -121,7 +120,7 @@ def bulk():
     as one batch, with every per-draw quantity the bulk checks need,
     computed once."""
     rng = np.random.default_rng(424242)
-    cells = batch([draw_params(rng) for _ in range(1000)])
+    cells = ThermalBatch.of(*(draw_params(rng) for _ in range(1000)))
     rho = gibbs_closed(cells)
     sqc_l1, sqc_re = sqc_direct(rho, CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY)
     return {
@@ -363,7 +362,7 @@ def test_a10_published_scre_form_holds_only_at_zero_field():
     rng = np.random.default_rng(101010)
     deviation = {}
     for field in ((0, 0), (1, 10)):
-        cells = batch([draw_params(rng, b=field) for _ in range(100)])
+        cells = ThermalBatch.of(*(draw_params(rng, b=field) for _ in range(100)))
         (direct,) = sqc_direct(gibbs_closed(cells), CoherenceKind.RELATIVE_ENTROPY)
         deviation[field] = float(np.abs(scre_published(cells) - direct).max())
     worst_b0, worst_field = deviation[(0, 0)], deviation[(1, 10)]

@@ -22,7 +22,6 @@ from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
 from xxzsteer.steering import PauliAxis
 
 from conftest import (
-    batch,
     draw_params,
     random_hermitian,
     random_pure_density,
@@ -92,7 +91,7 @@ def test_qfi_unitary_covariance(rng):
 
 
 def test_qfi_x_and_y_generators_agree_on_thermal_states(rng):
-    rho = gibbs_closed(batch([draw_params(rng) for _ in range(100)]))
+    rho = gibbs_closed(ThermalBatch.of(*(draw_params(rng) for _ in range(100))))
     assert np.abs(qfi_spectral(rho, OX) - qfi_spectral(rho, OY)).max() <= 1e-10
 
 
@@ -112,7 +111,7 @@ def test_qfi_closed_bell_limit():
 
 
 def test_qfi_closed_matches_spectral_on_draws(rng):
-    cells = batch([draw_params(rng) for _ in range(150)])
+    cells = ThermalBatch.of(*(draw_params(rng) for _ in range(150)))
     rho = gibbs_closed(cells)
     spectral = qfi_spectral(rho, calibrated_observable(rho))
     assert np.abs(qfi_closed(cells) - spectral).max() <= 1e-8
@@ -125,13 +124,13 @@ def test_gauge_aligned_generator_keeps_qfi_even_in_j(rng):
     assert abs(qfi_spectral(rho_m, calibrated_observable(rho_m)) - 4.0) <= 1e-6
     # the fixed collective-X generator is blind to the singlet-like state
     assert qfi_spectral(rho_m, OX) <= 1e-6
-    cells = batch([draw_params(rng) for _ in range(50)])
+    cells = ThermalBatch.of(*(draw_params(rng) for _ in range(50)))
     flipped = ThermalBatch(-cells.J, cells.Jz, cells.B, cells.T)
     assert np.abs(qfi_closed(cells) - qfi_closed(flipped)).max() <= 1e-10
 
 
 def test_qfi_bounds_on_draws(rng):
-    qfi = qfi_closed(batch([draw_params(rng) for _ in range(200)]))
+    qfi = qfi_closed(ThermalBatch.of(*(draw_params(rng) for _ in range(200))))
     assert -1e-12 <= qfi.min() and qfi.max() <= 4.0 + 1e-12
 
 
@@ -148,9 +147,9 @@ def test_qfi_published_bell_limit_in_log_domain():
 
 
 def test_qfi_published_matches_definition_only_at_zero_field(rng):
-    cells = batch([draw_params(rng, b=(0, 0)) for _ in range(60)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(0, 0)) for _ in range(60)))
     assert np.abs(qfi_published(cells) - qfi_closed(cells)).max() <= 1e-8
-    cells = batch([draw_params(rng, b=(1, 10)) for _ in range(60)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(1, 10)) for _ in range(60)))
     worst = np.abs(qfi_published(cells) - qfi_closed(cells)).max()
     assert worst > 0.1
 
@@ -184,7 +183,7 @@ def test_calibration_fails_for_every_collective_candidate(rng):
     }
     for deviation in report.max_relative_deviation.values():
         assert deviation > report.threshold
-    cells = batch(draws[:50])
+    cells = ThermalBatch.of(*draws[:50])
     rho = gibbs_closed(cells)
     spectral = qfi_spectral(rho, calibrated_observable(rho))
     assert np.abs(qfi_closed(cells) - spectral).max() <= 1e-10

@@ -22,7 +22,7 @@ from xxzsteer.model import (
 )
 from xxzsteer.steering import scn_closed
 
-from conftest import batch, draw_params, spectral_log_z
+from conftest import draw_params, spectral_log_z
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,7 +102,7 @@ def test_hamiltonian_isotropic_point():
 
 def test_hamiltonian_matches_kron_oracle_on_draws(rng):
     points = [draw_params(rng, b=(-10, 10)) for _ in range(50)]
-    h = hamiltonian(batch(points))
+    h = hamiltonian(ThermalBatch.of(*points))
     assert h.shape == (50, 4, 4)
     for p, hp in zip(points, h):
         assert np.abs(hp - kron_built_hamiltonian(p)).max() <= 1e-13
@@ -131,7 +131,7 @@ def test_partition_function_log_domain_stays_finite():
 
 
 def test_partition_function_matches_eigenvalue_sum(rng):
-    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(300)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(300)))
     assert np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))).max() <= 1e-10
 
 
@@ -190,13 +190,13 @@ def test_gibbs_negative_coupling_flips_v_only():
 
 def test_gibbs_closed_equals_spectral_bulk(rng):
     """1000 random draws: entrywise and partition-function agreement."""
-    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(1000)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(1000)))
     assert np.abs(gibbs_closed(cells) - gibbs_spectral(cells)).max() <= 1e-10
     assert np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))).max() <= 1e-10
 
 
 def test_gibbs_state_invariants_on_draws(rng):
-    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(100)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(100)))
     number = np.diag([2.0, 0.0, 0.0, -2.0])
     for rho in gibbs_spectral(cells):
         a, b, d, v = x_entries(rho)
@@ -208,7 +208,7 @@ def test_gibbs_state_invariants_on_draws(rng):
 
 
 def test_sigma_z_conjugation_maps_j_to_minus_j(rng):
-    cells = batch([draw_params(rng, b=(-10, 10)) for _ in range(100)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(100)))
     flipped = ThermalBatch(-cells.J, cells.Jz, cells.B, cells.T)
     lhs = SZ_I @ gibbs_closed(cells) @ SZ_I
     assert np.abs(lhs - gibbs_closed(flipped)).max() <= 1e-10
@@ -279,6 +279,37 @@ def test_batch_keeps_entries_only_after_their_check(monkeypatch):
             scn_closed(cells)
 
 
+def test_batch_of_points_has_the_bits_of_their_batches_of_one(rng):
+    """ThermalBatch.of(p, q, r) holds the bits of of(p), of(q) and of(r)."""
+    points = [draw_params(rng, b=(-10, 10)) for _ in range(3)]
+
+    def bits(cells):
+        arrays = (cells.J, cells.Jz, cells.B, cells.T, *cells.entries(), cells.log_Z)
+        return [x.tobytes() for x in (*arrays, gibbs_spectral(cells))]
+
+    cells = ThermalBatch.of(*points)
+    assert bits(cells) == [
+        b"".join(parts) for parts in zip(*(bits(ThermalBatch.of(p)) for p in points))
+    ]
+    assert all(x.dtype == np.float64 for x in (cells.J, cells.Jz, cells.B, cells.T))
+    assert len(ThermalBatch.of()) == 0
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ([1.0, 2.0], [1.0], [1.0], [1.0]),
+        ([1.0], [1.0], [1.0], []),
+        ([[1.0]], [[1.0]], [[1.0]], [[1.0]]),
+        (1.0, 1.0, 1.0, 1.0),
+    ],
+    ids=["ragged", "empty-T", "2-D", "0-D"],
+)
+def test_batch_rejects_columns_that_are_not_1d_of_one_length(columns):
+    with pytest.raises(ValueError, match=r"^J, Jz, B, T must be 1-D arrays of one "):
+        ThermalBatch(*columns)
+
+
 @pytest.mark.parametrize(
     "module, name",
     [
@@ -294,7 +325,7 @@ def test_closed_form_gives_a_point_the_bits_of_its_cell(module, name, rng):
     measure = getattr(module, name)
     points = [draw_params(rng, b=(-10, 10)) for _ in range(30)]
     points += [SpinParams(j, jz, 0.0, 1.0) for j in (-2, 0, 2) for jz in (-1, 1)]
-    values = measure(batch(points))
+    values = measure(ThermalBatch.of(*points))
     assert isinstance(values, np.ndarray) and values.shape == (len(points),)
     for p, cell in zip(points, values):
         value = measure(p)
@@ -336,8 +367,9 @@ def _vary(base: tuple, values: list[list[float]]) -> np.ndarray:
 
 
 def _param_cells() -> np.ndarray:
-    coupling = _around(COUPLING_MAX) + _around(-COUPLING_MAX) + [0.0] + _NON_FINITE
-    temperature = _around(T_FLOOR) + [0.0, -1.0, 1e6] + _NON_FINITE
+    coupling = _around(COUPLING_MAX) + _around(-COUPLING_MAX) + [0.0, 5e3, -5e3]
+    coupling += _NON_FINITE
+    temperature = _around(T_FLOOR) + [0.0, -1.0, 1e-9, 1e6] + _NON_FINITE
     cells = _vary((1.0, -0.5, 2.0, 1.0), [coupling] * 3 + [temperature])
     # several clauses failing at once: the first in clause order is reported
     mixed = [
@@ -381,6 +413,7 @@ def _message(check, *args) -> str | None:
             _param_cells(),
             (1.0, -0.5, 2.0, 1.0),
         ),
+        (SpinParams, ThermalBatch, _param_cells(), (1.0, -0.5, 2.0, 1.0)),
         (
             lambda *cell: check_entries(*np.array(cell)[:, None]),
             check_entries,
@@ -389,7 +422,7 @@ def _message(check, *args) -> str | None:
         ),
         (binary_entropy, binary_entropy, _entropy_cells(), (0.5,)),
     ],
-    ids=["SpinParams", "check_entries", "binary_entropy"],
+    ids=["SpinParams", "ThermalBatch", "check_entries", "binary_entropy"],
 )
 def test_array_checks_reject_what_scalar_checks_reject(scalar, stacked, cells, passing):
     """Each edge cell, after passing cells in a stack, raises as it does alone."""

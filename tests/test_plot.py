@@ -30,7 +30,7 @@ def test_heatmap_has_one_cell_per_grid_node(tmp_path):
     assert svg.count('class="cbar"') > 0
     assert "<svg" in svg and "</svg>" in svg
     path = tmp_path / "h.svg"
-    render_svg(small_grid_table([0.0, 1.0, 2.0, 3.0]), "heatmap", path)
+    render_svg(small_grid_table([0.0, 1.0, 2.0, 3.0]), path)
     assert path.read_text(encoding="utf-8") == svg
 
 
@@ -64,16 +64,20 @@ def test_heatmap_rejects_line_tables_and_multi_measure():
         heatmap_svg(two_cols)
 
 
-def test_lines_draw_one_polyline_per_measure():
+def test_lines_draw_one_polyline_per_measure(tmp_path):
     spec = SweepSpec(
         axes=(AxisSpec("J", -2, 2, 0.5),),
         fixed={"Jz": 0.0, "B": 1.0, "T": 0.5},
         measures=("SCn", "SCRE", "QFI"),
     )
-    svg = lines_svg(run_sweep(spec))
+    table = run_sweep(spec)
+    svg = lines_svg(table)
     assert svg.count('class="series"') == 3
     assert 'data-name="SCn"' in svg
     assert 'data-name="QFI"' in svg
+    # a one-axis table is drawn as lines
+    render_svg(table, tmp_path / "l.svg")
+    assert (tmp_path / "l.svg").read_text(encoding="utf-8") == svg
 
 
 def test_lines_path_data_reproduces_table_minima():
@@ -107,16 +111,20 @@ def test_lines_reject_grid_tables():
         lines_svg(small_grid_table([0, 1, 2, 3]))
 
 
-def test_render_svg_rejects_unknown_mode(tmp_path):
-    with pytest.raises(ValueError, match="mode"):
-        render_svg(small_grid_table([0, 1, 2, 3]), "scatter", tmp_path / "x.svg")
+def test_render_svg_rejects_a_table_without_axes(tmp_path):
+    table = small_grid_table([0, 1, 2, 3])
+    for axes in ((), None):
+        table.axes = axes
+        with pytest.raises(ValueError, match="1-axis"):
+            render_svg(table, tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_render_is_deterministic(tmp_path):
     table = small_grid_table([0.3, 0.1, 4.0, 2.0])
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_svg(table, "heatmap", a)
-    render_svg(table, "heatmap", b)
+    render_svg(table, a)
+    render_svg(table, b)
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -26,7 +26,7 @@ from xxzsteer.steering import (
     steer,
 )
 
-from conftest import batch, draw_params, xstate
+from conftest import draw_params, xstate
 
 I2 = np.eye(2, dtype=complex)
 SZ_I = np.kron(np.diag([1.0, -1.0]), I2)
@@ -121,7 +121,7 @@ def test_steer_rejects_invalid_state():
 
 
 def test_steer_ensembles_are_valid_on_draws(rng):
-    for rho in gibbs_closed(batch([draw_params(rng) for _ in range(25)])):
+    for rho in gibbs_closed(ThermalBatch.of(*(draw_params(rng) for _ in range(25)))):
         for axis in PauliAxis:
             ens = steer(rho, axis)
             total = sum(e.probability for e in ens.entries)
@@ -167,7 +167,7 @@ def test_sqc_product_state_relative_entropy_reaches_two():
 
 def test_sqc_invariant_under_v_flip(rng):
     """Conjugation by sigma_z ox I only permutes Alice's X/Y outcome labels."""
-    rho = gibbs_closed(batch([draw_params(rng) for _ in range(25)]))
+    rho = gibbs_closed(ThermalBatch.of(*(draw_params(rng) for _ in range(25))))
     flipped = SZ_I @ rho @ SZ_I
     kinds = tuple(CoherenceKind)
     for value, flip in zip(sqc_direct(rho, *kinds), sqc_direct(flipped, *kinds)):
@@ -181,7 +181,7 @@ def test_sqc_kinds_in_one_pass_match_single_kind_calls_bit_for_bit(rng):
     points += [draw_params(rng, t=(T_FLOOR, T_FLOOR)) for _ in range(20)]
     points += [SpinParams(J, Jz, B, T_FLOOR) for J, Jz, B in
                ((5, 1, 0), (-5, 1, 0), (1, 3, 2), (20, -20, 10), (0, 0, 1))]
-    rho = gibbs_spectral(batch(points))
+    rho = gibbs_spectral(ThermalBatch.of(*points))
     # near-pure cells at the floor give Alice outcomes below the probability
     # floor, whose Bob state is I/2
     probabilities = [e.probability for e in steer(rho, PauliAxis.Z).entries]
@@ -216,7 +216,7 @@ def test_scn_closed_examples():
 
 
 def test_scn_closed_matches_direct_average(rng):
-    cells = batch([draw_params(rng) for _ in range(120)])
+    cells = ThermalBatch.of(*(draw_params(rng) for _ in range(120)))
     (direct,) = sqc_direct(gibbs_closed(cells), CoherenceKind.L1)
     assert np.abs(scn_closed(cells) - direct).max() <= 1e-10
 
@@ -228,7 +228,7 @@ def test_scre_closed_examples():
 
 
 def test_scre_closed_matches_direct_average(rng):
-    cells = batch([draw_params(rng) for _ in range(120)])
+    cells = ThermalBatch.of(*(draw_params(rng) for _ in range(120)))
     (direct,) = sqc_direct(gibbs_closed(cells), CoherenceKind.RELATIVE_ENTROPY)
     assert np.abs(scre_closed(cells) - direct).max() <= 1e-10
 
@@ -242,15 +242,15 @@ def test_scre_published_examples():
 
 
 def test_scre_published_agrees_only_at_zero_field(rng):
-    cells = batch([draw_params(rng, b=(0, 0)) for _ in range(50)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(0, 0)) for _ in range(50)))
     assert np.abs(scre_published(cells) - scre_closed(cells)).max() <= 1e-10
-    cells = batch([draw_params(rng, b=(1, 10)) for _ in range(50)])
+    cells = ThermalBatch.of(*(draw_params(rng, b=(1, 10)) for _ in range(50)))
     worst = np.abs(scre_published(cells) - scre_closed(cells)).max()
     assert worst > 0.1
 
 
 def test_measures_even_in_coupling_sign(rng):
-    cells = batch([draw_params(rng) for _ in range(100)])
+    cells = ThermalBatch.of(*(draw_params(rng) for _ in range(100)))
     flipped = ThermalBatch(-cells.J, cells.Jz, cells.B, cells.T)
     assert np.abs(scn_closed(cells) - scn_closed(flipped)).max() <= 1e-10
     assert np.abs(scre_closed(cells) - scre_closed(flipped)).max() <= 1e-10

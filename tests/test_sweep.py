@@ -364,7 +364,8 @@ def _first_cell_error(spec: SweepSpec) -> str | None:
     """Brute force: the error of the first cell, in grid order, that raises alone."""
     cells = sweep._grid(spec)
     for i in range(len(cells)):
-        error = _error(evaluate_point, cells.params(i), spec.measures, spec.engine)
+        point = SpinParams(cells.J[i], cells.Jz[i], cells.B[i], cells.T[i])
+        error = _error(evaluate_point, point, spec.measures, spec.engine)
         if error is not None:
             return error
     return None
