@@ -82,7 +82,7 @@ def collective_observable(axis: PauliAxis) -> np.ndarray:
     m = (kron(axis.matrix, IDENTITY_2) + kron(IDENTITY_2, axis.matrix)) / 2
     spectrum = eig_hermitian(m).values
     if np.abs(spectrum - np.array([-1.0, 0.0, 0.0, 1.0])).max() > 1e-12:
-        raise AssertionError(
+        raise RuntimeError(
             f"collective {axis} spectrum {spectrum} is not (-1, 0, 0, 1)"
         )
     return m
@@ -122,16 +122,17 @@ def qfi_spectral(rho: np.ndarray, obs):
     """
     eig = validate_density_matrix(rho, "qfi probe state")
     elements = dagger(eig.vectors) @ np.asarray(obs, complex) @ eig.vectors
-    p = eig.values
-    n = p.shape[-1]
+    # every pair (m, k) at once, as (..., n, n) arrays indexed [m, k]
+    pm, pk = eig.values[..., :, None], eig.values[..., None, :]
+    s = pm + pk
+    kept = s > PAIR_FLOOR
+    diff = pm - pk
+    term = diff * diff / np.where(kept, s, 1.0) * np.abs(elements) ** 2
+    terms = np.where(kept, term, 0.0)
+    # summed from 0 in pair order, m major, as a left fold
     total = 0.0
-    for m in range(n):
-        for k in range(n):
-            s = p[..., m] + p[..., k]
-            kept = s > PAIR_FLOOR
-            diff = p[..., m] - p[..., k]
-            term = diff * diff / np.where(kept, s, 1.0) * np.abs(elements[..., m, k]) ** 2
-            total = total + np.where(kept, term, 0.0)
+    for row in np.moveaxis(terms.reshape(*terms.shape[:-2], -1), -1, 0):
+        total = total + row
     return as_cells(np.maximum(2.0 * total, 0.0))
 
 

@@ -12,6 +12,22 @@ entropy and the oracle measures read that decomposition, so each stack is
 checked and decomposed once.  Sums within one matrix are explicit left
 folds, so a matrix gives the same bits alone as inside any stack.  All
 entropies are in bits.
+
+A product of a stack with a fixed operator, ``left @ m @ right`` with
+``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
+:func:`sandwich`: one 2-D GEMM a side over the stack reshaped to
+(N*n, n), the left side as ``(m^T @ left^T)^T``.  numpy's stacked ``@``
+makes one BLAS call per 2x2 or 4x4 matrix, which costs more than the
+arithmetic.  Regrouping the calls keeps the bits because the elements of
+a GEMM are independent: each is still one length-n complex dot product of
+the same numbers, and how many of them one call makes changes none of
+them.  Its rounding does depend on which operand sits on which side of the
+call, which is why the left side is taken transposed: the direct form
+``left @ [m_0 m_1 ...]`` differs from the stacked product in the last
+bits, ``(m^T @ left^T)^T`` does not.  No BLAS promises either, so
+tests/test_linalg.py pins the identity for every fixed operator the
+oracle uses.  Products whose operators change from cell to cell (V w
+V^dagger, V^dagger O V) stay stacked.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ __all__ = [
     "kron",
     "dagger",
     "trace",
+    "sandwich",
     "eig_hermitian",
     "partial_trace_A",
     "vn_entropy",
@@ -92,6 +109,30 @@ def trace(a: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[-1]):
         total = total + a[..., k, k]
     return total
+
+
+def sandwich(m: np.ndarray, left=None, right=None) -> np.ndarray:
+    """``left @ m @ right`` for each matrix of a stack, one GEMM a side.
+
+    `m` is one matrix or a stack, shape (..., n, n); `left` and `right` are
+    fixed (n, n) operators, and either may be None.  The product is complex
+    and bit-identical to the stacked one (see the module docstring).  Two
+    buffers the size of `m` are allocated, as for the stacked product's
+    intermediate and result.
+    """
+    shape, n = m.shape, m.shape[-1]
+    out = np.empty(shape, complex)
+    if left is not None:
+        # out = (left @ m)^T = m^T @ left^T, then buf = left @ m
+        buf = np.empty(shape, complex)
+        np.copyto(buf, np.swapaxes(m, -1, -2))
+        np.matmul(buf.reshape(-1, n), left.T, out=out.reshape(-1, n))
+        np.copyto(buf, np.swapaxes(out, -1, -2))
+        if right is None:
+            return buf
+        m = buf
+    np.matmul(m.reshape(-1, n), right, out=out.reshape(-1, n))
+    return out
 
 
 def _as_operator(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -53,6 +53,7 @@ from .linalg import (
     frobenius,
     kron,
     logsumexp,
+    sandwich,
     trace,
 )
 
@@ -316,7 +317,9 @@ def gibbs_spectral(cells: ThermalBatch) -> np.ndarray:
         "imag_part": np.abs(rho[:, _X_MASK].imag).max(axis=1),
         "trace": np.abs(trace(rho).real - 1.0),
         "central_symmetry": np.abs(rho[:, 1, 1].real - rho[:, 2, 2].real),
-        "number_commutator": frobenius(rho @ _TOTAL_SZ - _TOTAL_SZ @ rho),
+        "number_commutator": frobenius(
+            sandwich(rho, right=_TOTAL_SZ) - sandwich(rho, left=_TOTAL_SZ)
+        ),
     }
     i = first_cell(np.any([r > tol for r in residuals.values()], axis=0))
     if i is not None:

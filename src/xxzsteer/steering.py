@@ -49,6 +49,7 @@ from .linalg import (
     first_cell,
     kron,
     partial_trace_A,
+    sandwich,
     shannon_bits,
     trace,
     validate_density_matrix,
@@ -116,6 +117,11 @@ _BASES = {
     PauliAxis.Y: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
     PauliAxis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
 }
+_BASES_DAGGER = {axis: dagger(u) for axis, u in _BASES.items()}
+
+# The terms of the steered-coherence average, [m, a, nu] as in sqc_direct:
+# every reference basis nu but Alice's own axis m, in summation order.
+_CROSS_TERMS = np.repeat(~np.eye(3, dtype=bool)[:, None, :], 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,7 @@ def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
         raise ValueError("steering requires a two-qubit (4x4) state")
     entries = []
     for outcome, proj in enumerate(_PROJECTORS[axis]):
-        projected = proj @ rho @ proj
+        projected = sandwich(rho, proj, proj)
         p = trace(projected).real
         i = first_cell(p < -PROBABILITY_FLOOR)
         if i is not None:
@@ -172,8 +178,7 @@ def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
 
 def _in_basis(states: DensityStates, axis: PauliAxis) -> np.ndarray:
     """The qubit states written in the eigenbasis of one Pauli axis."""
-    u = _BASES[axis]
-    return dagger(u) @ states.matrix @ u
+    return sandwich(states.matrix, _BASES_DAGGER[axis], _BASES[axis])
 
 
 def _l1(in_basis: np.ndarray, entropy) -> np.ndarray:
@@ -187,7 +192,7 @@ def _relative_entropy(in_basis: np.ndarray, entropy) -> np.ndarray:
     val = binary_entropy(population) - entropy
     i = first_cell(val < -1e-12)
     if i is not None:
-        raise AssertionError(
+        raise RuntimeError(
             f"relative-entropy coherence came out negative: {float(np.ravel(val)[i])!r}"
         )
     return np.maximum(val, 0.0)
@@ -246,16 +251,16 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     states = np.array([[e.state for e in ens.entries] for ens in ensembles])
     states = validate_density_matrix(states, "coherence input")
     coh = _coherences(states, PauliAxis, dict.fromkeys(kinds))
+    # p[m, a, 0]: the weight of outcome a of Alice's axis m
+    p = np.array([[e.probability for e in ens.entries] for ens in ensembles])[:, :, None]
+    kept = p > PROBABILITY_FLOOR
     totals = {}
     for kind, by_axis in coh.items():
+        # c[m, a, nu]: C^nu of Bob's state after outcome a of axis m
+        c = np.stack([by_axis[nu] for nu in PauliAxis], axis=2)
         total = 0.0
-        for m, ens in enumerate(ensembles):
-            for a, entry in enumerate(ens.entries):
-                kept = entry.probability > PROBABILITY_FLOOR
-                for nu in PauliAxis:
-                    if nu is not ens.axis:
-                        term = entry.probability * by_axis[nu][m, a]
-                        total = total + np.where(kept, term, 0.0)
+        for term in np.where(kept, p * c, 0.0)[_CROSS_TERMS]:
+            total = total + term
         totals[kind] = as_cells(0.5 * total)
     return tuple(totals[kind] for kind in kinds)
 

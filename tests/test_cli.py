@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import xxzsteer
-from xxzsteer import cli
+from xxzsteer import cli, steering
 from xxzsteer.cli import main
 from xxzsteer.sweep import MEASURES, read_csv
 
@@ -305,6 +305,19 @@ def test_identical_argv_gives_identical_bytes(tmp_path):
     assert main(argv("a.csv")) == 0
     assert main(argv("b.csv")) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_failed_oracle_check_exits_one_without_a_traceback(capsys, monkeypatch):
+    """A check inside the oracle is a runtime failure, not a crash."""
+    entropy = steering.vn_entropy
+    monkeypatch.setattr(steering, "vn_entropy", lambda states: entropy(states) + 1)
+    argv = ["point", "--engine", "oracle", "--measure", "SCRE",
+            "--fix", "J=1", "--fix", "Jz=0", "--fix", "B=1", "--fix", "T=1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("xxzsteer: relative-entropy coherence came out negative: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_unwritable_output_exits_one(capsys, tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xxzsteer import fisher
 from xxzsteer.fisher import (
     calibrate_observable,
     calibrated_observable,
@@ -56,6 +57,16 @@ def test_collective_spectra():
     for obs in (OX, OY, OZ):
         vals = eig_hermitian(obs).values
         assert np.abs(vals - np.array([-1.0, 0.0, 0.0, 1.0])).max() <= 1e-12
+
+
+def test_collective_observable_with_a_wrong_spectrum_is_a_runtime_error(monkeypatch):
+    def shifted(m):
+        eig = eig_hermitian(m)
+        return type(eig)(values=eig.values + 1e-6, vectors=eig.vectors)
+
+    monkeypatch.setattr(fisher, "eig_hermitian", shifted)
+    with pytest.raises(RuntimeError, match=r"spectrum .* is not \(-1, 0, 0, 1\)$"):
+        collective_observable(PauliAxis.X)
 
 
 # ------------------------------------------------------------- spectral

@@ -16,9 +16,11 @@ from xxzsteer.linalg import (
     kron,
     logsumexp,
     partial_trace_A,
+    sandwich,
     validate_density_matrix,
     vn_entropy,
 )
+from xxzsteer import model, steering
 from xxzsteer.fisher import qfi_spectral
 from xxzsteer.steering import CoherenceKind, PauliAxis, coherence, steer
 
@@ -136,6 +138,37 @@ def test_eig_matches_lapack_spectrum(seed, dim):
     assert np.abs(eig.values - np.linalg.eigvalsh(a)).max() <= 1e-12 * max(
         1.0, np.linalg.norm(a)
     )
+
+
+# ------------------------------------------------------------ sandwich
+
+# Every fixed operator the oracle multiplies a stack by, by dimension: the
+# six projectors of Alice's measurements and the total Sz on the pair, the
+# three Pauli eigenbases and their adjoints on Bob's qubit.
+_FIXED_OPERATORS = {
+    4: [*(p for axis in PauliAxis for p in steering._PROJECTORS[axis]),
+        model._TOTAL_SZ],
+    2: [*steering._BASES.values(), *steering._BASES_DAGGER.values()],
+}
+
+
+@pytest.mark.parametrize("dim", [4, 2])
+@pytest.mark.parametrize(
+    "cells", [(), (1,), (37,), (3, 2, 37)], ids=["matrix", "1", "37", "3x2x37"]
+)
+def test_sandwich_matches_the_stacked_product_bit_for_bit(dim, cells):
+    """One GEMM a side gives each matrix the bits of the stacked product."""
+    rng = np.random.default_rng([dim, *cells])
+    shape = (*cells, dim, dim)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ops = _FIXED_OPERATORS[dim]
+    for left in ops:
+        assert sandwich(m, left).tobytes() == (left @ m).tobytes()
+        assert sandwich(m, right=left).tobytes() == (m @ left).tobytes()
+        for right in ops:
+            got = sandwich(m, left, right)
+            assert got.shape == shape
+            assert got.tobytes() == (left @ m @ right).tobytes()
 
 
 # ------------------------------------------------------ partial trace

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from xxzsteer import fisher, steering, sweep
-from xxzsteer.model import ParameterRegimeError, SpinParams
+from xxzsteer.model import ParameterRegimeError, SpinParams, ThermalBatch
 from xxzsteer.sweep import (
     MEASURES,
     AxisSpec,
@@ -232,6 +232,30 @@ def test_single_point_sweep_matches_evaluate_point():
             else:
                 want = [rec[m] for m in measures]
             assert row[n:].tobytes() == np.array(want).tobytes(), (p, measures)
+
+
+def test_oracle_rows_do_not_depend_on_the_stack_length():
+    """An odd stack of seeded cells across the box, faces included, on the
+    both engine: every row is bit-identical to evaluate_point of its cell.
+    QFIclosed is left out because it overflows on part of the box; its
+    oracle column is the QFI's."""
+    rng = np.random.default_rng(14)
+    n = 41
+    J, Jz, B = rng.uniform(-1e3, 1e3, (3, n))
+    T = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    # a face in each coupling, the T floor, two corners and the near-mixed state
+    J[0], Jz[1], B[2], T[3] = 1e3, -1e3, 1e3, 1e-3
+    J[4], Jz[4], B[4], T[4] = -1e3, 1e3, -1e3, 1e-3
+    J[5], Jz[5], B[5], T[5] = 1e3, 1e3, 1e3, 1e3
+    J[6], Jz[6], B[6], T[6] = 1e-6, 1e-6, 1e-6, 1e3
+    measures = ("SCn", "SCRE", "SCREpaper", "QFI")
+    columns = sweep._evaluate(ThermalBatch(J, Jz, B, T), measures, "both")
+    rows = np.array(columns).T
+    assert rows.shape == (n, 3 * len(measures))
+    for i, row in enumerate(rows):
+        rec = evaluate_point(SpinParams(J[i], Jz[i], B[i], T[i]), measures, "both")
+        want = [x for m in measures for x in (rec[m].oracle, rec[m].closed, rec[m].absdiff)]
+        assert row.tobytes() == np.array(want).tobytes(), i
 
 
 # ------------------------------------------------------------ run_sweep
