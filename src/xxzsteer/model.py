@@ -228,10 +228,6 @@ class ThermalBatch:
     def __len__(self) -> int:
         return len(self.T)
 
-    def __getitem__(self, index: slice) -> "ThermalBatch":
-        """The cells of a slice, as a new batch."""
-        return ThermalBatch(self.J[index], self.Jz[index], self.B[index], self.T[index])
-
     def describe(self, i: int) -> str:
         """Cell i as "J=..., Jz=..., B=..., T=...", for error messages."""
         return ", ".join(f"{n}={float(getattr(self, n)[i])}" for n in PARAM_NAMES)

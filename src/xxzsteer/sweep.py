@@ -2,14 +2,20 @@
 
 Every grid node is an independent evaluation of the requested measures.
 One table, ``_MEASURES``, gives each measure its closed form and the
-definition it is checked against.  Both engines evaluate a grid as one
-stack of cells in this process:
+definition it is checked against.  Both engines evaluate a grid in this
+process, one block of ``_BLOCK_ROWS`` consecutive cells at a time, each
+block one stack:
 
 * ``closed``  - closed-form entries, and each measure's closed form called
-  once over the whole grid;
+  once over the block;
 * ``oracle``  - spectral state construction, and each definition called
-  once over the stacked states (brute-force path);
+  once over the block's stacked states (brute-force path);
 * ``both``    - run the two and record oracle, closed and |difference|.
+
+Cells are independent, every sum is a left fold over one cell's terms, and
+a stacked product gives each matrix its bits alone (see ``linalg``), so a
+block gives each cell the bits the whole grid would: the table is the same
+for any block size, and memory is the table plus one block's working set.
 
 A grid has zero, one or two axes, and a single point is a sweep with no
 axes: :func:`evaluate_point` reads its one row from :func:`run_sweep`, so
@@ -17,10 +23,12 @@ it is bit-identical to its row in any sweep and gets the same checks.
 
 A sweep that fails raises what evaluating its cells one at a time, in grid
 order, would raise first: the first failing cell's error, and within that
-cell the first failing measure's, the oracle before the closed form.  Every
-check raises for its own first failing cell; a failing stack is then halved
-down to the first failing cell (see ``_evaluate``), which costs about one
-more pass over the cells.
+cell the first failing measure's, the oracle before the closed form; a cell
+outside the supported box fails before any measure.  Every check, the
+parameter check of a block's cells included, raises for its own first
+failing cell.  The first failing block holds the first failing cell, and it
+is halved down to that cell (see ``_evaluate``), which costs about one more
+pass over that block.
 
 The CSV and JSON writers apply one %-template of a row to blocks of rows;
 their bytes are those of :func:`format_value` applied to each value.
@@ -91,9 +99,13 @@ ENGINES = ("oracle", "closed", "both")
 _RECORD_FIELDS = ("oracle", "closed", "absdiff")
 
 MAX_AXIS_POINTS = 10**6
-# Cells of a whole grid, the product of its axis counts; the closed engine
-# holds about 0.4 kB a cell and the both engine about 4 kB.
+# Cells of a whole grid, the product of its axis counts.  A sweep holds the
+# table, 8 B a column of a cell (136 MB at the cap for every measure on the
+# both engine), plus the working set of one block of cells.
 MAX_GRID_CELLS = 10**6
+# Cells evaluated as one stack, and rows formatted per pass of a writer's
+# row template.
+_BLOCK_ROWS = 4096
 
 
 def _count_text(count: float) -> str:
@@ -238,15 +250,18 @@ class EngineRecord:
     absdiff: float
 
 
-def _run(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
+def _run(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
     """Value columns of every cell, in SweepSpec.value_columns() order.
 
-    The closed forms run first, then each definition once over the
-    stacked spectral states, which are checked and decomposed once for all
-    of them, with every argument the measures ask of it; definitions and
-    arguments run in first-seen order.  Any check raises for its own first
-    failing cell, so which error a stack raises depends on the stack.
+    `rows` holds the parameter rows J, Jz, B, T of N cells, shape (4, N);
+    the cells are checked first, as one ThermalBatch.  The closed forms run
+    next, then each definition once over the stacked spectral states, which
+    are checked and decomposed once for all of them, with every argument
+    the measures ask of it; definitions and arguments run in first-seen
+    order.  Any check raises for its own first failing cell, so which error
+    a stack raises depends on the stack.
     """
+    cells = ThermalBatch(*rows)
     forms, definitions = zip(*(_MEASURES[m] for m in measures))
     closed = [form(cells) for form in forms] if engine != "oracle" else []
     if engine == "closed":
@@ -268,38 +283,38 @@ def _run(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
     return columns
 
 
-def _evaluate(cells: ThermalBatch, measures, engine: str) -> list[np.ndarray]:
+def _evaluate(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
     """:func:`_run`, raising the error a cell-by-cell evaluation meets first.
 
-    That error is the first failing cell's, and within the cell the first
-    failing measure's, the oracle before the closed form.  Cells are
-    independent, so a slice fails exactly when it holds a failing cell: a
-    failing stack is halved, keeping the left half if it fails and the
-    right half if not, down to its first failing cell, about one more pass
-    over the cells.  That cell then runs measure by measure.  If it passes
-    alone, the stack's own error is raised.  One cell on the closed engine
-    already raises in measure order, so a single failing closed point runs
-    once; the oracle evaluates the two steered-coherence kinds together,
-    so it does not.
+    That error is the first failing cell's, and within the cell its
+    parameter check's, else the first failing measure's, the oracle before
+    the closed form.  Cells are independent, so a slice fails exactly when
+    it holds a failing cell: a failing stack is halved, keeping the left
+    half if it fails and the right half if not, down to its first failing
+    cell, about one more pass over the stack.  That cell then runs measure
+    by measure.  If it passes alone, the stack's own error is raised.  One
+    cell on the closed engine already raises in measure order, so a single
+    failing closed point runs once; the oracle evaluates the two
+    steered-coherence kinds together, so it does not.
     """
     try:
-        return _run(cells, measures, engine)
+        return _run(rows, measures, engine)
     except Exception as exc:
         error = exc
-    if len(cells) == 1 and engine == "closed":
+    if rows.shape[1] == 1 and engine == "closed":
         raise error
-    while len(cells) > 1:
-        left = cells[: len(cells) // 2]
+    while rows.shape[1] > 1:
+        half = rows.shape[1] // 2
         try:
-            _run(left, measures, engine)
+            _run(rows[:, :half], measures, engine)
         except Exception:
-            cells = left
+            rows = rows[:, :half]
         else:
-            cells = cells[len(left) :]
+            rows = rows[:, half:]
     engines = ("oracle", "closed") if engine == "both" else (engine,)
     for m in measures:
         for one in engines:
-            _run(cells, (m,), one)
+            _run(rows, (m,), one)
     raise error
 
 
@@ -326,8 +341,13 @@ def evaluate_point(
     }
 
 
-def _grid(spec: SweepSpec) -> ThermalBatch:
-    """The grid's cells, outer axis slowest, as one checked batch."""
+def _grid(spec: SweepSpec) -> np.ndarray:
+    """The grid's parameter rows J, Jz, B, T, shape (4, N), outer axis slowest.
+
+    The cells are not checked here: each block's batch checks its own cells
+    in :func:`_run`, so a later cell outside the box cannot pre-empt an
+    earlier cell's error.
+    """
     values = [ax.values() for ax in spec.axes]
     # One grid per parameter: a fixed value everywhere, or an axis's values
     # along its own dimension (np.ix_ shapes them so), the outer axis first.
@@ -336,28 +356,45 @@ def _grid(spec: SweepSpec) -> ThermalBatch:
         x[PARAM_NAMES.index(name)] = value
     for ax, v in zip(spec.axes, np.ix_(*values)):
         x[PARAM_NAMES.index(ax.name)] = v
-    return ThermalBatch(*x.reshape(len(PARAM_NAMES), -1))
+    return x.reshape(len(PARAM_NAMES), -1)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid and return the table, axis values included.
 
-    Every engine evaluates the whole grid as one stack in this process: the
-    closed engine calls each measure's closed form once, the oracle each
-    definition once.  The output depends on nothing but the spec.
+    The row-major table is allocated once and filled one block of
+    _BLOCK_ROWS consecutive cells at a time, in grid order: on each block
+    the closed engine calls each measure's closed form once, the oracle
+    each definition once.  A grid of one block is evaluated as it is.  The
+    output depends on nothing but the spec, not on the block size.
     """
-    cells = _grid(spec)
-    values = _evaluate(cells, spec.measures, spec.engine)
-    axes = [getattr(cells, ax.name) for ax in spec.axes]
-    data = np.array(axes + values).T
+    rows = _grid(spec)
+    columns = spec.columns()
+    cells = rows.shape[1]
+    data = np.empty((cells, len(columns)))
+    if cells <= _BLOCK_ROWS:
+        _fill(data, rows, spec, 0)
+    else:
+        for start in range(0, cells, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            _fill(data[block], rows[:, block], spec, start)
+    return SweepTable(columns=columns, data=data, axes=spec.axes)
 
-    if not np.isfinite(data).all():
-        bad = np.argwhere(~np.isfinite(data))[0]
+
+def _fill(out: np.ndarray, rows: np.ndarray, spec: SweepSpec, start: int) -> None:
+    """Evaluate the cells of rows into out, the table's rows from row start.
+
+    A non-finite value is an error, named by its column and table row.
+    """
+    values = _evaluate(rows, spec.measures, spec.engine)
+    axes = [rows[PARAM_NAMES.index(ax.name)] for ax in spec.axes]
+    out.T[...] = axes + values
+    if not np.isfinite(out).all():
+        bad = np.argwhere(~np.isfinite(out))[0]
         raise RuntimeError(
             f"sweep produced a non-finite value in column "
-            f"{spec.columns()[bad[1]]!r} at row {bad[0]}"
+            f"{spec.columns()[bad[1]]!r} at row {start + bad[0]}"
         )
-    return SweepTable(columns=spec.columns(), data=data, axes=spec.axes)
 
 
 def format_value(x: float) -> str:
@@ -367,8 +404,6 @@ def format_value(x: float) -> str:
 
 # format_value's conversion as a %-field, for the writers' row templates.
 _FIELD = "%.17g"
-# Rows formatted per pass of a writer's row template.
-_BLOCK_ROWS = 4096
 
 
 def _rows(table: SweepTable, before: str, after: str):

@@ -78,6 +78,19 @@ def test_axis_outside_the_box_exits_two_at_its_start_and_one_after_it(capsys, tm
     assert not out.exists()
 
 
+def test_earlier_cells_error_comes_before_a_later_cell_outside_the_box(capsys, tmp_path):
+    """Cell J=1 overflows QFIclosed; cell J=1001, later, leaves the box."""
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--axis", "J=1:1500:1", "--fix", "Jz=0", "--fix", "B=1",
+            "--fix", "T=0.001", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "xxzsteer: published QFI ratio overflows double precision at "
+        "J=1.0, Jz=0.0, B=1.0, T=0.001\n"
+    )
+    assert not out.exists()
+
+
 def test_duplicate_fix_exits_two(capsys):
     assert main(["point", "--fix", "J=1", "--fix", "J=2", "--fix", "Jz=1",
                  "--fix", "B=1", "--fix", "T=1"]) == 2

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from xxzsteer import fisher, steering, sweep
-from xxzsteer.model import ParameterRegimeError, SpinParams, ThermalBatch
+from xxzsteer.model import ParameterRegimeError, SpinParams
 from xxzsteer.sweep import (
     MEASURES,
     AxisSpec,
@@ -249,7 +250,7 @@ def test_oracle_rows_do_not_depend_on_the_stack_length():
     J[5], Jz[5], B[5], T[5] = 1e3, 1e3, 1e3, 1e3
     J[6], Jz[6], B[6], T[6] = 1e-6, 1e-6, 1e-6, 1e3
     measures = ("SCn", "SCRE", "SCREpaper", "QFI")
-    columns = sweep._evaluate(ThermalBatch(J, Jz, B, T), measures, "both")
+    columns = sweep._evaluate(np.array([J, Jz, B, T]), measures, "both")
     rows = np.array(columns).T
     assert rows.shape == (n, 3 * len(measures))
     for i, row in enumerate(rows):
@@ -385,11 +386,15 @@ def _error(call, *args) -> str | None:
 
 
 def _first_cell_error(spec: SweepSpec) -> str | None:
-    """Brute force: the error of the first cell, in grid order, that raises alone."""
-    cells = sweep._grid(spec)
-    for i in range(len(cells)):
-        point = SpinParams(cells.J[i], cells.Jz[i], cells.B[i], cells.T[i])
-        error = _error(evaluate_point, point, spec.measures, spec.engine)
+    """Brute force: the error of the first cell, in grid order, that raises alone.
+
+    The cells are the grid's unchecked parameter rows, so a cell outside
+    the box fails alone, as SpinParams checks it.
+    """
+    for cell in sweep._grid(spec).T.tolist():
+        error = _error(
+            lambda: evaluate_point(SpinParams(*cell), spec.measures, spec.engine)
+        )
         if error is not None:
             return error
     return None
@@ -409,29 +414,46 @@ def _seeded_grids(rng) -> list[tuple[AxisSpec, ...]]:
     return grids
 
 
-def test_sweep_error_is_the_first_failing_cells_error(monkeypatch):
-    """run_sweep raises what the first cell to fail alone raises, on every engine."""
+def _crossing_grids(rng) -> list[tuple[AxisSpec, ...]]:
+    """A J line and a J, B grid near T = 1e-3 whose later cells leave the box at
+    |J| = 1e3, after cells where QFIclosed overflows."""
+    j0, b0 = rng.uniform(998.0, 999.5), rng.uniform(-1.0, 1.0)
+    return [
+        (AxisSpec("J", j0, j0 + 2.0, 0.25),),
+        (AxisSpec("J", j0, j0 + 2.0, 0.5), AxisSpec("B", b0, b0 + 2.0, 0.5)),
+    ]
+
+
+def _check_first_failing_cells_error(monkeypatch) -> None:
+    """run_sweep raises what the first cell to fail alone raises, on every
+    engine, for seeded grids with and without a definition that fails."""
     rng = np.random.default_rng(6061)
     measure_sets = (MEASURES, ("QFIclosed", "SCn"), ("SCRE", "QFI"))
-    failing_seen = patched_seen = 0
-    for k, axes in enumerate(_seeded_grids(rng)):
+    cases = [(axes, measure_sets[k // 3]) for k, axes in enumerate(_seeded_grids(rng))]
+    cases += [
+        (axes, measures)
+        for axes in _crossing_grids(np.random.default_rng(6062))
+        for measures in measure_sets
+    ]
+    failing_seen = patched_seen = outside_seen = 0
+    for axes, measures in cases:
         fixed = {"J": 2.0, "Jz": 0.0, "B": 1.0, "T": 1e-3}
         for ax in axes:
             del fixed[ax.name]
-        measures = measure_sets[k // 3]
         for engine in ("closed", "oracle", "both"):
             spec = SweepSpec(axes=axes, fixed=fixed, measures=measures, engine=engine)
             want = _first_cell_error(spec)
             assert _error(run_sweep, spec) == want, spec
             failing_seen += want is not None
+            outside_seen += want is not None and "exceeds the supported" in want
 
         # a definition that fails at one seeded cell of the grid
-        cells = sweep._grid(spec)
-        at = int(rng.integers(len(cells)))
+        J, _, B, T = sweep._grid(spec)
+        at = int(rng.integers(len(T)))
         kind = sweep._MEASURES[measures[int(rng.integers(len(measures)))]][1][0]
         real = sweep._DEFINITIONS[kind]
 
-        def failing(batch, rho, args, b=cells.B[at], t=cells.T[at], j=cells.J[at]):
+        def failing(batch, rho, args, b=B[at], t=T[at], j=J[at]):
             if np.any((batch.B == b) & (batch.T == t) & (batch.J == j)):
                 raise RuntimeError(f"{kind} fails at B={b}, T={t}, J={j}")
             return real(batch, rho, args)
@@ -445,7 +467,20 @@ def test_sweep_error_is_the_first_failing_cells_error(monkeypatch):
                 want = _first_cell_error(spec)
                 assert _error(run_sweep, spec) == want, spec
                 patched_seen += want is not None and want.startswith("RuntimeError")
-    assert failing_seen and patched_seen
+    assert failing_seen and patched_seen and outside_seen
+
+
+def test_sweep_error_is_the_first_failing_cells_error(monkeypatch):
+    """run_sweep raises what the first cell to fail alone raises, on every
+    engine; a later cell outside the box does not pre-empt an earlier one."""
+    _check_first_failing_cells_error(monkeypatch)
+
+
+def test_blocked_sweep_error_is_the_first_failing_cells_error(monkeypatch):
+    """The same in blocks of 7 cells: the first failing block holds the first
+    failing cell, and the error's type and message do not change."""
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", 7)
+    _check_first_failing_cells_error(monkeypatch)
 
 
 def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
@@ -479,6 +514,129 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
         run_sweep(spec)
     assert n == 1681
     assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, calls
+
+
+# 9 x 5 = 45 cells: six blocks of 7 and one of 3.
+BLOCKED_GRID = dict(
+    axes=(AxisSpec("J", -2.0, 2.0, 0.5), AxisSpec("Jz", -1.0, 1.0, 0.5)),
+    fixed={"B": 1.0, "T": 0.5},
+)
+
+
+@pytest.mark.parametrize("engine", ["closed", "both"])
+def test_blocked_sweep_writes_the_whole_grid_bytes(monkeypatch, tmp_path, engine):
+    """Blocks of 7 cells give the CSV and JSON bytes of the grid as one block."""
+    spec = SweepSpec(**BLOCKED_GRID, engine=engine)
+    outputs = []
+    for block_rows in (sweep._BLOCK_ROWS, 7):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+        table = run_sweep(spec)
+        assert table.data.flags.c_contiguous
+        write_csv(table, tmp_path / "t.csv")
+        write_json(table, tmp_path / "t.json")
+        outputs.append([(tmp_path / name).read_bytes() for name in ("t.csv", "t.json")])
+    assert len(table.data) == 45
+    assert outputs[0] == outputs[1]
+
+
+def test_each_block_checks_its_cells_in_one_batch(monkeypatch):
+    """One batch per block, and each cell in exactly one: a grid of one block
+    makes a single batch of its cells, and no cell is checked twice."""
+    sizes = []
+    batch = sweep.ThermalBatch
+
+    def counted(*columns):
+        sizes.append(len(columns[0]))
+        return batch(*columns)
+
+    monkeypatch.setattr(sweep, "ThermalBatch", counted)
+    evaluate_point(SpinParams(1.5, 0.5, 1.0, 1.0), MEASURES, "both")
+    assert sizes == [1]
+    for engine in ("closed", "oracle"):
+        spec = SweepSpec(**BLOCKED_GRID, measures=("SCn", "QFI"), engine=engine)
+        for block_rows, want in ((sweep._BLOCK_ROWS, [45]), (7, [7] * 6 + [3])):
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(sweep, "_BLOCK_ROWS", block_rows)
+                run_sweep(spec)
+            assert sizes == want, (engine, block_rows)
+
+
+def test_failure_in_the_last_block_costs_that_block_and_its_halving(monkeypatch):
+    """Blocks before the failing one run once each; the failing block is then
+    halved, with no second pass over the grid."""
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -2.0, 2.0, 0.5), AxisSpec("Jz", -2.0, 2.0, 0.5)),
+        fixed={"B": 1.0, "T": 1.0},
+        measures=("SCn",),
+        engine="oracle",
+    )
+    last = [ax.values()[-1] for ax in spec.axes]
+    real = sweep._DEFINITIONS["sqc"]
+
+    def failing(cells, rho, args):
+        value = real(cells, rho, args)
+        if np.any((cells.J == last[0]) & (cells.Jz == last[1])):
+            raise ValueError("late failure")
+        return value
+
+    calls = []
+    spectral = sweep.gibbs_spectral
+
+    def counted(cells):
+        calls.append(len(cells))
+        return spectral(cells)
+
+    monkeypatch.setitem(sweep._DEFINITIONS, "sqc", failing)
+    monkeypatch.setattr(sweep, "gibbs_spectral", counted)
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", 7)
+    with pytest.raises(ValueError, match="^late failure$"):
+        run_sweep(spec)
+    # 81 cells: eleven blocks of 7, then the failing block of 4
+    blocks = [7] * 11 + [4]
+    assert calls[: len(blocks)] == blocks
+    halving = calls[len(blocks) :]
+    assert len(halving) <= math.ceil(math.log2(4)) + 1, calls
+    assert sum(halving) <= 4, calls
+
+
+def test_non_finite_value_names_its_table_row(monkeypatch):
+    """The finite-output check names the row of the whole table, in any block."""
+    form, definition = sweep._MEASURES["SCn"]
+
+    def spoiled(cells):
+        return np.where(cells.J == 1.5, np.nan, form(cells))
+
+    monkeypatch.setitem(sweep._MEASURES, "SCn", (spoiled, definition))
+    spec = SweepSpec(**BLOCKED_GRID, measures=("QFI", "SCn"))
+    # J = 1.5 first at row 7 * 5 = 35, column 3 (J, Jz, QFI, SCn)
+    message = r"^sweep produced a non-finite value in column 'SCn' at row 35$"
+    for block_rows in (sweep._BLOCK_ROWS, 7):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+        with pytest.raises(RuntimeError, match=message):
+            run_sweep(spec)
+
+
+def test_sweep_memory_is_one_blocks_working_set():
+    """An 81 x 81 both sweep, two blocks, stays under a bound that holding the
+    whole grid as one stack exceeds.
+
+    Measured with tracemalloc on numpy 2.4: 15.7 MB in blocks of 4096 cells,
+    23.5 MB as one stack of 6561; the table itself is 0.9 MB.
+    """
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -20.0, 20.0, 0.5), AxisSpec("Jz", -20.0, 20.0, 0.5)),
+        fixed={"B": 1.0, "T": 2.0},
+        engine="both",
+    )
+    tracemalloc.start()
+    try:
+        table = run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.data) == 6561 > sweep._BLOCK_ROWS
+    assert peak <= 19e6, peak
 
 
 def test_oracle_decomposes_each_stack_once(monkeypatch):
