@@ -365,36 +365,27 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     The row-major table is allocated once and filled one block of
     _BLOCK_ROWS consecutive cells at a time, in grid order: on each block
     the closed engine calls each measure's closed form once, the oracle
-    each definition once.  A grid of one block is evaluated as it is.  The
-    output depends on nothing but the spec, not on the block size.
+    each definition once.  A non-finite value is an error, named by its
+    column and table row, once every block has been evaluated.  The output
+    and the error depend on nothing but the spec, not on the block size.
     """
     rows = _grid(spec)
     columns = spec.columns()
-    cells = rows.shape[1]
-    data = np.empty((cells, len(columns)))
-    if cells <= _BLOCK_ROWS:
-        _fill(data, rows, spec, 0)
-    else:
-        for start in range(0, cells, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            _fill(data[block], rows[:, block], spec, start)
-    return SweepTable(columns=columns, data=data, axes=spec.axes)
+    data = np.empty((rows.shape[1], len(columns)))
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cells = rows[:, block]
+        axes = [cells[PARAM_NAMES.index(ax.name)] for ax in spec.axes]
+        # unnamed, so a block's values are freed before the next block runs
+        data[block].T[...] = axes + _evaluate(cells, spec.measures, spec.engine)
 
-
-def _fill(out: np.ndarray, rows: np.ndarray, spec: SweepSpec, start: int) -> None:
-    """Evaluate the cells of rows into out, the table's rows from row start.
-
-    A non-finite value is an error, named by its column and table row.
-    """
-    values = _evaluate(rows, spec.measures, spec.engine)
-    axes = [rows[PARAM_NAMES.index(ax.name)] for ax in spec.axes]
-    out.T[...] = axes + values
-    if not np.isfinite(out).all():
-        bad = np.argwhere(~np.isfinite(out))[0]
+    if not np.isfinite(data).all():
+        bad = np.argwhere(~np.isfinite(data))[0]
         raise RuntimeError(
             f"sweep produced a non-finite value in column "
-            f"{spec.columns()[bad[1]]!r} at row {start + bad[0]}"
+            f"{columns[bad[1]]!r} at row {bad[0]}"
         )
+    return SweepTable(columns=columns, data=data, axes=spec.axes)
 
 
 def format_value(x: float) -> str:
