@@ -40,8 +40,6 @@ from .model import (
 from .plot import render_svg
 from .steering import (
     CoherenceKind,
-    ConditionalEnsemble,
-    ConditionalState,
     PauliAxis,
     coherence,
     measurement_operator,
@@ -71,8 +69,6 @@ __all__ = [
     "AxisSpec",
     "CalibrationReport",
     "CoherenceKind",
-    "ConditionalEnsemble",
-    "ConditionalState",
     "EigenDecomposition",
     "EngineRecord",
     "ENGINES",

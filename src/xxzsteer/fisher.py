@@ -210,6 +210,11 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
     return value
 
 
+# Worst relative deviation from the published ratio a candidate generator
+# may show over the draws and still be selected.
+CALIBRATION_THRESHOLD = 1e-6
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
     """Outcome of comparing the published ratio with the spectral definition.
@@ -224,18 +229,17 @@ class CalibrationReport:
     selected: str | None
 
 
-def calibrate_observable(
-    draws: list[SpinParams], threshold: float = 1e-6
-) -> CalibrationReport:
+def calibrate_observable(draws: list[SpinParams]) -> CalibrationReport:
     """Try to identify the generator implied by the published QFI ratio.
 
     Candidates are the three collective components and each without the
-    1/2 normalization.  On this model family every candidate fails the
-    threshold - the published numerator deviates from the X-state algebra
-    away from B = 0 - so callers should expect ``selected is None`` and
-    fall back to the spectral definition with the gauge-aligned collective
-    X generator (equivalently :func:`qfi_closed`).  An empty list of draws
-    is a ValueError: no draw would pass every candidate.
+    1/2 normalization.  On this model family every candidate fails
+    CALIBRATION_THRESHOLD - the published numerator deviates from the
+    X-state algebra away from B = 0 - so callers should expect ``selected
+    is None`` and fall back to the spectral definition with the
+    gauge-aligned collective X generator (equivalently :func:`qfi_closed`).
+    An empty list of draws is a ValueError: no draw would pass every
+    candidate.
     """
     if not draws:
         raise ValueError("calibration needs at least one draw")
@@ -256,7 +260,7 @@ def calibrate_observable(
         for name, m in candidates.items()
     }
     best = min(worst, key=lambda name: worst[name])
-    selected = best if worst[best] <= threshold else None
+    selected = best if worst[best] <= CALIBRATION_THRESHOLD else None
     return CalibrationReport(
-        max_relative_deviation=worst, threshold=threshold, selected=selected
+        max_relative_deviation=worst, threshold=CALIBRATION_THRESHOLD, selected=selected
     )

@@ -55,7 +55,6 @@ __all__ = [
     "partial_trace_A",
     "vn_entropy",
     "binary_entropy",
-    "checked_probability",
     "LogSumExp",
     "logsumexp",
     "xlog2x",
@@ -295,17 +294,9 @@ def shannon_bits(probs):
 def binary_entropy(q):
     """H2(q) = -q log2 q - (1-q) log2(1-q), clamped near the endpoints.
 
-    Takes a number or an array of cells; a number gives a float.
-    """
-    q = checked_probability(q)
-    return shannon_bits((q, 1.0 - q))
-
-
-def checked_probability(q) -> np.ndarray:
-    """q as :func:`binary_entropy` takes it: checked, then clipped to [0, 1].
-
-    Raises for the first cell that is not finite or lies outside [0, 1] by
-    more than PROBABILITY_TOL.
+    Takes a number or an array of cells; a number gives a float.  Raises for
+    the first cell that is not finite or lies outside [0, 1] by more than
+    PROBABILITY_TOL, then clips q to [0, 1].
     """
     q = np.asarray(q, dtype=float)
     i = first_cell(~((-PROBABILITY_TOL <= q) & (q <= 1.0 + PROBABILITY_TOL)))
@@ -314,7 +305,8 @@ def checked_probability(q) -> np.ndarray:
         if not math.isfinite(bad):
             raise ValueError(f"binary_entropy argument is not finite: {bad!r}")
         raise ValueError(f"binary_entropy argument {bad!r} outside [0, 1] tolerance")
-    return q.clip(0.0, 1.0)
+    q = q.clip(0.0, 1.0)
+    return shannon_bits((q, 1.0 - q))
 
 
 class LogSumExp(NamedTuple):

@@ -1,9 +1,11 @@
 """Steered quantum coherence: measurements, conditional states, measures.
 
 Alice measures one Pauli axis on qubit A; Bob's qubit collapses to a
-two-outcome ensemble.  Averaging Bob's basis coherence over Alice's three
-axes and, for each, over the two complementary Pauli reference bases gives
-the steered coherence
+two-outcome ensemble, which :func:`steer` returns as plain arrays: the
+outcome probabilities p and Bob's normalized states, outcome first.
+Averaging Bob's basis coherence over Alice's three axes and, for each,
+over the two complementary Pauli reference bases gives the steered
+coherence
 
     SQC = 1/2 sum_{mu} sum_{a} sum_{nu != mu} p_{mu,a} C^{nu}(rho_{B|mu,a})
 
@@ -26,14 +28,15 @@ zero-field slice a = d and is reported, not silently fixed.
 
 The closed forms read the entries of a ThermalBatch and give one value per
 cell, or the float of a SpinParams point (``closed_form``).  The definition
-and its parts take one matrix or a stack, such as ``gibbs_spectral(cells)``.
+and its parts take one matrix or a stack, such as ``gibbs_spectral(cells)``:
+:func:`sqc_direct` and :func:`coherence` give a float for one matrix and
+an array for a stack, :func:`steer` arrays with the outcome axis leading.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +64,6 @@ from .model import ThermalBatch, closed_form
 __all__ = [
     "PauliAxis",
     "CoherenceKind",
-    "ConditionalState",
-    "ConditionalEnsemble",
     "measurement_operator",
     "steer",
     "coherence",
@@ -124,56 +125,41 @@ _BASES_DAGGER = {axis: dagger(u) for axis, u in _BASES.items()}
 _CROSS_TERMS = np.repeat(~np.eye(3, dtype=bool)[:, None, :], 2, axis=1)
 
 
-@dataclass(frozen=True)
-class ConditionalState:
-    outcome: int
-    probability: float | np.ndarray
-    state: np.ndarray
+def steer(rho: np.ndarray, axis: PauliAxis) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's projective measurement of `axis` on qubit A, as arrays (p, states).
 
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """Bob's two-outcome ensemble after Alice measures one axis."""
-
-    axis: PauliAxis
-    entries: tuple[ConditionalState, ConditionalState]
-
-    def __post_init__(self):
-        total = self.entries[0].probability + self.entries[1].probability
-        i = first_cell(np.abs(total - 1.0) > 1e-12)
-        if i is not None:
-            raise ValueError(
-                f"ensemble probabilities sum to {float(np.ravel(total)[i])!r}, not 1"
-            )
-
-
-def steer(rho: np.ndarray, axis: PauliAxis) -> ConditionalEnsemble:
-    """Alice's projective measurement of `axis` on qubit A.
-
-    p_a = Tr[(Pi_a ox I) rho];  Bob's state is the normalized partial trace
-    of the projected state.  Outcomes with p <= 1e-12 are recorded as I/2.
-    `rho` is one 4x4 state, giving float probabilities and 2x2 states, or a
-    stack, giving an array of probabilities and a stack of states; a
-    DensityStates is not checked again.
+    p[a] = Tr[(Pi_a ox I) rho];  Bob's state states[a] is the normalized
+    partial trace of the projected state.  Outcomes with p <= 1e-12 are
+    recorded as I/2.  `rho` is one 4x4 state, giving p of shape (2,) and
+    states of shape (2, 2, 2), or an (N, 4, 4) stack, giving (2, N) and
+    (2, N, 2, 2); a DensityStates is not checked again.  The outcomes'
+    probabilities must add up to the state's own trace, which checks that
+    Alice's projectors are complete.
     """
     rho = validate_density_matrix(rho, "steered state").matrix
     if rho.shape[-1] != 4:
         raise ValueError("steering requires a two-qubit (4x4) state")
-    entries = []
-    for outcome, proj in enumerate(_PROJECTORS[axis]):
+    p, states = [], []
+    for proj in _PROJECTORS[axis]:
         projected = sandwich(rho, proj, proj)
-        p = trace(projected).real
-        i = first_cell(p < -PROBABILITY_FLOOR)
+        q = trace(projected).real
+        i = first_cell(q < -PROBABILITY_FLOOR)
         if i is not None:
             raise ValueError(
-                f"negative outcome probability {float(p.flat[i])!r} for {axis}"
+                f"negative outcome probability {float(q.flat[i])!r} for {axis}"
             )
-        kept = (p > PROBABILITY_FLOOR)[..., None, None]
-        state = partial_trace_A(projected) / np.where(kept, p[..., None, None], 1.0)
-        state = np.where(kept, (state + dagger(state)) / 2, IDENTITY_2 / 2)
-        p = as_cells(np.maximum(p, 0.0))
-        entries.append(ConditionalState(outcome=outcome, probability=p, state=state))
-    return ConditionalEnsemble(axis=axis, entries=tuple(entries))
+        kept = (q > PROBABILITY_FLOOR)[..., None, None]
+        state = partial_trace_A(projected) / np.where(kept, q[..., None, None], 1.0)
+        states.append(np.where(kept, (state + dagger(state)) / 2, IDENTITY_2 / 2))
+        p.append(np.maximum(q, 0.0))
+    total, tr = p[0] + p[1], trace(rho).real
+    i = first_cell(np.abs(total - tr) > 1e-12)
+    if i is not None:
+        raise ValueError(
+            f"ensemble probabilities sum to {float(np.ravel(total)[i])!r}, "
+            f"not the state's trace {float(np.ravel(tr)[i])!r}"
+        )
+    return np.array(p), np.array(states)
 
 
 def _in_basis(states: DensityStates, axis: PauliAxis) -> np.ndarray:
@@ -246,13 +232,12 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     if not kinds:
         raise ValueError("sqc_direct needs at least one coherence kind")
     rho = validate_density_matrix(rho, "steered state")
-    ensembles = [steer(rho, mu) for mu in PauliAxis]
+    p, states = zip(*(steer(rho, mu) for mu in PauliAxis))
     # Bob's six conditional states, checked once and taken in each basis once
-    states = np.array([[e.state for e in ens.entries] for ens in ensembles])
-    states = validate_density_matrix(states, "coherence input")
+    states = validate_density_matrix(np.array(states), "coherence input")
     coh = _coherences(states, PauliAxis, dict.fromkeys(kinds))
     # p[m, a, 0]: the weight of outcome a of Alice's axis m
-    p = np.array([[e.probability for e in ens.entries] for ens in ensembles])[:, :, None]
+    p = np.array(p)[:, :, None]
     kept = p > PROBABILITY_FLOOR
     totals = {}
     for kind, by_axis in coh.items():

@@ -240,7 +240,7 @@ def test_validated_states_are_not_checked_or_decomposed_again(rng, monkeypatch):
     assert np.array_equal(checked.matrix, (rho + rho.conj().T) / 2)
     assert np.array_equal(checked.values, eig_hermitian(checked.matrix).values)
     want = (
-        steer(rho, PauliAxis.X).entries[0].state,
+        steer(rho, PauliAxis.X)[1][0],
         coherence(bob, PauliAxis.Y, CoherenceKind.RELATIVE_ENTROPY),
         vn_entropy(bob),
         qfi_spectral(rho, obs),
@@ -249,7 +249,7 @@ def test_validated_states_are_not_checked_or_decomposed_again(rng, monkeypatch):
     lapack = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or lapack(a))
     got = (
-        steer(checked, PauliAxis.X).entries[0].state,
+        steer(checked, PauliAxis.X)[1][0],
         coherence(checked_bob, PauliAxis.Y, CoherenceKind.RELATIVE_ENTROPY),
         vn_entropy(checked_bob),
         qfi_spectral(checked, obs),

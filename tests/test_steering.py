@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xxzsteer import steering
 from xxzsteer.linalg import validate_density_matrix
 from xxzsteer.model import (
     T_FLOOR,
@@ -79,40 +80,39 @@ def test_pauli_bases_are_eigenbases():
 # ------------------------------------------------------------ steering
 
 def test_steer_bell_state_along_z():
-    ens = steer(BELL, PauliAxis.Z)
-    assert abs(ens.entries[0].probability - 0.5) <= 1e-14
-    assert abs(ens.entries[1].probability - 0.5) <= 1e-14
-    assert np.allclose(ens.entries[0].state, np.diag([0.0, 1.0]), atol=1e-14)
-    assert np.allclose(ens.entries[1].state, np.diag([1.0, 0.0]), atol=1e-14)
+    p, states = steer(BELL, PauliAxis.Z)
+    assert abs(p[0] - 0.5) <= 1e-14
+    assert abs(p[1] - 0.5) <= 1e-14
+    assert np.allclose(states[0], np.diag([0.0, 1.0]), atol=1e-14)
+    assert np.allclose(states[1], np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_steer_product_state_leaves_bob_alone():
-    ens = steer(KET00, PauliAxis.X)
-    for entry in ens.entries:
-        assert abs(entry.probability - 0.5) <= 1e-14
-        assert np.allclose(entry.state, np.diag([1.0, 0.0]), atol=1e-14)
+    for probability, state in zip(*steer(KET00, PauliAxis.X)):
+        assert abs(probability - 0.5) <= 1e-14
+        assert np.allclose(state, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_steer_thermal_state_bloch_vectors():
     """X-axis steering of the X state gives Bloch vectors (+-2v, 0, a-d)."""
     cells = ThermalBatch.of(SpinParams(1, 1, 1, 1))
     a, _, d, v = (float(x[0]) for x in cells.entries())
-    ens = steer(gibbs_closed(cells)[0], PauliAxis.X)
-    for entry, sign in zip(ens.entries, (1.0, -1.0)):
-        nx = 2 * float(entry.state[0, 1].real)
-        ny = -2 * float(entry.state[0, 1].imag)
-        nz = float((entry.state[0, 0] - entry.state[1, 1]).real)
-        assert abs(entry.probability - 0.5) <= 1e-14
+    p, states = steer(gibbs_closed(cells)[0], PauliAxis.X)
+    for probability, state, sign in zip(p, states, (1.0, -1.0)):
+        nx = 2 * float(state[0, 1].real)
+        ny = -2 * float(state[0, 1].imag)
+        nz = float((state[0, 0] - state[1, 1]).real)
+        assert abs(probability - 0.5) <= 1e-14
         assert abs(nx - sign * 2 * v) <= 1e-13
         assert abs(ny) <= 1e-13
         assert abs(nz - (a - d)) <= 1e-13
 
 
 def test_steer_zero_probability_outcome_uses_maximally_mixed():
-    ens = steer(KET00, PauliAxis.Z)
-    assert abs(ens.entries[0].probability - 1.0) <= 1e-14
-    assert ens.entries[1].probability <= 1e-12
-    assert np.allclose(ens.entries[1].state, I2 / 2)
+    p, states = steer(KET00, PauliAxis.Z)
+    assert abs(p[0] - 1.0) <= 1e-14
+    assert p[1] <= 1e-12
+    assert np.allclose(states[1], I2 / 2)
 
 
 def test_steer_rejects_invalid_state():
@@ -120,15 +120,33 @@ def test_steer_rejects_invalid_state():
         steer(2 * BELL, PauliAxis.Z)
 
 
+def test_steer_accepts_a_trace_the_state_check_accepts():
+    # 5e-11 off unit trace is inside TRACE_TOL; the outcomes add up to it
+    rho = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex) * (1 + 5e-11)
+    p, _ = steer(rho, PauliAxis.Z)
+    assert abs(p.sum() - (1 + 5e-11)) <= 1e-15
+    scn, scre = sqc_direct(rho, CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY)
+    assert np.isfinite(scn) and np.isfinite(scre)
+
+
+def test_steer_rejects_incomplete_projectors_at_the_first_cell(monkeypatch):
+    proj0, _ = steering._PROJECTORS[PauliAxis.Z]
+    monkeypatch.setitem(steering._PROJECTORS, PauliAxis.Z, (proj0, np.zeros((4, 4))))
+    # outcome 1 is lost: KET00 has none of it, the next two cells lose 1/4 and 1/2
+    rho = np.array([KET00, np.diag([0.5, 0.25, 0.125, 0.125]), np.eye(4) / 4])
+    with pytest.raises(ValueError, match=r"sum to 0\.75, not the state's trace 1\.0$"):
+        steer(rho, PauliAxis.Z)
+
+
 def test_steer_ensembles_are_valid_on_draws(rng):
     for rho in gibbs_closed(ThermalBatch.of(*(draw_params(rng) for _ in range(25)))):
         for axis in PauliAxis:
-            ens = steer(rho, axis)
-            total = sum(e.probability for e in ens.entries)
+            p, states = steer(rho, axis)
+            total = sum(p)
             assert abs(total - 1.0) <= 1e-12
-            for entry in ens.entries:
-                if entry.probability > 1e-12:
-                    validate_density_matrix(entry.state)
+            for probability, state in zip(p, states):
+                if probability > 1e-12:
+                    validate_density_matrix(state)
 
 
 # ----------------------------------------------------------- coherence
@@ -184,7 +202,7 @@ def test_sqc_kinds_in_one_pass_match_single_kind_calls_bit_for_bit(rng):
     rho = gibbs_spectral(ThermalBatch.of(*points))
     # near-pure cells at the floor give Alice outcomes below the probability
     # floor, whose Bob state is I/2
-    probabilities = [e.probability for e in steer(rho, PauliAxis.Z).entries]
+    probabilities, _ = steer(rho, PauliAxis.Z)
     assert np.min(probabilities) <= PROBABILITY_FLOOR
     l1, re = CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY
     (alone_l1,) = sqc_direct(rho, l1)
