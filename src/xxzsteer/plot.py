@@ -2,8 +2,9 @@
 
 No plotting library: the documents are assembled from fixed style
 constants, so identical tables produce byte-identical files.  Rects and
-polyline points are formatted by %-templates over whole arrays, and a
-heatmap formats each cell's x and y coordinates once per column and row.
+polyline points are formatted by %-templates over whole arrays; a heatmap
+formats each cell's x and y coordinates once per column and row, and a line
+plot each x coordinate once for all its series.
 :func:`render_svg` picks one of two modes from the table's axes:
 
 * ``heatmap`` - a 2-axis table with exactly one value column; one rect of
@@ -194,12 +195,14 @@ def lines_svg(table: SweepTable) -> str:
     xspan = float(xs[-1] - xs[0]) if len(xs) > 1 and xs[-1] > xs[0] else 1.0
 
     sx = x0 + (xs - float(xs[0])) / xspan * w
+    # The points of every polyline, with the x coordinates written once and
+    # a y field, escaped for this pass, for each series to fill.
+    points = ((f"{_NUM},%{_NUM} " * len(sx)) % tuple(sx.tolist()))[:-1]
     body = [_plot_frame(x0, y0, w, h)]
     for k, col in enumerate(value_cols):
         color = LINE_COLORS[k % len(LINE_COLORS)]
         sy = y0 + (ymax - table.column(col)) / (ymax - ymin) * h
-        xy = np.column_stack([sx, sy])
-        pts = ((f"{_NUM},{_NUM} " * len(xy)) % tuple(xy.ravel().tolist()))[:-1]
+        pts = points % tuple(sy.tolist())
         body.append(
             f'<polyline class="series" data-name="{col}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -30,8 +30,11 @@ failing cell.  The first failing block holds the first failing cell, and it
 is halved down to that cell (see ``_evaluate``), which costs about one more
 pass over that block.
 
-The CSV and JSON writers apply one %-template of a row to blocks of rows;
-their bytes are those of :func:`format_value` applied to each value.
+The CSV and JSON writers format each axis value once per run of rows that
+share all the other axis values, and a grid's last axis twice in all; the
+value columns go through one %-template pass per block of rows (see
+``_rows``).  Their bytes are those of :func:`format_value` applied to each
+value.
 """
 
 from __future__ import annotations
@@ -84,13 +87,13 @@ _MEASURES = {
     "QFIclosed": (lambda cells: fisher.qfi_published(cells), ("qfi", None)),
 }
 MEASURES = tuple(_MEASURES)
-# Each definition takes the cells, their stacked spectral states, checked
+# Each definition takes the stacked spectral states of the cells, checked
 # once, and the arguments its measures ask of it, and returns one value per
 # argument in that order: one sqc_direct call gives every steered-coherence
 # kind of a stack.  The QFI has one quantity, so its argument is None.
 _DEFINITIONS = {
-    "sqc": lambda cells, rho, kinds: steering.sqc_direct(rho, *kinds),
-    "qfi": lambda cells, rho, _: (
+    "sqc": lambda rho, kinds: steering.sqc_direct(rho, *kinds),
+    "qfi": lambda rho, _: (
         fisher.qfi_spectral(rho, fisher.calibrated_observable(rho.matrix)),
     ),
 }
@@ -103,8 +106,8 @@ MAX_AXIS_POINTS = 10**6
 # table, 8 B a column of a cell (136 MB at the cap for every measure on the
 # both engine), plus the working set of one block of cells.
 MAX_GRID_CELLS = 10**6
-# Cells evaluated as one stack, and rows formatted per pass of a writer's
-# row template.
+# Cells evaluated as one stack, and the most rows a writer formats in one
+# pass.
 _BLOCK_ROWS = 4096
 
 
@@ -272,7 +275,7 @@ def _run(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
         asked.setdefault(name, []).append(arg)
     found = {}
     for name, args in asked.items():
-        values = _DEFINITIONS[name](cells, rho, args)
+        values = _DEFINITIONS[name](rho, args)
         found.update(zip([(name, arg) for arg in args], values))
     oracle = [found[d] for d in definitions]
     if engine == "oracle":
@@ -397,18 +400,70 @@ def format_value(x: float) -> str:
 _FIELD = "%.17g"
 
 
+# Stands for a run's outer axis text in its row template: it occurs in no
+# number's text, no row delimiter and no %-field.
+_OUTER = "\0"
+
+
+def _runs(data: np.ndarray, outer: int):
+    """(start, stop) of each run: consecutive rows whose first `outer` columns
+    agree bit for bit, cut into pieces of at most _BLOCK_ROWS rows."""
+    bits = data[:, :outer].view(np.int64)
+    cuts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    edges = np.concatenate([[0], cuts, [len(data)]])
+    # as Python ints a block of edges at a time, so that a table of short
+    # runs makes no list of the table's length
+    for k in range(0, len(edges) - 1, _BLOCK_ROWS):
+        part = edges[k : k + _BLOCK_ROWS + 1].tolist()
+        for start, stop in zip(part, part[1:]):
+            for a in range(start, stop, _BLOCK_ROWS):
+                yield a, min(a + _BLOCK_ROWS, stop)
+
+
 def _rows(table: SweepTable, before: str, after: str):
     """The table's rows as text, each row's fields between before and after.
 
-    One %-template of a row is applied to _BLOCK_ROWS rows at a time, so
-    each block is formatted in one pass and the writer holds one block's
-    text.
+    The rows go out in runs (see :func:`_runs`) that share the values of
+    every axis but the last; those are formatted once per run, into the
+    _OUTER place of each of its rows.  A run whose last-axis values have the
+    bits of the run before it reuses a row template that holds them as text,
+    formatted once through _FIELD, so a grid formats its last axis twice in
+    all: in its first run, and for the template at its second.  The other
+    fields go through _FIELD in one pass per block: whole runs that take the
+    same columns as fields, at most _BLOCK_ROWS rows.  So the writer holds
+    about two blocks of text, the block's and a run template.
     """
     data = np.asarray(table.data, dtype=np.float64)
-    row = before + ",".join([_FIELD] * len(table.columns)) + after
-    for start in range(0, len(data), _BLOCK_ROWS):
-        block = data[start : start + _BLOCK_ROWS]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+    axes = len(table.axes or ())
+    outer = max(axes - 1, 0)
+    width = data.shape[1]
+    lead = [_OUTER] * (axes > 1)
+    plain = before + ",".join(lead + [_FIELD] * (width - outer)) + after
+    # the value fields escaped for the pass that writes the last axis's text
+    tail = [_FIELD] * (axes > 0) + ["%" + _FIELD] * (width - axes)
+    escaped = before + ",".join(lead + tail) + after
+    outer_fields = ",".join([_FIELD] * outer)
+    seen = template = None
+    # the block's run texts, its first row, and its first column of fields
+    block, start, first = [], 0, outer
+    for a, b in _runs(data, outer):
+        last = data[a:b, outer:axes]
+        key = (b - a, last.tobytes())
+        if key == seen:
+            if template is None:
+                template = (escaped * (b - a)) % tuple(last.ravel().tolist())
+            rows, fields = template, axes
+        else:
+            # new last-axis values go through the block's pass, as fields
+            seen, template = key, None
+            rows, fields = plain * (b - a), outer
+        if b - start > _BLOCK_ROWS or fields != first:
+            yield "".join(block) % tuple(data[start:a, first:].ravel().tolist())
+            block, start, first = [], a, fields
+        text = outer_fields % tuple(data[a, :outer].tolist())
+        block.append(rows.replace(_OUTER, text))
+    if block:
+        yield "".join(block) % tuple(data[start:, first:].ravel().tolist())
 
 
 def _write(path, kind: str, parts) -> None:
@@ -437,13 +492,21 @@ def read_csv(path) -> SweepTable:
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     columns = tuple(lines[0].split(","))
-    data = np.array(
-        [[float(tok) for tok in line.split(",")] for line in lines[1:]], dtype=float
-    )
-    if data.size == 0:
-        data = data.reshape(0, len(columns))
-    if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: row width does not match header")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            raise ValueError(f"{path}, line {number}: blank line")
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(
+                f"{path}, line {number}: {len(fields)} fields, "
+                f"the header has {len(columns)}"
+            )
+        try:
+            rows.append([float(tok) for tok in fields])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    data = np.array(rows, dtype=float).reshape(len(rows), len(columns))
     return SweepTable(columns=columns, data=data, axes=None)
 
 

@@ -106,6 +106,59 @@ def test_lines_path_data_reproduces_table_minima():
     assert len(grooves) == 2
 
 
+def reference_points(table):
+    """Each series' polyline points, formatted one coordinate at a time."""
+    fmt = "{:.6g}".format
+    axis = table.axes[0].name
+    xs = table.column(axis).tolist()
+    series = [table.column(c).tolist() for c in table.columns if c != axis]
+    ymin = min(min(ys) for ys in series)
+    ymax = max(max(ys) for ys in series)
+    pad = 0.05 * (ymax - ymin) if ymax > ymin else 0.5
+    ymin, ymax = ymin - pad, ymax + pad
+    x0, y0 = plot.MARGIN_LEFT, plot.MARGIN_TOP
+    w = plot.PLOT_WIDTH - plot.MARGIN_LEFT - plot.MARGIN_RIGHT
+    h = plot.PLOT_HEIGHT - plot.MARGIN_TOP - plot.MARGIN_BOTTOM
+    xspan = xs[-1] - xs[0] if len(xs) > 1 and xs[-1] > xs[0] else 1.0
+    return [
+        " ".join(
+            f"{fmt(x0 + (x - xs[0]) / xspan * w)},{fmt(y0 + (ymax - y) / (ymax - ymin) * h)}"
+            for x, y in zip(xs, ys)
+        )
+        for ys in series
+    ]
+
+
+def line_table(xs, *series):
+    axis = AxisSpec("B", 0, 1, 1.0)
+    names = ("B",) + tuple(f"m{k}" for k in range(len(series)))
+    return SweepTable(names, np.column_stack([xs, *series]), (axis,))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: run_sweep(
+            SweepSpec(
+                axes=(AxisSpec("B", 0, 6, 0.01),),
+                fixed={"J": 1.0, "Jz": 1.0, "T": 2.0},
+                measures=("SCn", "SCRE", "QFI"),
+            )
+        ),
+        lambda: line_table(
+            np.arange(7.0) ** 3 / 7, *np.random.default_rng(4).normal(size=(7, 7))
+        ),
+        lambda: line_table([0.5], [2.0], [-1e300]),
+        lambda: line_table([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]),
+    ],
+    ids=["figure-panel", "seven-series", "one-point", "constant"],
+)
+def test_lines_points_match_a_per_point_loop(table):
+    table = table()
+    svg = lines_svg(table)
+    assert re.findall(r'points="([^"]*)"', svg) == reference_points(table)
+
+
 def test_lines_reject_grid_tables():
     with pytest.raises(ValueError, match="1-axis"):
         lines_svg(small_grid_table([0, 1, 2, 3]))

@@ -287,6 +287,23 @@ def test_sweep_deterministic_across_jobs(tmp_path):
         assert outputs[0] == outputs[1]
 
 
+def spectral_stacks(monkeypatch) -> list:
+    """Record the cells of each spectral stack the sweep builds, in order.
+
+    A definition sees only the stacked states; the last recorded cells are
+    those of the stack it is called on.
+    """
+    stacks = []
+    spectral = sweep.gibbs_spectral
+
+    def recorded(cells):
+        stacks.append(cells)
+        return spectral(cells)
+
+    monkeypatch.setattr(sweep, "gibbs_spectral", recorded)
+    return stacks
+
+
 # B = 1 at T = 1e-3 is the first node of this line where the published QFI
 # ratio leaves double range (cells 0 and 1 evaluate).
 OVERFLOW_LINE = dict(
@@ -338,11 +355,12 @@ def test_engine_both_raises_in_node_then_measure_order(
     monkeypatch, oracle_fails_at, measures, raised, kind
 ):
     real = sweep._DEFINITIONS[kind]
+    stacks = spectral_stacks(monkeypatch)
 
-    def failing(cells, rho, args):
-        if np.any(cells.B == oracle_fails_at):
+    def failing(rho, args):
+        if np.any(stacks[-1].B == oracle_fails_at):
             raise ValueError("oracle failure")
-        return real(cells, rho, args)
+        return real(rho, args)
 
     monkeypatch.setitem(sweep._DEFINITIONS, kind, failing)
     with pytest.raises(ValueError) as err:
@@ -358,11 +376,13 @@ def test_engine_both_raises_in_node_then_measure_order(
 def test_oracle_raises_for_the_first_failing_cell(monkeypatch):
     """Over a stack, a later definition failing at an earlier cell raises first."""
 
+    stacks = spectral_stacks(monkeypatch)
+
     def failing_at(b, real):
-        def definition(cells, rho, args):
-            if np.any(cells.B == b):
+        def definition(rho, args):
+            if np.any(stacks[-1].B == b):
                 raise ValueError(f"oracle failure at B={b}")
-            return real(cells, rho, args)
+            return real(rho, args)
 
         return definition
 
@@ -453,12 +473,14 @@ def _check_first_failing_cells_error(monkeypatch) -> None:
         kind = sweep._MEASURES[measures[int(rng.integers(len(measures)))]][1][0]
         real = sweep._DEFINITIONS[kind]
 
-        def failing(batch, rho, args, b=B[at], t=T[at], j=J[at]):
+        def failing(rho, args, b=B[at], t=T[at], j=J[at]):
+            batch = stacks[-1]
             if np.any((batch.B == b) & (batch.T == t) & (batch.J == j)):
                 raise RuntimeError(f"{kind} fails at B={b}, T={t}, J={j}")
-            return real(batch, rho, args)
+            return real(rho, args)
 
         with monkeypatch.context() as m:
+            stacks = spectral_stacks(m)
             m.setitem(sweep._DEFINITIONS, kind, failing)
             for engine in ("oracle", "both"):
                 spec = SweepSpec(
@@ -495,23 +517,19 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
     last = [ax.values()[-1] for ax in spec.axes]
     real = sweep._DEFINITIONS["sqc"]
 
-    def failing(cells, rho, args):
-        value = real(cells, rho, args)
+    stacks = spectral_stacks(monkeypatch)
+
+    def failing(rho, args):
+        value = real(rho, args)
+        cells = stacks[-1]
         if np.any((cells.J == last[0]) & (cells.Jz == last[1])):
             raise ValueError("late failure")
         return value
 
-    calls = []
-    spectral = sweep.gibbs_spectral
-
-    def counted(cells):
-        calls.append(len(cells))
-        return spectral(cells)
-
     monkeypatch.setitem(sweep._DEFINITIONS, "sqc", failing)
-    monkeypatch.setattr(sweep, "gibbs_spectral", counted)
     with pytest.raises(ValueError, match="^late failure$"):
         run_sweep(spec)
+    calls = [len(cells) for cells in stacks]
     assert n == 1681
     assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, calls
 
@@ -574,24 +592,20 @@ def test_failure_in_the_last_block_costs_that_block_and_its_halving(monkeypatch)
     last = [ax.values()[-1] for ax in spec.axes]
     real = sweep._DEFINITIONS["sqc"]
 
-    def failing(cells, rho, args):
-        value = real(cells, rho, args)
+    stacks = spectral_stacks(monkeypatch)
+
+    def failing(rho, args):
+        value = real(rho, args)
+        cells = stacks[-1]
         if np.any((cells.J == last[0]) & (cells.Jz == last[1])):
             raise ValueError("late failure")
         return value
 
-    calls = []
-    spectral = sweep.gibbs_spectral
-
-    def counted(cells):
-        calls.append(len(cells))
-        return spectral(cells)
-
     monkeypatch.setitem(sweep._DEFINITIONS, "sqc", failing)
-    monkeypatch.setattr(sweep, "gibbs_spectral", counted)
     monkeypatch.setattr(sweep, "_BLOCK_ROWS", 7)
     with pytest.raises(ValueError, match="^late failure$"):
         run_sweep(spec)
+    calls = [len(cells) for cells in stacks]
     # 81 cells: eleven blocks of 7, then the failing block of 4
     blocks = [7] * 11 + [4]
     assert calls[: len(blocks)] == blocks
@@ -755,7 +769,7 @@ def test_oracle_point_raises_in_measure_order_around_the_shared_steering_call(
     """SCn and SCRE share one call, yet QFI listed between them fails first."""
     real = sweep._DEFINITIONS["qfi"]
 
-    def failing(cells, rho, args):
+    def failing(rho, args):
         raise ValueError("qfi failure")
 
     def unreachable(*args):
@@ -990,6 +1004,90 @@ def test_writers_match_format_value_on_a_sweep(tmp_path):
     write_json(table, tmp_path / "t.json")
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode()
     assert (tmp_path / "t.json").read_bytes() == reference_json(table).encode()
+
+
+def grid_table(outer, inner, values=0, seed=0):
+    """A 2-axis table: each outer value with every inner value in turn, an
+    inner sequence per outer value if `inner` is 2-D, then seeded values."""
+    inner = np.broadcast_to(inner, (len(outer), np.shape(inner)[-1]))
+    rng = np.random.default_rng(seed)
+    data = np.column_stack(
+        [
+            np.repeat(outer, inner.shape[1]),
+            inner.ravel(),
+            rng.normal(size=(inner.size, values)) * 10.0 ** rng.integers(-300, 300),
+        ]
+    )
+    names = ("J", "Jz") + tuple(f"m{k}" for k in range(values))
+    return SweepTable(names, data, (AxisSpec("J", 0, 1, 1.0), AxisSpec("Jz", 0, 1, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def closed_grid_161():
+    """The 161 x 161 (J, Jz) grid at T=2, B=1 with every measure, closed."""
+    axis = AxisSpec("J", -20, 20, 0.25), AxisSpec("Jz", -20, 20, 0.25)
+    return run_sweep(SweepSpec(axes=axis, fixed={"T": 2.0, "B": 1.0}))
+
+
+# Each table is made from the test's request, for the fixture.
+WRITER_TABLES = {
+    # 161 runs of 161 rows, cut into pieces by a block of 7
+    "closed_grid_161": lambda request: request.getfixturevalue("closed_grid_161"),
+    # the inner axis is longer than a block of 4096 rows, so runs are cut
+    "long_inner": lambda _: grid_table([-1.0, 0.5, 2.0], np.arange(4100) * 0.01, 2),
+    # consecutive inner sequences that differ only by the sign of a zero,
+    # which a reused row template would write wrong, as would a run that
+    # took the outer 0.0 and -0.0 for one value
+    "signed_zeros": lambda _: grid_table(
+        [1.0, 2.0, 3.0, 4.0, 0.0, -0.0, 5.0],
+        [[z, 0.1, 1 / 3] for z in (0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0)],
+        3,
+    ),
+    "no_values": lambda _: grid_table([-2.0, 0.0, 5e-324], [0.25, 0.5, 0.75, 1e300]),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_TABLES)
+@pytest.mark.parametrize("block_rows", [sweep._BLOCK_ROWS, 7])
+def test_writers_format_each_run_of_a_grid_as_value_by_value(
+    request, monkeypatch, tmp_path, name, block_rows
+):
+    table = WRITER_TABLES[name](request)
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+    write_csv(table, tmp_path / "t.csv")
+    write_json(table, tmp_path / "t.json")
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode()
+    assert (tmp_path / "t.json").read_bytes() == reference_json(table).encode()
+
+
+def test_runs_share_every_axis_but_the_last_and_fit_a_block(monkeypatch):
+    grid = grid_table(np.arange(3.0), np.arange(10.0), 1).data
+    assert list(sweep._runs(grid, 1)) == [(0, 10), (10, 20), (20, 30)]
+    assert list(sweep._runs(grid, 0)) == [(0, 30)]
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", 4)
+    assert list(sweep._runs(grid, 1)) == [
+        (0, 4), (4, 8), (8, 10), (10, 14), (14, 18), (18, 20), (20, 24), (24, 28), (28, 30)
+    ]
+    zeros = grid_table([0.0, -0.0, -0.0], [1.0, 2.0]).data
+    assert list(sweep._runs(zeros, 1)) == [(0, 2), (2, 6)]
+    assert list(sweep._runs(zeros[:0], 1)) == []
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("a,b\n1,2\n3\n", 3, "1 fields, the header has 2"),
+        ("a,b\n1,2\n\n3,4\n", 3, "blank line"),
+        ("a,b\n1,2\n3,x\n", 3, "could not convert string to float: 'x'"),
+    ],
+    ids=["ragged", "blank", "not-a-number"],
+)
+def test_read_csv_names_the_file_and_line_of_a_bad_row(tmp_path, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == f"{path}, line {line}: {message}"
 
 
 def test_csv_write_failure_carries_path_context(tmp_path):
