@@ -198,7 +198,11 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
 def _eigh(h: np.ndarray) -> EigenDecomposition:
     """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
     values, vectors = np.linalg.eigh(h)
-    res = frobenius((vectors * values[..., None, :]) @ dagger(vectors) - h)
+    # V diag(w) V^dagger as one einsum loop over the stack, not a stacked @
+    # of one BLAS call per small matrix; only the residual's size meets the
+    # bound, so its bits are free to differ from the @ product's
+    scaled = vectors * values[..., None, :]
+    res = frobenius(np.einsum("...ik,...jk->...ij", scaled, vectors.conj()) - h)
     bound = RECONSTRUCTION_TOL * np.maximum(1.0, frobenius(h))
     i = first_cell(res > bound)
     if i is not None:

@@ -202,6 +202,13 @@ def test_sweep_writes_csv(tmp_path):
     assert table.data.shape == (15, 3)
 
 
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_sweep_to_the_null_device_exits_zero():
+    argv = ["sweep", "--measure", "SCn", "--axis", "J=-1:1:0.5",
+            "--fix", "Jz=1", "--fix", "T=2", "--fix", "B=1", "--out", os.devnull]
+    assert main(argv) == 0
+
+
 def test_sweep_writes_json(tmp_path):
     out = tmp_path / "grid.json"
     argv = ["sweep", "--measure", "QFI", "--axis", "T=0.5:2:0.5",

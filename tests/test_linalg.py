@@ -114,6 +114,24 @@ def test_eig_reports_reconstruction_residual(monkeypatch):
     assert np.array_equal(eig_hermitian(stack).values, [[1.0, 1.0], [-1.0, 1.0]])
 
 
+def test_eig_names_the_first_stacked_matrix_that_does_not_rebuild(monkeypatch):
+    """One perturbed 4x4 matrix of a stack of three raises with its residual."""
+    lapack = np.linalg.eigh
+
+    def perturbed(a):
+        values, vectors = lapack(a)
+        values[1] += 2e-6
+        values[2, 0] += 1.0
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    stack = np.array([I4, np.diag([1.0, 2.0, 3.0, 4.0]), I4], dtype=complex)
+    with pytest.raises(RuntimeError, match="does not rebuild") as err:
+        eig_hermitian(stack)
+    # the second matrix is named, each of its four eigenvalues moved by 2e-6
+    assert f"= {4e-6:.3e} exceeds" in str(err.value)
+
+
 def test_eig_reconstruction_residuals_bulk():
     """1000 random Hermitian matrices over both dims and a wide scale range."""
     rng = np.random.default_rng(123)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from xxzsteer import fisher, steering, sweep
 from xxzsteer.model import ParameterRegimeError, SpinParams
+from xxzsteer.plot import render_svg
 from xxzsteer.sweep import (
     MEASURES,
     AxisSpec,
@@ -1044,7 +1046,21 @@ WRITER_TABLES = {
         3,
     ),
     "no_values": lambda _: grid_table([-2.0, 0.0, 5e-324], [0.25, 0.5, 0.75, 1e300]),
+    # a last axis of one point: every row would be a run of its own
+    "one_point_inner": lambda _: one_point_grid(
+        AxisSpec("J", -20, 20, 0.005), AxisSpec("Jz", 0, 0, 1)
+    ),
+    # an outer axis of one point: the whole grid is one run
+    "one_point_outer": lambda _: one_point_grid(
+        AxisSpec("J", 0, 0, 1), AxisSpec("Jz", -20, 20, 0.005)
+    ),
 }
+
+
+def one_point_grid(outer, inner):
+    """SCn over a 2-axis grid at T=2, B=1, closed."""
+    spec = SweepSpec(axes=(outer, inner), fixed={"T": 2.0, "B": 1.0}, measures=("SCn",))
+    return run_sweep(spec)
 
 
 @pytest.mark.parametrize("name", WRITER_TABLES)
@@ -1058,6 +1074,17 @@ def test_writers_format_each_run_of_a_grid_as_value_by_value(
     write_json(table, tmp_path / "t.json")
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode()
     assert (tmp_path / "t.json").read_bytes() == reference_json(table).encode()
+
+
+@pytest.mark.parametrize("block_rows", [sweep._BLOCK_ROWS, 7])
+def test_a_one_point_last_axis_is_written_a_block_at_a_time(monkeypatch, block_rows):
+    """The axis columns then go through each block's pass as values, as in a
+    table without axes, not one run per row."""
+    table = WRITER_TABLES["one_point_inner"](None)
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+    parts = list(sweep._rows(table, "", "\n"))
+    assert len(parts) == -(-len(table.data) // block_rows)
+    assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
 
 
 def test_runs_share_every_axis_but_the_last_and_fit_a_block(monkeypatch):
@@ -1095,3 +1122,79 @@ def test_csv_write_failure_carries_path_context(tmp_path):
     missing = tmp_path / "no" / "dir" / "f.csv"
     with pytest.raises(OSError, match="f.csv"):
         write_csv(table, missing)
+
+
+# -------------------------------------------------- writing over a file
+
+# Each writer by the kind its errors name; line_table has one axis, so
+# render_svg draws it as lines.
+WRITERS = {"CSV": write_csv, "JSON": write_json, "SVG": render_svg}
+
+
+@pytest.fixture(scope="module")
+def line_table():
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -3, 3, 0.01),),
+        fixed={"Jz": 0.0, "B": 1.0, "T": 0.4},
+        measures=("SCn", "SCRE", "QFI"),
+    )
+    return run_sweep(spec)
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_writing_over_a_longer_file_leaves_the_bytes_of_a_fresh_write(
+    tmp_path, line_table, kind
+):
+    write = WRITERS[kind]
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    write(line_table, fresh)
+    expected = fresh.read_bytes()
+    old.write_bytes(b"stale " * (len(expected) // 3))
+    write(line_table, old)
+    assert old.read_bytes() == expected
+    # and over a shorter one
+    old.write_bytes(b"x")
+    write(line_table, old)
+    assert old.read_bytes() == expected
+
+
+def test_writing_through_a_symlink_updates_its_target(tmp_path, line_table):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"stale\n" * 100000)
+    try:
+        os.symlink(target, link)
+    except (OSError, NotImplementedError):
+        pytest.skip("no symlinks here")
+    write_csv(line_table, link)
+    write_csv(line_table, tmp_path / "fresh.csv")
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_writing_to_a_pipe_does_not_cut_it():
+    read_end, write_end = os.pipe()
+    try:
+        sweep._write(f"/dev/fd/{write_end}", "CSV", ["a,b\n", "1,2\n"])
+        assert os.read(read_end, 100) == b"a,b\n1,2\n"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), ValueError("bad part")])
+def test_a_failed_write_over_a_file_leaves_it_empty(tmp_path, error):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"0.125,0.25\n" * 10000)
+
+    def parts():
+        yield "J,SCn\n"
+        raise error
+
+    with pytest.raises(type(error)) as err:
+        sweep._write(path, "CSV", parts())
+    if isinstance(error, OSError):
+        assert str(err.value) == f"cannot write CSV to {path}: disk full"
+    else:
+        assert err.value is error
+    assert path.read_bytes() == b""
