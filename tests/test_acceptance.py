@@ -18,6 +18,8 @@ Check index:
   A11 Bounds, generator equivalences, covariance, pure-state variance law
   A12 Byte-identical sweeps across --jobs values; CSV round trip
   A13 SCRE and QFI share SCn's grooves (A8) and its fall with T (A9)
+  A14 The zero-temperature phase diagram: SCn, SCRE and QFI at T=1e-3 on
+      each ground-state region and level-crossing line, on both engines
 
 A3 pins the rate at which each measure vanishes in the nearly mixed state
 rho = (1 - H/T)/4 + O(T^-2).  The conditional Bloch vectors of Bob are
@@ -486,4 +488,59 @@ def test_a13_scre_and_qfi_share_the_scn_features():
             f"{worst_rise[m]:.2e} (slack 1e-9)"
             for m in measures
         ),
+    )
+
+
+def binary_entropy(p: float) -> float:
+    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+# At T -> 0 the state is the ground state of the levels E00 = -Jz/2 - B,
+# E11 = -Jz/2 + B and E+- = Jz/2 -+ J, or an equal mixture of two of them on
+# a level-crossing line: (J, Jz, B) and the exact (SCn, SCRE, QFI) there.
+ON_THE_LINE = (
+    1 + 1 / math.sqrt(2),
+    2 + 2 * binary_entropy(0.75) - 1.5 - 2 * binary_entropy((2 + math.sqrt(2)) / 4),
+    1.0,
+)
+ZERO_TEMPERATURE_ROWS = (
+    ("|J| < Jz + |B|, B != 0: |00> or |11>", (1, 0.5, 2), (2.0, 2.0, 2.0)),
+    ("same, B < 0", (1, 0.5, -2), (2.0, 2.0, 2.0)),
+    ("|J| > Jz + |B|: psi+", (3, 0.5, 1), (3.0, 3.0, 4.0)),
+    ("same, J < 0: psi-", (-3, 0.5, 1), (3.0, 3.0, 4.0)),
+    ("line |J| = Jz + |B| > 0: half polarized, half psi", (1.5, 0.5, 1), ON_THE_LINE),
+    ("line B = 0, |J| < Jz: half |00>, half |11>", (0.5, 1, 0), (1.0, 1.0, 2.0)),
+    ("line J = 0, Jz < -|B|: half |01>, half |10>", (0, -2, 0.5), (1.0, 1.0, 2.0)),
+)
+# Measured on numpy 2.4 with OpenBLAS 0.3.31: every value within 1.8e-15 of
+# its exact limit, but for the oracle's SCRE (3.3e-14) and QFI (1.1e-13) on
+# the |J| = Jz + |B| line.
+ZERO_TEMPERATURE_BOUND = 4e-15
+LINE_BOUNDS = {"SCn": 4e-15, "SCRE": 1e-13, "QFI": 3e-13}
+
+
+def test_a14_zero_temperature_phase_diagram():
+    measures = ("SCn", "SCRE", "QFI")
+    assert abs(ON_THE_LINE[1] - 0.9208041755325536) <= 2e-16
+    failed, worst, worst_line = [], 0.0, dict.fromkeys(measures, 0.0)
+    for region, (J, Jz, B), exact in ZERO_TEMPERATURE_ROWS:
+        rec = evaluate_point(SpinParams(J, Jz, B, 1e-3), measures, "both")
+        on_line = exact is ON_THE_LINE
+        for m, want in zip(measures, exact):
+            off = max(abs(rec[m].oracle - want), abs(rec[m].closed - want))
+            bound = LINE_BOUNDS[m] if on_line else ZERO_TEMPERATURE_BOUND
+            if on_line:
+                worst_line[m] = max(worst_line[m], off)
+            else:
+                worst = max(worst, off)
+            if not off <= bound:
+                failed.append(f"{m} at {(J, Jz, B)} ({region}) off by {off:.2e} > {bound:.0e}")
+    check(
+        "A14 zero-temperature phase diagram at T=1e-3, both engines",
+        not failed,
+        f"{sum(row[2] is not ON_THE_LINE for row in ZERO_TEMPERATURE_ROWS)} points "
+        f"off the |J| = Jz + |B| line within "
+        f"{worst:.2e} (bound {ZERO_TEMPERATURE_BOUND:.0e}); on it "
+        + ", ".join(f"{m} {worst_line[m]:.2e} (bound {LINE_BOUNDS[m]:.0e})" for m in measures)
+        + ("; " + "; ".join(failed) if failed else ""),
     )
