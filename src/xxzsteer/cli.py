@@ -6,8 +6,9 @@ Subcommands:
            evaluate one parameter point, print a JSON record to stdout
     sweep  --axis J=-20:20:0.25 [--axis Jz=...] --fix ... --out FILE
            run a 1D/2D grid and write CSV or JSON
-    plot   like sweep, but render an SVG (heatmap for 2 axes, lines for 1;
-           a --mode that does not fit the axes is a usage error)
+    plot   like sweep, but render an SVG as plot.layout says (heatmap for
+           2 axes and one value column, lines for 1 axis); a sweep it
+           refuses, or a --mode it does not give, is a usage error
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .plot import render_svg
+from .plot import layout, render_svg
 from .sweep import (
     ENGINES,
     MEASURES,
@@ -48,8 +49,6 @@ def _parse_fix(text: str) -> tuple[str, float]:
     name, sep, raw = text.partition("=")
     if not sep:
         raise UsageError(f"--fix expects NAME=VALUE, got {text!r}")
-    if name not in PARAM_NAMES:
-        raise UsageError(f"--fix name {name!r} is not one of {PARAM_NAMES}")
     try:
         return name, float(raw)
     except ValueError:
@@ -205,15 +204,13 @@ def _cmd_plot(ns) -> int:
     if not ns.out:
         raise UsageError("plot requires --out PATH")
     spec = _sweep_spec(ns)
-    mode = "heatmap" if len(spec.axes) == 2 else "lines"
+    try:
+        mode = layout(spec.axes, spec.value_columns())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if ns.mode not in (None, mode):
         wants = "two axes" if ns.mode == "heatmap" else "one axis"
         raise UsageError(f"--mode {ns.mode} needs {wants}, got {len(spec.axes)}")
-    if mode == "heatmap" and (len(spec.measures) != 1 or spec.engine == "both"):
-        raise UsageError(
-            "heatmap needs exactly one value column: one --measure and a "
-            "single engine (closed or oracle)"
-        )
     render_svg(run_sweep(spec), ns.out)
     return 0
 

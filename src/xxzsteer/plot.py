@@ -3,9 +3,8 @@
 No plotting library: the documents are assembled from fixed style
 constants, so identical tables produce byte-identical files.  A document is
 made as a sequence of text parts, which :func:`render_svg` streams to its
-file through ``sweep._write``, and which :func:`heatmap_svg` and
-:func:`lines_svg` join into one string.  Rects and polyline points are
-formatted by %-templates over whole arrays, one part at a time:
+file through ``sweep._write``.  Rects and polyline points are formatted by
+%-templates over whole arrays, one part at a time:
 
 * a heatmap writes its cells in C order, at most ``sweep._BLOCK_ROWS`` rects
   a part, coloured a part at a time.  A part is whole rows, or a piece of a
@@ -18,32 +17,30 @@ formatted by %-templates over whole arrays, one part at a time:
 So a plot holds its table plus one part's working set, and a line plot its
 x texts, about 12 bytes a point.  Measured with tracemalloc (CPython 3.11,
 numpy 2.4): a 321 x 321 heatmap peaks at 1.8 MB while writing a 9.6 MB
-file, and three series of 100000 points at 1.7 MB for 4.7 MB; built whole,
-the documents peaked at three and four times their size.  Through the
-console script, the 1000 x 1000 heatmap at the grid cap (86 MB of SVG)
-peaks at 86 MB RSS and a line plot of three series of 10**6 points at
-95 MB, the peaks of the sweeps alone, down from 330 MB and 255 MB.  Every
+file, and three series of 100000 points at 1.7 MB for 4.7 MB.  Every
 error, a NaN heatmap's included, is raised before the output is opened.
 
-:func:`render_svg` picks one of two modes from the table's axes:
+:func:`layout` is the one rule for which plot a table gets, from its axes
+and value columns:
 
-* ``heatmap`` - a 2-axis table with exactly one value column; one rect of
-  class "cell" per grid node, linear three-stop color map over
-  [min, max], labeled color bar;
-* ``lines`` - a 1-axis table; one polyline of class "series" per value
-  column plus a legend.
+* ``heatmap`` - two axes and exactly one value column; one rect of class
+  "cell" per grid node, linear three-stop color map over [min, max],
+  labeled color bar;
+* ``lines`` - one axis and at least one value column; one polyline of
+  class "series" per value column plus a legend.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import sweep
 from .sweep import SweepTable, _write
 
-__all__ = ["render_svg", "heatmap_svg", "lines_svg"]
+__all__ = ["layout", "render_svg"]
 
 # Fixed geometry/style; structural tests rely on the class names only.
 PLOT_WIDTH = 640
@@ -84,26 +81,16 @@ def _channels(t: np.ndarray) -> np.ndarray:
     """Red, green and blue (a last axis of 3) at positions t of the color map.
 
     t is clipped to [0, 1], each half of the map is a linear interpolation
-    between two stops, and the channels are rounded half to even.
+    between two stops, and the channels are rounded half to even.  The
+    heatmap colors its cells and color bar with it, a whole array at a time.
     """
     t = np.clip(t, 0.0, 1.0)
-    if np.isnan(t).any():
-        raise ValueError("a NaN has no color on the color map")
     low = t <= 0.5
     f = np.where(low, t * 2.0, (t - 0.5) * 2.0)[..., None]
     low = low[..., None]
     lo = np.where(low, _STOPS[0], _STOPS[1])
     hi = np.where(low, _STOPS[1], _STOPS[2])
     return np.rint(lo + (hi - lo) * f).astype(np.intp)
-
-
-def color_for(t: float) -> str:
-    """Hex color at position t in [0, 1] of the linear three-stop map.
-
-    The heatmap colors its cells and color bar with the same map, applied
-    to whole arrays.
-    """
-    return "#%s%s%s" % tuple(_HEX[_channels(np.float64(t))])
 
 
 def _rects(cls: str, x, y, width, height, t: np.ndarray) -> str:
@@ -155,30 +142,22 @@ def _cell_blocks(rows: int, cols: int):
             yield slice(i, min(i + per, rows)), slice(j, min(j + size, cols))
 
 
-def _heatmap(table: SweepTable):
-    """heatmap_svg's text parts; every error is raised by this call, before
+def _heatmap(table: SweepTable, value_cols):
+    """The heatmap's text parts; its error is raised by this call, before
     the first part is made."""
-    if table.axes is None or len(table.axes) != 2:
-        raise ValueError("heatmap requires a table produced by a 2-axis sweep")
-    value_cols = [c for c in table.columns if c not in (a.name for a in table.axes)]
-    if len(value_cols) != 1:
-        raise ValueError(
-            f"heatmap requires exactly one value column, got {value_cols}; "
-            f"sweep a single measure with a single engine"
-        )
-    name = value_cols[0]
+    (name,) = value_cols
     outer, inner = table.axes
     grid = table.grid(name)
     vmin = float(grid.min())
     vmax = float(grid.max())
     span = vmax - vmin
+    # a position is NaN exactly when the span is not finite: a NaN or an
+    # infinity in the grid, or a range wider than the largest double
+    if not math.isfinite(span):
+        raise ValueError("a NaN has no color on the color map")
 
     def positions(values):
         return np.zeros_like(values) if span == 0.0 else (values - vmin) / span
-
-    blocks = list(_cell_blocks(*grid.shape))
-    if any(np.isnan(positions(grid[block])).any() for block in blocks):
-        raise ValueError("a NaN has no color on the color map")
 
     x0, y0 = MARGIN_LEFT, MARGIN_TOP
     w = PLOT_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -192,7 +171,7 @@ def _heatmap(table: SweepTable):
         # of whole rows, once a row for the pieces of a longer row.
         width, height = _fmt(cw), _fmt(ch)
         columns = xs = None
-        for rows, cols in blocks:
+        for rows, cols in _cell_blocks(*grid.shape):
             if cols != columns:
                 columns, xs = cols, _fmt_all(x0 + np.arange(cols.start, cols.stop) * cw)
             ys = _fmt_all(y0 + h - (np.arange(rows.start, rows.stop) + 1) * ch)
@@ -228,20 +207,9 @@ def _heatmap(table: SweepTable):
     return _svg_document([title], cells(), [frame, bar])
 
 
-def heatmap_svg(table: SweepTable) -> str:
-    return "".join(_heatmap(table))
-
-
-def _polylines(table: SweepTable):
-    """lines_svg's text parts; every error is raised by this call, before the
-    first part is made."""
-    if table.axes is None or len(table.axes) != 1:
-        raise ValueError("lines mode requires a table produced by a 1-axis sweep")
+def _polylines(table: SweepTable, value_cols):
+    """The line plot's text parts, one polyline per value column."""
     axis = table.axes[0]
-    value_cols = [c for c in table.columns if c != axis.name]
-    if not value_cols:
-        raise ValueError("lines mode needs at least one value column")
-
     xs = table.column(axis.name)
     ymin = min(float(table.column(c).min()) for c in value_cols)
     ymax = max(float(table.column(c).max()) for c in value_cols)
@@ -298,15 +266,32 @@ def _polylines(table: SweepTable):
     return _svg_document([_text_lines(_plot_frame(x0, y0, w, h))], series(), [labels])
 
 
-def lines_svg(table: SweepTable) -> str:
-    return "".join(_polylines(table))
+def layout(axes, value_columns) -> str:
+    """The plot of a table with these axes and value columns.
+
+    "heatmap" for two axes and exactly one value column, "lines" for one
+    axis and at least one value column; any other table is a ValueError.
+    axes may be None, as a table read from CSV has.
+    """
+    count = len(axes or ())
+    if count == 2:
+        if len(value_columns) != 1:
+            raise ValueError(
+                f"heatmap requires exactly one value column, got "
+                f"{list(value_columns)}; sweep a single measure with a single engine"
+            )
+        return "heatmap"
+    if count != 1:
+        raise ValueError("lines mode requires a table produced by a 1-axis sweep")
+    if not value_columns:
+        raise ValueError("lines mode needs at least one value column")
+    return "lines"
 
 
 def render_svg(table: SweepTable, path) -> None:
-    """Write a standalone SVG document for the table.
-
-    A table with two axes is drawn as a heatmap, any other as lines, which
-    need one axis.
-    """
-    parts = _heatmap if len(table.axes or ()) == 2 else _polylines
-    _write(path, "SVG", parts(table))
+    """Write a standalone SVG document for the table, drawn as its
+    :func:`layout` says; every error comes before the output is opened."""
+    axes = [ax.name for ax in table.axes or ()]
+    values = [c for c in table.columns if c not in axes]
+    draw = _heatmap if layout(table.axes, values) == "heatmap" else _polylines
+    _write(path, "SVG", draw(table, values))

@@ -237,6 +237,37 @@ def test_plot_heatmap_needs_single_measure(capsys, tmp_path):
     assert "one value column" in capsys.readouterr().err
 
 
+def test_plot_heatmap_on_both_engines_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch):
+    """One measure on --engine both gives three value columns, which
+    plot.layout refuses for two axes before anything is evaluated."""
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "h.svg"
+    argv = ["plot", "--measure", "SCn", "--engine", "both", "--axis", "J=-1:1:0.5",
+            "--axis", "Jz=-1:1:0.5", "--fix", "B=1", "--fix", "T=2", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "xxzsteer: error: heatmap requires exactly one value column, got "
+        "['SCn_oracle', 'SCn_closed', 'SCn_absdiff']; sweep a single measure "
+        "with a single engine\n"
+    )
+    assert not out.exists()
+
+
+def test_unknown_fix_name_exits_two(capsys, tmp_path):
+    out = str(tmp_path / "x.csv")
+    for argv in (
+        ["point", *BELL_POINT, "--fix", "K=1"],
+        ["sweep", "--axis", "J=0:1:0.5", "--fix", "Jz=1", "--fix", "B=1",
+         "--fix", "T=1", "--fix", "K=1", "--out", out],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "xxzsteer: error: unknown fixed parameters: ['K']\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_axis_count_past_double_range_exits_two(capsys, tmp_path):
     out = tmp_path / "x.csv"
     argv = ["sweep", "--axis", "J=0:1e300:1e-300", "--fix", "Jz=1",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from xxzsteer import plot, sweep
-from xxzsteer.plot import color_for, heatmap_svg, lines_svg, render_svg
+from xxzsteer.plot import layout, render_svg
 from xxzsteer.sweep import AxisSpec, SweepSpec, SweepTable, run_sweep
 
 
@@ -25,36 +25,66 @@ def small_grid_table(values):
     return SweepTable(columns=("J", "Jz", "SCn"), data=data, axes=axes)
 
 
+def rendered(table, tmp_path) -> str:
+    """The document render_svg writes for the table."""
+    path = tmp_path / "rendered.svg"
+    render_svg(table, path)
+    return path.read_text(encoding="utf-8")
+
+
+def hex_colors(positions) -> list[str]:
+    """The color map's hex color at each position, through _channels."""
+    rgb = plot._channels(np.asarray(positions, dtype=float))
+    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+
+
+AXIS = AxisSpec("J", 0, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "axes, values, want",
+    [
+        ((AXIS, AXIS), ["SCn"], "heatmap"),
+        ((AXIS,), ["SCn"], "lines"),
+        ((AXIS,), ["SCn", "SCRE", "QFI"], "lines"),
+        ((AXIS,), ["SCn_oracle", "SCn_closed", "SCn_absdiff"], "lines"),
+        ((AXIS, AXIS), ["SCn", "QFI"], "exactly one value column, got \\['SCn', 'QFI'\\]"),
+        ((AXIS, AXIS), [], "exactly one value column, got \\[\\]"),
+        ((AXIS,), [], "at least one value column"),
+        ((), ["SCn"], "1-axis"),
+        (None, ["SCn"], "1-axis"),
+        ((AXIS, AXIS, AXIS), ["SCn"], "1-axis"),
+    ],
+    ids=["heatmap", "lines", "three-lines", "both-engine-lines", "two-values",
+         "no-value", "lines-no-value", "no-axes", "axes-none", "three-axes"],
+)
+def test_layout_is_the_one_plot_rule(axes, values, want):
+    if want in ("heatmap", "lines"):
+        assert layout(axes, values) == want
+        assert layout(axes, tuple(values)) == want
+    else:
+        with pytest.raises(ValueError, match=want):
+            layout(axes, values)
+
+
 def test_heatmap_has_one_cell_per_grid_node(tmp_path):
-    svg = heatmap_svg(small_grid_table([0.0, 1.0, 2.0, 3.0]))
+    svg = rendered(small_grid_table([0.0, 1.0, 2.0, 3.0]), tmp_path)
     assert svg.count('class="cell"') == 4
     assert svg.count('class="cbar"') > 0
-    assert "<svg" in svg and "</svg>" in svg
-    path = tmp_path / "h.svg"
-    render_svg(small_grid_table([0.0, 1.0, 2.0, 3.0]), path)
-    assert path.read_text(encoding="utf-8") == svg
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
 
-def test_heatmap_constant_table_has_uniform_cells():
-    svg = heatmap_svg(small_grid_table([1.5, 1.5, 1.5, 1.5]))
+def test_heatmap_constant_table_has_uniform_cells(tmp_path):
+    svg = rendered(small_grid_table([1.5, 1.5, 1.5, 1.5]), tmp_path)
     fills = re.findall(r'class="cell"[^/]*fill="(#[0-9a-f]{6})"', svg)
     assert len(set(fills)) == 1
 
 
 def test_heatmap_color_map_endpoints():
-    assert color_for(0.0) == "#440154"
-    assert color_for(1.0) == "#fde725"
-    assert color_for(0.5) == "#21918c"
+    assert hex_colors([0.0, 1.0, 0.5]) == ["#440154", "#fde725", "#21918c"]
 
 
-def test_heatmap_rejects_line_tables_and_multi_measure():
-    spec = SweepSpec(
-        axes=(AxisSpec("J", 0, 1, 0.5),),
-        fixed={"Jz": 0.0, "B": 1.0, "T": 1.0},
-        measures=("SCn",),
-    )
-    with pytest.raises(ValueError, match="2-axis"):
-        heatmap_svg(run_sweep(spec))
+def test_heatmap_rejects_multi_measure(tmp_path):
     table = small_grid_table([0, 1, 2, 3])
     two_cols = SweepTable(
         columns=("J", "Jz", "SCn", "QFI"),
@@ -62,7 +92,8 @@ def test_heatmap_rejects_line_tables_and_multi_measure():
         axes=table.axes,
     )
     with pytest.raises(ValueError, match="exactly one value column"):
-        heatmap_svg(two_cols)
+        render_svg(two_cols, tmp_path / "h.svg")
+    assert not (tmp_path / "h.svg").exists()
 
 
 def test_lines_draw_one_polyline_per_measure(tmp_path):
@@ -71,17 +102,14 @@ def test_lines_draw_one_polyline_per_measure(tmp_path):
         fixed={"Jz": 0.0, "B": 1.0, "T": 0.5},
         measures=("SCn", "SCRE", "QFI"),
     )
-    table = run_sweep(spec)
-    svg = lines_svg(table)
+    # a one-axis table is drawn as lines
+    svg = rendered(run_sweep(spec), tmp_path)
     assert svg.count('class="series"') == 3
     assert 'data-name="SCn"' in svg
     assert 'data-name="QFI"' in svg
-    # a one-axis table is drawn as lines
-    render_svg(table, tmp_path / "l.svg")
-    assert (tmp_path / "l.svg").read_text(encoding="utf-8") == svg
 
 
-def test_lines_path_data_reproduces_table_minima():
+def test_lines_path_data_reproduces_table_minima(tmp_path):
     """Groove positions in the rendered polyline match the table."""
     spec = SweepSpec(
         axes=(AxisSpec("J", -3, 3, 0.05),),
@@ -89,7 +117,7 @@ def test_lines_path_data_reproduces_table_minima():
         measures=("SCn",),
     )
     table = run_sweep(spec)
-    svg = lines_svg(table)
+    svg = rendered(table, tmp_path)
     points = re.search(r'points="([^"]+)"', svg).group(1).split()
     ys = np.array([float(tok.split(",")[1]) for tok in points])
     # svg y grows downward: value minima are path maxima
@@ -154,15 +182,10 @@ def line_table(xs, *series):
     ],
     ids=["figure-panel", "seven-series", "one-point", "constant"],
 )
-def test_lines_points_match_a_per_point_loop(table):
+def test_lines_points_match_a_per_point_loop(table, tmp_path):
     table = table()
-    svg = lines_svg(table)
+    svg = rendered(table, tmp_path)
     assert re.findall(r'points="([^"]*)"', svg) == reference_points(table)
-
-
-def test_lines_reject_grid_tables():
-    with pytest.raises(ValueError, match="1-axis"):
-        lines_svg(small_grid_table([0, 1, 2, 3]))
 
 
 def test_render_svg_rejects_a_table_without_axes(tmp_path):
@@ -255,26 +278,56 @@ HALVES = [[0.0, 1.0, 3.0, 16.0], [32.0, 48.0, 64.0, 40.0]]
     ],
     ids=["halves", "constant", "negative", "seeded", "wide", "one-cell"],
 )
-def test_heatmap_rects_match_a_per_cell_loop(values):
+def test_heatmap_rects_match_a_per_cell_loop(values, tmp_path):
     table = grid_table(values)
-    lines = heatmap_svg(table).split("\n")
+    lines = rendered(table, tmp_path).split("\n")
     rects = [line for line in lines if line.startswith('<rect class=')]
     assert rects == reference_rects(table)
     # the cells follow the title, and the color bar the plot frame and labels
     assert lines[3:3 + table.data.shape[0]] == rects[: table.data.shape[0]]
 
 
-def test_color_for_is_the_per_position_map():
+def test_color_map_is_the_per_position_map():
     positions = [0.0, 1 / 64, 3 / 64, 0.25, 0.5, 0.75, 1.0, -0.3, 1.7, 0.5 + 2**-53]
     positions += np.random.default_rng(8).random(200).tolist()
-    assert [color_for(t) for t in positions] == [reference_color(t) for t in positions]
-    assert color_for(1 / 64) == "#430656"  # green 5.5 rounds up to 6
-    assert color_for(3 / 64) == "#410e59"  # green 14.5 rounds down to 14
+    assert hex_colors(positions) == [reference_color(t) for t in positions]
+    # green 5.5 rounds up to 6, and 14.5 down to 14
+    assert hex_colors([1 / 64, 3 / 64]) == ["#430656", "#410e59"]
+    # one position, and a 2-D array of them, as the heatmap colors its parts
+    assert plot._channels(np.float64(1 / 64)).tolist() == [67, 6, 86]
+    grid = np.reshape(positions[:200], (10, 20))
+    assert plot._channels(grid).reshape(-1, 3).tolist() == plot._channels(
+        grid.ravel()).tolist()
 
 
-def test_heatmap_of_a_nan_table_is_an_error():
+def test_heatmap_of_a_nan_table_is_an_error(tmp_path):
     with pytest.raises(ValueError, match="NaN"):
-        heatmap_svg(grid_table([[0.0, float("nan")], [1.0, 2.0]]))
+        render_svg(grid_table([[0.0, float("nan")], [1.0, 2.0]]), tmp_path / "h.svg")
+    assert not (tmp_path / "h.svg").exists()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[0.0, INF], [1.0, 2.0]],
+        [[-INF, 0.0], [1.0, 2.0]],
+        [[INF, INF], [INF, INF]],
+        [[-1e308, 0.0], [1.0, 1e308]],  # the span overflows
+    ],
+    ids=["inf", "-inf", "all-inf", "wider-than-a-double"],
+)
+def test_heatmap_without_a_finite_span_is_an_error(values, tmp_path):
+    """Each of these tables has a NaN color-map position, as a NaN table has."""
+    table = grid_table(values)
+    grid = table.grid("SCn")
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan((grid - grid.min()) / (grid.max() - grid.min())).any()
+    with pytest.raises(ValueError, match="NaN"):
+        render_svg(table, tmp_path / "h.svg")
+    assert not (tmp_path / "h.svg").exists()
 
 
 def test_figures_script_writes_the_line_panels(tmp_path):
@@ -320,23 +373,22 @@ BLOCK_TABLES = {
 @pytest.mark.parametrize("name", BLOCK_TABLES)
 def test_svg_in_blocks_of_7_has_the_bytes_of_the_default_block(monkeypatch, tmp_path, name):
     """Parts of at most 7 rects or points give the document of the default
-    block size, which holds each of these tables in one part, and the bytes
-    of heatmap_svg or lines_svg."""
+    block size, which holds each of these tables in one part."""
     table = BLOCK_TABLES[name]()
-    draw = heatmap_svg if len(table.axes) == 2 else lines_svg
-    whole = draw(table)
+    values = table.columns[len(table.axes):]
+    heatmap = layout(table.axes, values) == "heatmap"
     assert len(table.data) <= sweep._BLOCK_ROWS
     written = []
     for block_rows in (sweep._BLOCK_ROWS, 7):
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
         render_svg(table, tmp_path / "t.svg")
         written.append((tmp_path / "t.svg").read_bytes())
-    assert written[0] == written[1] == whole.encode()
-    assert draw(table) == whole
+    assert written[0] == written[1]
+    whole = written[0].decode()
     # still at block size 7: the cells and points really come in parts of 7
-    parts = list(plot._heatmap(table) if draw is heatmap_svg else plot._polylines(table))
+    parts = list((plot._heatmap if heatmap else plot._polylines)(table, values))
     assert "".join(parts) == whole
-    if draw is heatmap_svg:
+    if heatmap:
         drawn = [part.count('class="cell"') for part in parts]
         assert sum(drawn) == len(table.data)
     else:
@@ -345,11 +397,11 @@ def test_svg_in_blocks_of_7_has_the_bytes_of_the_default_block(monkeypatch, tmp_
         assert sum(drawn) == len(table.data) * (len(table.columns) - 1)
     drawn = [n for n in drawn if n]
     assert len(drawn) > 1 and max(drawn) <= 7
-    if draw is lines_svg:
+    if heatmap:
+        assert whole.count('class="cbar"') == plot.COLORBAR_SEGMENTS
+    else:
         assert whole.count('class="series"') == 3
         assert 'class="cbar"' not in whole and whole.count("<line ") == 3
-    else:
-        assert whole.count('class="cbar"') == plot.COLORBAR_SEGMENTS
 
 
 def traced_peak(table, path):

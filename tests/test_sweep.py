@@ -413,7 +413,8 @@ def _first_cell_error(spec: SweepSpec) -> str | None:
     The cells are the grid's unchecked parameter rows, so a cell outside
     the box fails alone, as SpinParams checks it.
     """
-    for cell in sweep._grid(spec).T.tolist():
+    cells = math.prod(ax.count for ax in spec.axes)
+    for cell in sweep._cells(spec, 0, cells).T.tolist():
         error = _error(
             lambda: evaluate_point(SpinParams(*cell), spec.measures, spec.engine)
         )
@@ -470,7 +471,7 @@ def _check_first_failing_cells_error(monkeypatch) -> None:
             outside_seen += want is not None and "exceeds the supported" in want
 
         # a definition that fails at one seeded cell of the grid
-        J, _, B, T = sweep._grid(spec)
+        J, _, B, T = sweep._cells(spec, 0, math.prod(ax.count for ax in axes))
         at = int(rng.integers(len(T)))
         kind = sweep._MEASURES[measures[int(rng.integers(len(measures)))]][1][0]
         real = sweep._DEFINITIONS[kind]
@@ -683,6 +684,62 @@ def test_sweep_memory_is_one_blocks_working_set(monkeypatch):
     whole, blocked = peaks
     assert 6561 > sweep._BLOCK_ROWS
     assert blocked <= 0.75 * whole, peaks
+
+
+def _traced_sweep(spec: SweepSpec) -> tuple[int, int]:
+    """tracemalloc's peak while run_sweep evaluates spec, and the table's size."""
+    tracemalloc.start()
+    try:
+        table = run_sweep(spec)
+        return tracemalloc.get_traced_memory()[1], table.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_holds_the_table_plus_one_blocks_working_set():
+    """A one-measure 301 x 301 sweep, 23 blocks, peaks within its table plus
+    twice what a sweep of one block holds beside its own table.
+
+    Measured with tracemalloc on numpy 2.4: one block of 64 x 64 cells holds
+    0.73 MB beside its table, and the 301 x 301 grid peaks at 2.9 MB for a
+    2.2 MB table; when the parameter rows of the whole grid were made before
+    the first block, it peaked at 5.7 MB.
+    """
+    fixed = {"B": 1.0, "T": 2.0}
+    block = SweepSpec(
+        axes=(AxisSpec("J", 0.0, 63.0, 1.0), AxisSpec("Jz", 0.0, 63.0, 1.0)),
+        fixed=fixed,
+        measures=("SCn",),
+    )
+    assert math.prod(ax.count for ax in block.axes) == sweep._BLOCK_ROWS
+    peak, table = _traced_sweep(block)
+    working_set = peak - table
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -15.0, 15.0, 0.1), AxisSpec("Jz", -15.0, 15.0, 0.1)),
+        fixed=fixed,
+        measures=("SCn",),
+    )
+    assert -(-math.prod(ax.count for ax in spec.axes) // sweep._BLOCK_ROWS) >= 10
+    peak, table = _traced_sweep(spec)
+    assert peak <= table + 2 * working_set, (peak, table, working_set)
+
+
+def test_block_cells_have_the_bits_of_the_axis_values(monkeypatch):
+    """Each block's parameter rows hold the bits of ax.values() on a grid in
+    outer-major order, and a point's one row holds its fixed values."""
+    axes = (AxisSpec("T", 0.1, 2.0, 0.3), AxisSpec("J", -1.3, 1.7, 0.1))
+    spec = SweepSpec(axes=axes, fixed={"Jz": 0.7, "B": -0.3}, measures=("SCn",))
+    T, J = np.meshgrid(axes[0].values(), axes[1].values(), indexing="ij")
+    cells = len(T.ravel())
+    want = np.array([J.ravel(), np.full(cells, 0.7), np.full(cells, -0.3), T.ravel()])
+    for start, stop in ((0, cells), (0, 7), (5, 38), (cells - 3, cells)):
+        got = sweep._cells(spec, start, stop)
+        assert got.tobytes() == want[:, start:stop].tobytes()
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", 7)
+    table = run_sweep(spec)
+    assert table.data[:, :2].T.tobytes() == want[[3, 0]].tobytes()
+    point = SweepSpec(axes=(), fixed={"J": 1.5, "Jz": 0.7, "B": 1.0, "T": 2.0})
+    assert sweep._cells(point, 0, 1).tolist() == [[1.5], [0.7], [1.0], [2.0]]
 
 
 def test_oracle_decomposes_each_stack_once(monkeypatch):
