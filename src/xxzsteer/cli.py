@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="run a 1D/2D parameter sweep")
     _add_common(sweep, with_axes=True)
-    sweep.add_argument("--out", metavar="PATH", help="output file (required)")
+    sweep.add_argument("--out", required=True, metavar="PATH", help="output file")
     sweep.add_argument(
         "--format",
         choices=("csv", "json"),
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plot = subs.add_parser("plot", help="run a sweep and render an SVG")
     _add_common(plot, with_axes=True)
-    plot.add_argument("--out", metavar="PATH", help="output SVG file (required)")
+    plot.add_argument("--out", required=True, metavar="PATH", help="output SVG file")
     plot.add_argument(
         "--mode",
         choices=("heatmap", "lines"),
@@ -173,9 +173,6 @@ def _sweep_spec(ns) -> SweepSpec:
 
 def _cmd_point(ns) -> int:
     fixed = _collect_fixed(ns.fix)
-    missing = [n for n in PARAM_NAMES if n not in fixed]
-    if missing:
-        raise UsageError(f"point requires --fix for every parameter; missing {missing}")
     spec = _build_spec(ns, (), fixed)
     row = [format_value(x) for x in run_sweep(spec).data[0].tolist()]
     if spec.engine == "both":
@@ -193,16 +190,12 @@ def _cmd_point(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
-    if not ns.out:
-        raise UsageError("sweep requires --out PATH")
     write = write_csv if ns.format == "csv" else write_json
     write(run_sweep(_sweep_spec(ns)), ns.out)
     return 0
 
 
 def _cmd_plot(ns) -> int:
-    if not ns.out:
-        raise UsageError("plot requires --out PATH")
     spec = _sweep_spec(ns)
     try:
         mode = layout(spec.axes, spec.value_columns())

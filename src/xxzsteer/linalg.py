@@ -110,27 +110,22 @@ def trace(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def sandwich(m: np.ndarray, left=None, right=None) -> np.ndarray:
+def sandwich(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left @ m @ right`` for each matrix of a stack, one GEMM a side.
 
     `m` is one matrix or a stack, shape (..., n, n); `left` and `right` are
-    fixed (n, n) operators, and either may be None.  The product is complex
-    and bit-identical to the stacked one (see the module docstring).  Two
-    buffers the size of `m` are allocated, as for the stacked product's
-    intermediate and result.
+    fixed (n, n) operators.  The product is complex and bit-identical to the
+    stacked one (see the module docstring).  Two buffers the size of `m` are
+    allocated, as for the stacked product's intermediate and result.
     """
     shape, n = m.shape, m.shape[-1]
+    buf = np.empty(shape, complex)
     out = np.empty(shape, complex)
-    if left is not None:
-        # out = (left @ m)^T = m^T @ left^T, then buf = left @ m
-        buf = np.empty(shape, complex)
-        np.copyto(buf, np.swapaxes(m, -1, -2))
-        np.matmul(buf.reshape(-1, n), left.T, out=out.reshape(-1, n))
-        np.copyto(buf, np.swapaxes(out, -1, -2))
-        if right is None:
-            return buf
-        m = buf
-    np.matmul(m.reshape(-1, n), right, out=out.reshape(-1, n))
+    # out = (left @ m)^T = m^T @ left^T, then buf = left @ m
+    np.copyto(buf, np.swapaxes(m, -1, -2))
+    np.matmul(buf.reshape(-1, n), left.T, out=out.reshape(-1, n))
+    np.copyto(buf, np.swapaxes(out, -1, -2))
+    np.matmul(buf.reshape(-1, n), right, out=out.reshape(-1, n))
     return out
 
 

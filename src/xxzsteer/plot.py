@@ -151,10 +151,14 @@ def _heatmap(table: SweepTable, value_cols):
     vmin = float(grid.min())
     vmax = float(grid.max())
     span = vmax - vmin
-    # a position is NaN exactly when the span is not finite: a NaN or an
-    # infinity in the grid, or a range wider than the largest double
-    if not math.isfinite(span):
+    # a position is NaN exactly when the span is not finite: a NaN (then min
+    # and max are NaN), an infinity, or a range wider than the largest double
+    if math.isnan(vmin):
         raise ValueError("a NaN has no color on the color map")
+    if not math.isfinite(span):
+        raise ValueError(
+            f"heatmap values span [{vmin:g}, {vmax:g}], which has no finite width"
+        )
 
     def positions(values):
         return np.zeros_like(values) if span == 0.0 else (values - vmin) / span

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import fisher, steering
 from .linalg import validate_density_matrix
-from .model import PARAM_NAMES, SpinParams, T_FLOOR, ThermalBatch, gibbs_spectral
+from .model import PARAM_NAMES, SpinParams, ThermalBatch, gibbs_spectral
 from .steering import CoherenceKind
 
 __all__ = [
@@ -156,10 +156,6 @@ class AxisSpec:
             raise ValueError(
                 f"axis {self.name}: {_count_text(count)} points exceeds {MAX_AXIS_POINTS}"
             )
-        if self.name == "T" and self.start < T_FLOOR:
-            raise ValueError(
-                f"axis T: start {self.start} is below the temperature floor {T_FLOOR}"
-            )
 
     @property
     def count(self) -> int:
@@ -213,7 +209,9 @@ class SweepSpec:
             raise ValueError(f"parameters both swept and fixed: {sorted(overlap)}")
         missing = set(PARAM_NAMES) - fixed_names - set(axis_names)
         if missing:
-            raise ValueError(f"parameters neither swept nor fixed: {sorted(missing)}")
+            raise ValueError(
+                f"missing parameters, neither swept nor fixed: {sorted(missing)}"
+            )
         extra = fixed_names - set(PARAM_NAMES)
         if extra:
             raise ValueError(f"unknown fixed parameters: {sorted(extra)}")

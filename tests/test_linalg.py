@@ -20,7 +20,7 @@ from xxzsteer.linalg import (
     validate_density_matrix,
     vn_entropy,
 )
-from xxzsteer import model, steering
+from xxzsteer import steering
 from xxzsteer.fisher import qfi_spectral
 from xxzsteer.steering import CoherenceKind, PauliAxis, coherence, steer
 
@@ -158,14 +158,26 @@ def test_eig_matches_lapack_spectrum(seed, dim):
     )
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((4, 3), r"^eig_hermitian input must be square, got shape \(4, 3\)$"),
+        ((4,), r"^eig_hermitian input must be square, got shape \(4,\)$"),
+        ((3, 3), r"^eig_hermitian input must have dimension in \(2, 4\), got 3$"),
+    ],
+)
+def test_operator_of_the_wrong_shape_is_rejected(shape, message):
+    with pytest.raises(ValueError, match=message):
+        eig_hermitian(np.zeros(shape))
+
+
 # ------------------------------------------------------------ sandwich
 
 # Every fixed operator the oracle multiplies a stack by, by dimension: the
-# six projectors of Alice's measurements and the total Sz on the pair, the
-# three Pauli eigenbases and their adjoints on Bob's qubit.
+# six projectors of Alice's measurements on the pair, the three Pauli
+# eigenbases and their adjoints on Bob's qubit.
 _FIXED_OPERATORS = {
-    4: [*(p for axis in PauliAxis for p in steering._PROJECTORS[axis]),
-        model._TOTAL_SZ],
+    4: [p for axis in PauliAxis for p in steering._PROJECTORS[axis]],
     2: [*steering._BASES.values(), *steering._BASES_DAGGER.values()],
 }
 
@@ -181,8 +193,6 @@ def test_sandwich_matches_the_stacked_product_bit_for_bit(dim, cells):
     m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     ops = _FIXED_OPERATORS[dim]
     for left in ops:
-        assert sandwich(m, left).tobytes() == (left @ m).tobytes()
-        assert sandwich(m, right=left).tobytes() == (m @ left).tobytes()
         for right in ops:
             got = sandwich(m, left, right)
             assert got.shape == shape

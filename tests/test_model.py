@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzsteer import fisher, model, steering
-from xxzsteer.linalg import PROBABILITY_TOL, binary_entropy, eig_hermitian
+from xxzsteer.linalg import (
+    PROBABILITY_TOL,
+    EigenDecomposition,
+    binary_entropy,
+    eig_hermitian,
+    frobenius,
+)
 from xxzsteer.model import (
     COUPLING_MAX,
     T_FLOOR,
@@ -205,6 +212,43 @@ def test_gibbs_state_invariants_on_draws(rng):
         assert abs(v) <= b + 1e-12
         assert eig_hermitian(rho).values.min() >= -1e-12
         assert np.linalg.norm(rho @ number - number @ rho) <= 1e-12
+
+
+def test_number_commutator_is_the_stacked_commutator_bit_for_bit(rng):
+    """_SZ_GAPS * rho gives the norm of rho S - S rho from the stacked @, on
+    seeded matrices and on spectral states with noise off the X structure."""
+    S = model._TOTAL_SZ
+    cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(200)))
+    spectral = gibbs_spectral(cells)
+    stacks = [rng.normal(size=(*n, 4, 4)) + 1j * rng.normal(size=(*n, 4, 4))
+              for n in [(1,), (37,), (4096,), (3, 5)]]
+    stacks.append(spectral + 1e-13 * stacks[2][:200])
+    for rho in stacks:
+        got = frobenius(model._SZ_GAPS * rho)
+        assert got.tobytes() == frobenius(rho @ S - S @ rho).tobytes()
+
+
+def test_spectral_state_off_its_invariants_names_its_first_cell(monkeypatch):
+    """A rotation that mixes |00> and |01> breaks the X structure and U(1)
+    symmetry of every cell but the maximally mixed one, which it keeps."""
+    c, s = math.cos(0.1), math.sin(0.1)
+    mix = np.eye(4, dtype=complex)
+    mix[:2, :2] = [[c, -s], [s, c]]
+
+    def rotated(h):
+        eig = eig_hermitian(h)
+        return EigenDecomposition(values=eig.values, vectors=mix @ eig.vectors)
+
+    monkeypatch.setattr(model, "eig_hermitian", rotated)
+    cells = ThermalBatch.of(SpinParams(0, 0, 0, 1), SpinParams(1, 0.5, 1, 2))
+    with pytest.raises(ValueError) as err:
+        gibbs_spectral(cells)
+    assert re.fullmatch(
+        r"spectral Gibbs construction violates X-state invariants at "
+        r"J=1\.0, Jz=0\.5, B=1\.0, T=2\.0: off_x_structure=\S+, "
+        r"central_symmetry=\S+, number_commutator=\S+",
+        str(err.value),
+    ), str(err.value)
 
 
 def test_sigma_z_conjugation_maps_j_to_minus_j(rng):

@@ -310,22 +310,24 @@ INF = float("inf")
 
 
 @pytest.mark.parametrize(
-    "values",
+    "values, span",
     [
-        [[0.0, INF], [1.0, 2.0]],
-        [[-INF, 0.0], [1.0, 2.0]],
-        [[INF, INF], [INF, INF]],
-        [[-1e308, 0.0], [1.0, 1e308]],  # the span overflows
+        ([[0.0, INF], [1.0, 2.0]], "[0, inf]"),
+        ([[-INF, 0.0], [1.0, 2.0]], "[-inf, 2]"),
+        ([[INF, INF], [INF, INF]], "[inf, inf]"),
+        ([[-1e308, 0.0], [1.0, 1e308]], "[-1e+308, 1e+308]"),  # the span overflows
     ],
     ids=["inf", "-inf", "all-inf", "wider-than-a-double"],
 )
-def test_heatmap_without_a_finite_span_is_an_error(values, tmp_path):
-    """Each of these tables has a NaN color-map position, as a NaN table has."""
+def test_heatmap_without_a_finite_span_is_an_error(values, span, tmp_path):
+    """Each of these tables has a NaN color-map position, as a NaN table has,
+    and the error names the range of its values."""
     table = grid_table(values)
     grid = table.grid("SCn")
     with np.errstate(invalid="ignore", over="ignore"):
         assert np.isnan((grid - grid.min()) / (grid.max() - grid.min())).any()
-    with pytest.raises(ValueError, match="NaN"):
+    message = f"heatmap values span {span}, which has no finite width"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         render_svg(table, tmp_path / "h.svg")
     assert not (tmp_path / "h.svg").exists()
 

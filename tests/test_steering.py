@@ -138,6 +138,22 @@ def test_steer_rejects_incomplete_projectors_at_the_first_cell(monkeypatch):
         steer(rho, PauliAxis.Z)
 
 
+def test_steer_requires_a_two_qubit_state():
+    with pytest.raises(ValueError, match=r"^steering requires a two-qubit \(4x4\) state$"):
+        steer(I2 / 2, PauliAxis.Z)
+
+
+def test_steer_rejects_a_negative_outcome_the_state_check_accepts():
+    # the eigenvalue -5e-11 is inside PSD_TOL, but the Z outcome 0 has it as
+    # its probability, below -PROBABILITY_FLOOR
+    rho = np.diag([-5e-11, 0.0, 0.5, 0.5 + 5e-11]).astype(complex)
+    validate_density_matrix(rho)
+    with pytest.raises(
+        ValueError, match=r"^negative outcome probability -5e-11 for PauliAxis\.Z$"
+    ):
+        steer(rho, PauliAxis.Z)
+
+
 def test_steer_ensembles_are_valid_on_draws(rng):
     for rho in gibbs_closed(ThermalBatch.of(*(draw_params(rng) for _ in range(25)))):
         for axis in PauliAxis:
@@ -162,6 +178,12 @@ def test_coherence_maximal_in_conjugate_basis():
     assert (
         abs(coherence(rho, PauliAxis.X, CoherenceKind.RELATIVE_ENTROPY) - 1.0) <= 1e-14
     )
+
+
+def test_coherence_requires_a_qubit_state():
+    message = r"^coherence is defined here for qubit \(2x2\) states$"
+    with pytest.raises(ValueError, match=message):
+        coherence(np.eye(4, dtype=complex) / 4, PauliAxis.X, CoherenceKind.L1)
 
 
 # ------------------------------------------------------ steered average

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,11 +47,25 @@ def test_axis_rejects_bad_specs():
     with pytest.raises(ValueError, match="start"):
         AxisSpec("J", 2, 1, 0.1)
     with pytest.raises(ValueError, match="floor"):
-        AxisSpec("T", 0.0, 1, 0.1)
+        SweepSpec(axes=(AxisSpec("T", 0.0, 1, 0.1),), fixed={"J": 1, "Jz": 1, "B": 1})
     with pytest.raises(ValueError, match="axis name"):
         AxisSpec("K", 0, 1, 0.1)
     with pytest.raises(ValueError, match="exceeds"):
         AxisSpec("J", 0, 1000, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "start, stop, step, message",
+    [
+        (math.nan, 1, 0.5, "axis J: start=nan is not finite"),
+        (0, math.inf, 0.5, "axis J: stop=inf is not finite"),
+        (0, 1, -math.inf, "axis J: step=-inf is not finite"),
+    ],
+)
+def test_axis_rejects_non_finite_values(start, stop, step, message):
+    with pytest.raises(ValueError) as err:
+        AxisSpec("J", start, stop, step)
+    assert str(err.value) == message
 
 
 def test_axis_count_past_double_range_is_too_many_points():
@@ -97,6 +112,14 @@ def test_spec_rejects_duplicate_axes_and_bad_names():
             fixed={"Jz": 1, "B": 1, "T": 1},
             measures=("SCX",),
         )
+
+
+def test_spec_rejects_an_unknown_engine():
+    with pytest.raises(ValueError) as err:
+        SweepSpec(axes=(), fixed={"J": 1, "Jz": 1, "B": 1, "T": 1}, engine="fast")
+    assert str(err.value) == (
+        "unknown engine 'fast'; choose from ('oracle', 'closed', 'both')"
+    )
 
 
 def test_spec_caps_the_cells_of_the_whole_grid():
@@ -1172,6 +1195,27 @@ def test_read_csv_names_the_file_and_line_of_a_bad_row(tmp_path, text, line, mes
     with pytest.raises(ValueError) as err:
         read_csv(path)
     assert str(err.value) == f"{path}, line {line}: {message}"
+
+
+def test_read_csv_of_a_missing_or_empty_file_is_an_error(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(OSError, match=f"^cannot read CSV from {re.escape(str(missing))}: "):
+        read_csv(missing)
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError) as err:
+        read_csv(empty)
+    assert str(err.value) == f"{empty}: empty CSV"
+
+
+def test_grid_needs_a_two_axis_table():
+    spec = SweepSpec(
+        axes=(AxisSpec("J", 0, 1, 0.5),), fixed={"Jz": 1, "B": 1, "T": 1},
+        measures=("SCn",),
+    )
+    message = r"^grid\(\) needs a table produced by a 2-axis sweep$"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(spec).grid("SCn")
 
 
 def test_csv_write_failure_carries_path_context(tmp_path):
