@@ -57,7 +57,6 @@ from .sweep import (
     SweepSpec,
     SweepTable,
     evaluate_point,
-    read_csv,
     run_sweep,
     write_csv,
     write_json,
@@ -95,7 +94,6 @@ __all__ = [
     "qfi_closed",
     "qfi_published",
     "qfi_spectral",
-    "read_csv",
     "render_svg",
     "run_sweep",
     "scn_closed",

@@ -43,7 +43,6 @@ import numpy as np
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
-    as_cells,
     dagger,
     eig_hermitian,
     first_cell,
@@ -133,7 +132,7 @@ def qfi_spectral(rho: np.ndarray, obs):
     total = 0.0
     for row in np.moveaxis(terms.reshape(*terms.shape[:-2], -1), -1, 0):
         total = total + row
-    return as_cells(np.maximum(2.0 * total, 0.0))
+    return np.maximum(2.0 * total, 0.0)
 
 
 @closed_form

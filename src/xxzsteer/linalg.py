@@ -46,7 +46,6 @@ __all__ = [
     "EigenDecomposition",
     "DensityStates",
     "first_cell",
-    "as_cells",
     "kron",
     "dagger",
     "trace",
@@ -85,11 +84,6 @@ def first_cell(bad) -> int | None:
     """Flat index of the first set cell of a boolean array, or None."""
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
-
-
-def as_cells(x):
-    """Per-cell values as an array, or a float for a single cell."""
-    return x if np.ndim(x) else float(x)
 
 
 def frobenius(a: np.ndarray) -> np.ndarray:
@@ -287,7 +281,7 @@ def shannon_bits(probs):
     total = 0.0
     for term in xlog2x(np.asarray(probs, dtype=float)):
         total = total - term
-    return as_cells(total)
+    return total
 
 
 def binary_entropy(q):

@@ -21,11 +21,11 @@ exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
 
 :class:`ThermalBatch` is the one thermal-state type: N parameter cells,
-checked as SpinParams checks a point, one array per parameter, entry and
-log Z.  A single point is a batch of one,
-``ThermalBatch.of(SpinParams(...))``.  Both routes work array-at-a-time over
-a batch and give an (N, 4, 4) stack: :func:`gibbs_closed` assembles the
-density matrices from the closed-form entries, :func:`gibbs_spectral`
+one array per parameter, entry and log Z, converted and checked by the
+rule SpinParams applies to a point.  A single point is a batch of one,
+``ThermalBatch.of(SpinParams(...))``.  Both routes work array-at-a-time
+over a batch and give an (N, 4, 4) stack: :func:`gibbs_closed` assembles
+the density matrices from the closed-form entries, :func:`gibbs_spectral`
 exponentiates the stacked Hamiltonians of :func:`hamiltonian`.  Each closed
 measure is one function, made by :func:`closed_form`, that gives one value
 per cell of a batch, or the float of a SpinParams point.
@@ -97,6 +97,15 @@ _X_MASK = np.eye(4, dtype=bool)
 _X_MASK[1, 2] = _X_MASK[2, 1] = True
 
 
+def _floats(values) -> np.ndarray:
+    """Parameter values as float64, the one rule for a point and a batch: a
+    real number is its float, anything else NaN, which fails check_params as
+    NaN does.  A float is tested first, which skips the slower
+    abstract-base-class check."""
+    real = (float, numbers.Real)
+    return np.array([float(x) if isinstance(x, real) else math.nan for x in values])
+
+
 class ParameterRegimeError(ValueError):
     """A quantity overflows double precision even after exponent shifting."""
 
@@ -114,28 +123,23 @@ class SpinParams:
     T: float
 
     def __post_init__(self):
+        # converted and checked as ThermalBatch converts and checks a cell
         given = (self.J, self.Jz, self.B, self.T)
-        # Anything but a real number becomes NaN, so it fails as NaN does and
-        # the check shows it as given.  A float is tested first, which skips
-        # the slower abstract-base-class check.
-        cell = [
-            float(x) if isinstance(x, (float, numbers.Real)) else math.nan
-            for x in given
-        ]
-        check_params(np.array(cell)[:, None], given=given)
-        for name, x in zip(PARAM_NAMES, cell):
+        cell = _floats(given)
+        check_params(cell[:, None], [(x,) for x in given])
+        for name, x in zip(PARAM_NAMES, cell.tolist()):
             object.__setattr__(self, name, x)
 
 
-def check_params(x: np.ndarray, given: tuple | None = None) -> None:
+def check_params(x: np.ndarray, given=None) -> None:
     """Reject parameter cells outside the supported box.
 
     `x` holds the rows J, Jz, B, T of N cells, shape (4, N).  The box is
     |J|, |Jz|, |B| <= COUPLING_MAX and T_FLOOR <= T, all finite.  Raises
     ValueError for the first failing cell, in array order, naming the first
     of J, Jz, B, T that is not a finite number, else T below the floor,
-    else the first coupling out of bounds.  `given` is the failing cell's
-    values as SpinParams was given them, shown when one is not finite.
+    else the first coupling out of bounds.  `given` is the columns as
+    given, to show a value there that is not a real number.
     """
     inside = (_PARAM_LOW <= x) & (x <= _PARAM_HIGH)
     if inside.all():
@@ -145,7 +149,9 @@ def check_params(x: np.ndarray, given: tuple | None = None) -> None:
     finite = np.isfinite(cell)
     if not finite.all():
         k = int(np.argmin(finite))
-        shown = given[k] if given is not None else float(cell[k])
+        shown = float(cell[k])
+        if given is not None and not isinstance(given[k][i], numbers.Real):
+            shown = given[k][i]
         raise ValueError(f"{PARAM_NAMES[k]}={shown!r} is not a finite number")
     if not inside[3, i]:
         raise ValueError(f"T={float(cell[3])} is below the supported floor {T_FLOOR}")
@@ -194,29 +200,40 @@ def check_entries(a, b, d, v) -> None:
     )
 
 
+def _as_column(x) -> np.ndarray:
+    """A parameter column as given: float64 if it holds numbers, else objects."""
+    a = np.asarray(x)
+    if a.dtype.kind in "biuf":
+        return a.astype(np.float64, copy=False)
+    return np.asarray(x, dtype=object)
+
+
 class ThermalBatch:
     """Thermal X states of N parameter cells, one array per quantity.
 
     The closed engine evaluates each measure once over a whole batch (see
     :func:`closed_form`); a single point is a batch of one.  J, Jz, B, T are
-    the parameter columns: 1-D float64 arrays of one length, kept as given
-    when they already are, and checked cell by cell (see
-    :func:`check_params`) when the batch is made.  The entries a, b, d, v
-    and log Z are computed, checked and kept on first use.
+    the parameter columns: 1-D float64 arrays of one length, checked cell by
+    cell (see :func:`check_params`) when the batch is made.  A column of
+    numbers is converted whole, a float64 one kept as given; any other goes
+    value by value as SpinParams goes (see ``_floats``), and a value that is
+    not a real number fails as NaN does but is shown as given.  The entries
+    a, b, d, v and log Z are computed, checked and kept on first use.
 
     Every check on a batch raises for its first failing cell.  Which cell
     and check a whole sweep reports is settled in ``sweep._evaluate``.
     """
 
     def __init__(self, J, Jz, B, T):
-        columns = [np.asarray(x, dtype=np.float64) for x in (J, Jz, B, T)]
-        shapes = [x.shape for x in columns]
+        given = [_as_column(x) for x in (J, Jz, B, T)]
+        shapes = [a.shape for a in given]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(
                 f"J, Jz, B, T must be 1-D arrays of one length, got shapes "
                 f"{', '.join(map(str, shapes))}"
             )
-        check_params(np.array(columns))
+        columns = [a if a.dtype != object else _floats(a.tolist()) for a in given]
+        check_params(np.array(columns), given)
         self.J, self.Jz, self.B, self.T = columns
         self._entries = None
         self._log_z = None

@@ -18,7 +18,8 @@ So a plot holds its table plus one part's working set, and a line plot its
 x texts, about 12 bytes a point.  Measured with tracemalloc (CPython 3.11,
 numpy 2.4): a 321 x 321 heatmap peaks at 1.8 MB while writing a 9.6 MB
 file, and three series of 100000 points at 1.7 MB for 4.7 MB.  Every
-error, a NaN heatmap's included, is raised before the output is opened.
+error is raised before the output is opened, that of a table whose values
+hold a NaN or have no finite range included (see ``_width``).
 
 :func:`layout` is the one rule for which plot a table gets, from its axes
 and value columns:
@@ -142,6 +143,20 @@ def _cell_blocks(rows: int, cols: int):
             yield slice(i, min(i + per, rows)), slice(j, min(j + size, cols))
 
 
+def _width(lo: float, hi: float, what: str) -> float:
+    """hi - lo, the width of a range a plot maps onto its page or color map.
+
+    A NaN, or a width that is not finite (an infinite end, or ends further
+    apart than the largest double), would put a value at NaN: a ValueError.
+    """
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"{what} hold a NaN")
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"{what} span [{lo:g}, {hi:g}], which has no finite width")
+    return span
+
+
 def _heatmap(table: SweepTable, value_cols):
     """The heatmap's text parts; its error is raised by this call, before
     the first part is made."""
@@ -150,15 +165,7 @@ def _heatmap(table: SweepTable, value_cols):
     grid = table.grid(name)
     vmin = float(grid.min())
     vmax = float(grid.max())
-    span = vmax - vmin
-    # a position is NaN exactly when the span is not finite: a NaN (then min
-    # and max are NaN), an infinity, or a range wider than the largest double
-    if math.isnan(vmin):
-        raise ValueError("a NaN has no color on the color map")
-    if not math.isfinite(span):
-        raise ValueError(
-            f"heatmap values span [{vmin:g}, {vmax:g}], which has no finite width"
-        )
+    span = _width(vmin, vmax, "heatmap values")
 
     def positions(values):
         return np.zeros_like(values) if span == 0.0 else (values - vmin) / span
@@ -212,13 +219,17 @@ def _heatmap(table: SweepTable, value_cols):
 
 
 def _polylines(table: SweepTable, value_cols):
-    """The line plot's text parts, one polyline per value column."""
+    """The line plot's text parts, one polyline per value column; its error
+    is raised by this call, before the first part is made."""
     axis = table.axes[0]
     xs = table.column(axis.name)
-    ymin = min(float(table.column(c).min()) for c in value_cols)
-    ymax = max(float(table.column(c).max()) for c in value_cols)
+    _width(float(xs.min()), float(xs.max()), f"line plot {axis.name} values")
+    ymin = float(np.min([table.column(c).min() for c in value_cols]))
+    ymax = float(np.max([table.column(c).max() for c in value_cols]))
+    _width(ymin, ymax, "line plot values")
     pad = 0.05 * (ymax - ymin) if ymax > ymin else 0.5
     ymin, ymax = ymin - pad, ymax + pad
+    _width(ymin, ymax, "line plot y labels")
 
     x0, y0 = MARGIN_LEFT, MARGIN_TOP
     w = PLOT_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -275,9 +286,8 @@ def layout(axes, value_columns) -> str:
 
     "heatmap" for two axes and exactly one value column, "lines" for one
     axis and at least one value column; any other table is a ValueError.
-    axes may be None, as a table read from CSV has.
     """
-    count = len(axes or ())
+    count = len(axes)
     if count == 2:
         if len(value_columns) != 1:
             raise ValueError(
@@ -295,7 +305,7 @@ def layout(axes, value_columns) -> str:
 def render_svg(table: SweepTable, path) -> None:
     """Write a standalone SVG document for the table, drawn as its
     :func:`layout` says; every error comes before the output is opened."""
-    axes = [ax.name for ax in table.axes or ()]
+    axes = [ax.name for ax in table.axes]
     values = [c for c in table.columns if c not in axes]
     draw = _heatmap if layout(table.axes, values) == "heatmap" else _polylines
     _write(path, "SVG", draw(table, values))

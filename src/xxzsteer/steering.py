@@ -46,7 +46,6 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     DensityStates,
-    as_cells,
     binary_entropy,
     dagger,
     first_cell,
@@ -215,7 +214,7 @@ def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     rho2 = validate_density_matrix(rho2, "coherence input")
     if rho2.matrix.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
-    return as_cells(_coherences(rho2, (basis_axis,), (kind,))[kind][basis_axis])
+    return _coherences(rho2, (basis_axis,), (kind,))[kind][basis_axis]
 
 
 def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
@@ -246,7 +245,7 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
         total = 0.0
         for term in np.where(kept, p * c, 0.0)[_CROSS_TERMS]:
             total = total + term
-        totals[kind] = as_cells(0.5 * total)
+        totals[kind] = 0.5 * total
     return tuple(totals[kind] for kind in kinds)
 
 

@@ -73,7 +73,6 @@ __all__ = [
     "run_sweep",
     "format_value",
     "write_csv",
-    "read_csv",
     "write_json",
 ]
 
@@ -128,7 +127,9 @@ def _count_text(count: float) -> str:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept parameter: values start, start+step, ..., up to stop."""
+    """One swept parameter: values start, start+step, ..., up to stop; one
+    that rounds past stop is stop (-999.9 + 0.1 * 19999 is 1000.0000000000001).
+    """
 
     name: str
     start: float
@@ -163,7 +164,13 @@ class AxisSpec:
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.count, dtype=float)
+        return self._at(np.arange(self.count, dtype=float))
+
+    def _at(self, i: np.ndarray) -> np.ndarray:
+        """The values at an array of indices: ``start + step * i``, or stop."""
+        x = self.start + self.step * i
+        x[x > self.stop] = self.stop
+        return x
 
 
 @dataclass(frozen=True)
@@ -239,14 +246,14 @@ class SweepTable:
 
     columns: tuple[str, ...]
     data: np.ndarray
-    axes: tuple[AxisSpec, ...] | None = None
+    axes: tuple[AxisSpec, ...] = ()
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
 
     def grid(self, name: str) -> np.ndarray:
         """A value column reshaped to the 2D grid (outer axis is rows)."""
-        if self.axes is None or len(self.axes) != 2:
+        if len(self.axes) != 2:
             raise ValueError("grid() needs a table produced by a 2-axis sweep")
         shape = (self.axes[0].count, self.axes[1].count)
         return self.column(name).reshape(shape)
@@ -356,7 +363,7 @@ def _cells(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
     """Parameter rows J, Jz, B, T of grid cells start..stop-1, shape (4, n).
 
     Cell k's axis indices are k's digits in the axis counts, the outer axis
-    slowest, and each axis value is ``ax.start + ax.step * i``, the bits of
+    slowest, and each axis value is ``ax._at(i)``, the bits of
     ``ax.values()[i]``.  A point, a grid with no axes, has the one cell 0.
     The cells are not checked here: each block's batch checks its own cells
     in :func:`_run`, so a later cell outside the box cannot pre-empt an
@@ -368,7 +375,7 @@ def _cells(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
     index = np.arange(start, stop)
     for ax in reversed(spec.axes):
         index, i = np.divmod(index, ax.count)
-        rows[PARAM_NAMES.index(ax.name)] = ax.start + ax.step * i
+        rows[PARAM_NAMES.index(ax.name)] = ax._at(i)
     return rows
 
 
@@ -446,7 +453,7 @@ def _rows(table: SweepTable, before: str, after: str):
     columns go through the block's pass as values, as a table without axes.
     """
     data = np.asarray(table.data, dtype=np.float64)
-    axes = len(table.axes or ())
+    axes = len(table.axes)
     if axes and table.axes[-1].count == 1:
         axes = 0
     outer = max(axes - 1, 0)
@@ -524,34 +531,6 @@ def write_csv(table: SweepTable, path) -> None:
     """Plain CSV: header, comma separators, LF endings, 17-digit values."""
     head = ",".join(table.columns) + "\n"
     _write(path, "CSV", itertools.chain([head], _rows(table, "", "\n")))
-
-
-def read_csv(path) -> SweepTable:
-    """Parse a file written by :func:`write_csv` (bit-exact round trip)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    columns = tuple(lines[0].split(","))
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise ValueError(f"{path}, line {number}: blank line")
-        fields = line.split(",")
-        if len(fields) != len(columns):
-            raise ValueError(
-                f"{path}, line {number}: {len(fields)} fields, "
-                f"the header has {len(columns)}"
-            )
-        try:
-            rows.append([float(tok) for tok in fields])
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {number}: {exc}") from None
-    data = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    return SweepTable(columns=columns, data=data, axes=None)
 
 
 def write_json(table: SweepTable, path) -> None:

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from xxzsteer import SpinParams, ThermalBatch, hamiltonian
 from xxzsteer.model import check_entries
+
+
+def parse_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The header and rows of a CSV file, each field parsed with float()."""
+    head, *rows = Path(path).read_text(encoding="utf-8").split("\n")[:-1]
+    columns = tuple(head.split(","))
+    data = [[float(field) for field in row.split(",")] for row in rows]
+    return columns, np.array(data).reshape(len(rows), len(columns))
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -59,14 +59,15 @@ from xxzsteer.sweep import (
     MEASURES,
     AxisSpec,
     SweepSpec,
+    SweepTable,
     evaluate_point,
-    read_csv,
     run_sweep,
     write_csv,
 )
 
 from conftest import (
     draw_params,
+    parse_csv,
     random_hermitian,
     random_pure_density,
     random_unitary,
@@ -433,7 +434,7 @@ def test_a12_deterministic_parallel_sweeps(tmp_path):
     assert main([*base, "--jobs", "1", "--out", str(f1)]) == 0
     assert main([*base, "--jobs", "8", "--out", str(f2)]) == 0
     identical = f1.read_bytes() == f2.read_bytes()
-    back = read_csv(f1)
+    back = SweepTable(*parse_csv(f1))
     expected_rows = 161 * 161
     round_trip_ok = back.columns == ("J", "Jz", "SCn") and back.data.shape == (
         expected_rows,

@@ -11,7 +11,9 @@ import pytest
 import xxzsteer
 from xxzsteer import cli, steering
 from xxzsteer.cli import main
-from xxzsteer.sweep import MEASURES, read_csv
+from xxzsteer.sweep import MEASURES
+
+from conftest import parse_csv
 
 
 BELL_POINT = ["--fix", "J=10", "--fix", "Jz=2", "--fix", "B=0", "--fix", "T=0.01"]
@@ -76,6 +78,18 @@ def test_axis_outside_the_box_exits_two_at_its_start_and_one_after_it(capsys, tm
         "xxzsteer: |J|=1100.0 exceeds the supported bound 1000.0\n"
     )
     assert not out.exists()
+
+
+def test_axis_whose_last_step_rounds_past_its_stop_ends_at_the_stop(capsys, tmp_path):
+    """-999.9 + 0.1 * 19999 rounds to 1000.0000000000001, outside the box."""
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--axis", "J=-999.9:1000:0.1", "--fix", "Jz=0", "--fix", "B=1",
+            "--fix", "T=1", "--measure", "SCn", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    columns, data = parse_csv(out)
+    assert columns == ("J", "SCn") and len(data) == 20000
+    assert data[-1, 0] == 1000.0 and data[:, 0].max() == 1000.0
 
 
 def test_earlier_cells_error_comes_before_a_later_cell_outside_the_box(capsys, tmp_path):
@@ -232,9 +246,9 @@ def test_sweep_writes_csv(tmp_path):
             "--axis", "Jz=-1:1:1", "--fix", "T=2", "--fix", "B=1",
             "--out", str(out)]
     assert main(argv) == 0
-    table = read_csv(out)
-    assert table.columns == ("J", "Jz", "SCn")
-    assert table.data.shape == (15, 3)
+    columns, data = parse_csv(out)
+    assert columns == ("J", "Jz", "SCn")
+    assert data.shape == (15, 3)
 
 
 @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")

@@ -81,6 +81,26 @@ def test_params_store_numpy_numbers_as_floats():
             SpinParams(0, 0, 0, bad)
 
 
+@pytest.mark.parametrize("bad", ["1.5", None, "x", 1j], ids=["str", "None", "word", "complex"])
+def test_batch_rejects_a_value_as_a_point_does(bad):
+    """A batch converts each value as SpinParams does, and raises the
+    point's message for the first failing cell, whatever column holds it."""
+    for k, name in enumerate(("J", "Jz", "B", "T")):
+        cell = [0.5, 0.0, 1.0, 1.0]
+        cell[k] = bad
+        with pytest.raises(ValueError) as point:
+            SpinParams(*cell)
+        assert str(point.value) == f"{name}={bad!r} is not a finite number"
+        columns = [[1.0, x, x] for x in cell]
+        with pytest.raises(ValueError) as batch:
+            ThermalBatch(*columns)
+        assert str(batch.value) == str(point.value)
+        # the same column as an array of objects, and after a NaN cell
+        with pytest.raises(ValueError, match=f"^{name}=nan is not"):
+            ThermalBatch(*(np.array([math.nan if j == k else 1.0, x], dtype=object)
+                           for j, x in enumerate(cell)))
+
+
 # ---------------------------------------------------------- Hamiltonian
 
 def test_hamiltonian_zero():

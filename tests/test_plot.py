@@ -52,11 +52,11 @@ AXIS = AxisSpec("J", 0, 1, 1.0)
         ((AXIS, AXIS), [], "exactly one value column, got \\[\\]"),
         ((AXIS,), [], "at least one value column"),
         ((), ["SCn"], "1-axis"),
-        (None, ["SCn"], "1-axis"),
+        (SweepTable(("SCn",), np.zeros((1, 1))).axes, ["SCn"], "1-axis"),
         ((AXIS, AXIS, AXIS), ["SCn"], "1-axis"),
     ],
     ids=["heatmap", "lines", "three-lines", "both-engine-lines", "two-values",
-         "no-value", "lines-no-value", "no-axes", "axes-none", "three-axes"],
+         "no-value", "lines-no-value", "no-axes", "default-axes", "three-axes"],
 )
 def test_layout_is_the_one_plot_rule(axes, values, want):
     if want in ("heatmap", "lines"):
@@ -189,9 +189,11 @@ def test_lines_points_match_a_per_point_loop(table, tmp_path):
 
 
 def test_render_svg_rejects_a_table_without_axes(tmp_path):
-    table = small_grid_table([0, 1, 2, 3])
-    for axes in ((), None):
-        table.axes = axes
+    grid = small_grid_table([0, 1, 2, 3])
+    # a table built without axes has none, as one whose axes are ()
+    built_without = SweepTable(grid.columns, grid.data)
+    grid.axes = ()
+    for table in (built_without, grid):
         with pytest.raises(ValueError, match="1-axis"):
             render_svg(table, tmp_path / "x.svg")
     assert not (tmp_path / "x.svg").exists()
@@ -307,6 +309,7 @@ def test_heatmap_of_a_nan_table_is_an_error(tmp_path):
 
 
 INF = float("inf")
+NAN = float("nan")
 
 
 @pytest.mark.parametrize(
@@ -438,6 +441,9 @@ def test_svg_memory_is_one_blocks_working_set(tmp_path, table, parts):
     assert peak < 0.5 * size, (peak, size)
 
 
+WIDTH = ", which has no finite width"
+
+
 def failing_tables():
     """Tables render_svg rejects, with the message of each."""
     nan = grid_table([[0.0, float("nan")], [1.0, 2.0]])
@@ -447,16 +453,31 @@ def failing_tables():
         data=np.column_stack([table.data, table.data[:, 2]]),
         axes=table.axes,
     )
-    no_axes = SweepTable(columns=table.columns, data=table.data, axes=None)
-    return {"NaN": nan, "exactly one value column": two_cols, "1-axis": no_axes}
+    no_axes = SweepTable(columns=table.columns, data=table.data)
+    xs = [0.0, 1.0, 2.0]
+    return {
+        "NaN": nan,
+        "exactly one value column": two_cols,
+        "1-axis": no_axes,
+        # a polyline point of each line plot below would be NaN or infinite
+        "line plot values hold a NaN": line_table(xs, [1.0, NAN, 2.0]),
+        "line plot values span [0, inf]" + WIDTH: line_table(xs, [0.0, INF, 1.0]),
+        "line plot values span [-inf, 1]" + WIDTH: line_table(xs, [-INF, 0.0, 1.0]),
+        "line plot values span [-1e+308, 1e+308]" + WIDTH: line_table(xs, [-1e308, 0.0, 1e308]),
+        # 1.797e308 padded by 5% of its distance from 1e308 is past the largest double
+        "line plot y labels span [9.6015e+307, inf]" + WIDTH: line_table(
+            xs, [1e308, 1e308, 1.797e308]),
+        "line plot B values hold a NaN": line_table([0.0, NAN, 2.0], xs),
+        "line plot B values span [0, inf]" + WIDTH: line_table([0.0, 1.0, INF], xs),
+    }
 
 
 @pytest.mark.parametrize("message", failing_tables())
 def test_a_failing_render_leaves_an_existing_output_as_it_was(tmp_path, message):
-    """Every error is raised before the output is opened."""
+    """Every error is raised before the output is opened, with its message."""
     path = tmp_path / "old.svg"
     old = b"<svg>an earlier plot</svg>\n" * 1000
     path.write_bytes(old)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         render_svg(failing_tables()[message], path)
     assert path.read_bytes() == old

@@ -3,8 +3,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,11 +20,12 @@ from xxzsteer.sweep import (
     SweepTable,
     evaluate_point,
     format_value,
-    read_csv,
     run_sweep,
     write_csv,
     write_json,
 )
+
+from conftest import parse_csv
 
 
 # ------------------------------------------------------------- AxisSpec
@@ -39,6 +40,28 @@ def test_axis_point_counts():
 def test_axis_values_are_arithmetic_progression():
     vals = AxisSpec("Jz", -1, 1, 0.5).values()
     assert np.array_equal(vals, [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def test_axis_values_never_pass_the_stop():
+    """Seeded decimal axes, as they are typed: a value where start + step * i
+    rounds past the stop is the stop, and every other value keeps the bits of
+    start + step * i."""
+    rng = np.random.default_rng(2207)
+    clamped = 0
+    for _ in range(2000):
+        step = Decimal(str(rng.choice([0.1, 0.01, 0.3, 0.05, 0.7, 0.001, 0.25, 0.02])))
+        start = int(rng.integers(-10**4, 10**4)) * step
+        stop = start + int(rng.integers(0, 3000)) * step
+        ax = AxisSpec("J", float(start), float(stop), float(step))
+        values = ax.values()
+        raw = ax.start + ax.step * np.arange(ax.count, dtype=float)
+        assert values.max() <= ax.stop and values[0] == ax.start
+        past = raw > ax.stop
+        assert np.array_equal(values[~past], raw[~past])
+        assert np.all(values[past] == ax.stop)
+        clamped += past.any()
+    assert clamped > 100
+    assert AxisSpec("J", -999.9, 1000, 0.1).values()[-1] == 1000.0
 
 
 def test_axis_rejects_bad_specs():
@@ -995,10 +1018,11 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     table = SweepTable(columns=("a", "b", "c"), data=data)
     path = tmp_path / "rt.csv"
     write_csv(table, path)
-    back = read_csv(path)
-    assert back.columns == table.columns
-    assert back.data.shape == table.data.shape
-    assert np.array_equal(back.data, table.data)
+    columns, back = parse_csv(path)
+    assert columns == table.columns
+    assert back.shape == table.data.shape
+    assert np.array_equal(back, table.data)
+    assert np.array_equal(np.signbit(back), np.signbit(table.data))
 
 
 def test_json_structure_and_numbers(tmp_path):
@@ -1051,7 +1075,7 @@ def awkward_table(seed, rows, columns, n_axes):
     axes = tuple(AxisSpec(name, 0, 1, 1.0) for name in names[:n_axes])
     for k in range(n_axes):
         data[:, k] = rng.choice((0.0, -0.0, 0.25, -20.0, 1e-300), rows)
-    return SweepTable(columns=names, data=data, axes=axes or None)
+    return SweepTable(columns=names, data=data, axes=axes)
 
 
 @pytest.mark.parametrize(
@@ -1178,34 +1202,6 @@ def test_runs_share_every_axis_but_the_last_and_fit_a_block(monkeypatch):
     zeros = grid_table([0.0, -0.0, -0.0], [1.0, 2.0]).data
     assert list(sweep._runs(zeros, 1)) == [(0, 2), (2, 6)]
     assert list(sweep._runs(zeros[:0], 1)) == []
-
-
-@pytest.mark.parametrize(
-    "text, line, message",
-    [
-        ("a,b\n1,2\n3\n", 3, "1 fields, the header has 2"),
-        ("a,b\n1,2\n\n3,4\n", 3, "blank line"),
-        ("a,b\n1,2\n3,x\n", 3, "could not convert string to float: 'x'"),
-    ],
-    ids=["ragged", "blank", "not-a-number"],
-)
-def test_read_csv_names_the_file_and_line_of_a_bad_row(tmp_path, text, line, message):
-    path = tmp_path / "bad.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        read_csv(path)
-    assert str(err.value) == f"{path}, line {line}: {message}"
-
-
-def test_read_csv_of_a_missing_or_empty_file_is_an_error(tmp_path):
-    missing = tmp_path / "missing.csv"
-    with pytest.raises(OSError, match=f"^cannot read CSV from {re.escape(str(missing))}: "):
-        read_csv(missing)
-    empty = tmp_path / "empty.csv"
-    empty.write_bytes(b"")
-    with pytest.raises(ValueError) as err:
-        read_csv(empty)
-    assert str(err.value) == f"{empty}: empty CSV"
 
 
 def test_grid_needs_a_two_axis_table():
