@@ -68,7 +68,7 @@ def line_family(outdir, base, axis, fixed, family_name, family_values):
         emit(outdir, f"{base}_{family_name}{tag}", spec)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--outdir",
@@ -80,7 +80,7 @@ def main() -> int:
         choices=("grids", "fieldtemp", "lines"),
         help="restrict to one panel group",
     )
-    ns = parser.parse_args()
+    ns = parser.parse_args(argv)
     outdir = pathlib.Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -87,10 +89,10 @@ def collective_observable(axis: PauliAxis) -> np.ndarray:
     return m
 
 
-# The collective X generator, as collective_observable(PauliAxis.X) builds it,
-# and its gauge partner: conjugation by sigma_z ox I, which also maps the J<0
-# thermal states onto the J>0 ones.  Shared, so read-only.
-_COLLECTIVE_X = (kron(PAULI_X, IDENTITY_2) + kron(IDENTITY_2, PAULI_X)) / 2
+# The collective X generator and its gauge partner: conjugation by
+# sigma_z ox I, which also maps the J<0 thermal states onto the J>0 ones.
+# Shared, so read-only.
+_COLLECTIVE_X = collective_observable(PauliAxis.X)
 _STAGGERED_X = (kron(PAULI_X, IDENTITY_2) - kron(IDENTITY_2, PAULI_X)) / 2
 _COLLECTIVE_X.flags.writeable = False
 _STAGGERED_X.flags.writeable = False
@@ -128,11 +130,9 @@ def qfi_spectral(rho: np.ndarray, obs):
     diff = pm - pk
     term = diff * diff / np.where(kept, s, 1.0) * np.abs(elements) ** 2
     terms = np.where(kept, term, 0.0)
-    # summed from 0 in pair order, m major, as a left fold
-    total = 0.0
-    for row in np.moveaxis(terms.reshape(*terms.shape[:-2], -1), -1, 0):
-        total = total + row
-    return np.maximum(2.0 * total, 0.0)
+    # summed from 0 in pair order, m major, as a left fold; every term is >= +0
+    pairs = np.moveaxis(terms.reshape(*terms.shape[:-2], -1), -1, 0)
+    return 2.0 * reduce(add, pairs, 0.0)
 
 
 @closed_form

@@ -9,9 +9,10 @@ checked in one place, :func:`validate_density_matrix`: it returns a
 :class:`DensityStates`, the checked matrices with the decomposition that
 its positivity check computed, and returns a DensityStates unchanged.  The
 entropy and the oracle measures read that decomposition, so each stack is
-checked and decomposed once.  Sums within one matrix are explicit left
-folds, so a matrix gives the same bits alone as inside any stack.  All
-entropies are in bits.
+checked and decomposed once.  Sums within one matrix are left folds,
+``functools.reduce`` over the terms in index order, never numpy reductions,
+whose order depends on the array width; so a matrix gives the same bits
+alone as inside any stack.  All entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +101,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def trace(a: np.ndarray) -> np.ndarray:
     """Trace of each matrix of a stack, summed in index order."""
-    total = a[..., 0, 0]
-    for k in range(1, a.shape[-1]):
-        total = total + a[..., k, k]
-    return total
+    return reduce(add, (a[..., k, k] for k in range(a.shape[-1])))
 
 
 def sandwich(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -278,10 +278,7 @@ def shannon_bits(probs):
     be an array of cells.  The terms are summed from 0 in outcome order.
     A sequence of numbers gives a float.
     """
-    total = 0.0
-    for term in xlog2x(np.asarray(probs, dtype=float)):
-        total = total - term
-    return total
+    return reduce(sub, xlog2x(np.asarray(probs, dtype=float)), 0.0)
 
 
 def binary_entropy(q):
@@ -315,21 +312,17 @@ def logsumexp(terms, signs=None) -> LogSumExp:
     """Sum s_i e^{t_i} with the largest exponent subtracted first.
 
     `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
-    factors (all +1 when omitted).  The sum is an explicit left fold: numpy's
-    reductions sum a stacked (k, N) array in an order that depends on N, so
-    a cell evaluated alone could differ in its last bits from the same cell
-    in a grid.
+    factors (all +1 when omitted).  The shift and the sum are left folds over
+    the terms (``functools.reduce``): numpy's reductions sum a stacked (k, N)
+    array in an order that depends on N, so a cell evaluated alone could
+    differ in its last bits from the same cell in a grid.
     """
     t = np.array(terms)
-    shift = t[0]
-    for row in t[1:]:
-        shift = np.maximum(shift, row)
+    shift = reduce(np.maximum, t)
     w = np.exp(t - shift)
     if signs is not None:
         w *= np.array(signs)[:, None]
-    total = w[0]
-    for row in w[1:]:
-        total = total + row
+    total = reduce(add, w)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(total)) + shift
     return LogSumExp(log_abs, np.sign(total), w, total)

@@ -38,6 +38,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -321,9 +322,7 @@ def gibbs_spectral(cells: ThermalBatch) -> np.ndarray:
     eig = eig_hermitian(hamiltonian(cells))
     lowest = eig.values[:, 0]
     weights = np.exp(-(eig.values - lowest[:, None]) / cells.T[:, None])
-    total = weights[:, 0]
-    for k in range(1, 4):
-        total = total + weights[:, k]
+    total = functools.reduce(add, weights.T)
     rho = (eig.vectors * (weights / total[:, None])[:, None, :]) @ dagger(eig.vectors)
     rho = (rho + dagger(rho)) / 2
 

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -188,21 +190,6 @@ def _relative_entropy(in_basis: np.ndarray, entropy) -> np.ndarray:
 _FORMS = {CoherenceKind.L1: _l1, CoherenceKind.RELATIVE_ENTROPY: _relative_entropy}
 
 
-def _coherences(states: DensityStates, axes, kinds) -> dict:
-    """{kind: {axis: coherence}} of checked qubit states, in one pass.
-
-    Each basis change is made once for every kind, and S(rho) is taken once,
-    only when the relative entropy is asked for.
-    """
-    entropy = vn_entropy(states) if CoherenceKind.RELATIVE_ENTROPY in kinds else None
-    found = {kind: {} for kind in kinds}
-    for axis in axes:
-        in_basis = _in_basis(states, axis)
-        for kind in kinds:
-            found[kind][axis] = _FORMS[kind](in_basis, entropy)
-    return found
-
-
 def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     """Basis coherence of qubit states in the eigenbasis of one Pauli axis.
 
@@ -214,7 +201,8 @@ def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     rho2 = validate_density_matrix(rho2, "coherence input")
     if rho2.matrix.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
-    return _coherences(rho2, (basis_axis,), (kind,))[kind][basis_axis]
+    entropy = vn_entropy(rho2) if kind is CoherenceKind.RELATIVE_ENTROPY else None
+    return _FORMS[kind](_in_basis(rho2, basis_axis), entropy)
 
 
 def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
@@ -234,18 +222,17 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     p, states = zip(*(steer(rho, mu) for mu in PauliAxis))
     # Bob's six conditional states, checked once and taken in each basis once
     states = validate_density_matrix(np.array(states), "coherence input")
-    coh = _coherences(states, PauliAxis, dict.fromkeys(kinds))
+    entropy = vn_entropy(states) if CoherenceKind.RELATIVE_ENTROPY in kinds else None
+    in_basis = [_in_basis(states, nu) for nu in PauliAxis]
     # p[m, a, 0]: the weight of outcome a of Alice's axis m
     p = np.array(p)[:, :, None]
     kept = p > PROBABILITY_FLOOR
     totals = {}
-    for kind, by_axis in coh.items():
+    for kind in dict.fromkeys(kinds):
         # c[m, a, nu]: C^nu of Bob's state after outcome a of axis m
-        c = np.stack([by_axis[nu] for nu in PauliAxis], axis=2)
-        total = 0.0
-        for term in np.where(kept, p * c, 0.0)[_CROSS_TERMS]:
-            total = total + term
-        totals[kind] = 0.5 * total
+        c = np.stack([_FORMS[kind](b, entropy) for b in in_basis], axis=2)
+        terms = np.where(kept, p * c, 0.0)[_CROSS_TERMS]
+        totals[kind] = 0.5 * reduce(add, terms, 0.0)
     return tuple(totals[kind] for kind in kinds)
 
 
@@ -278,7 +265,8 @@ def scre_closed(cells: ThermalBatch) -> np.ndarray:
     :func:`sqc_direct` rather than trusted.
     """
     a, b, d, v = cells.entries()
-    u = np.minimum((1.0 + _radius(a, d, v)) / 2.0, 1.0)
+    # binary_entropy clips (1+r)/2, which rounding may carry past 1
+    u = (1.0 + _radius(a, d, v)) / 2.0
     return (
         2.0
         + 2.0 * binary_entropy(a + b)
@@ -309,7 +297,7 @@ def scre_published(cells: ThermalBatch) -> np.ndarray:
                 1 + 3 * a - 2 * b - d,
                 1 - a + 2 * b - d,
                 1 + r,
-                np.maximum(1 - r, 0.0),
+                1 - r,  # xlog2x gives 0 where rounding makes it negative
             ]
         )
     )

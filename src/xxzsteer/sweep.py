@@ -12,13 +12,15 @@ block one stack:
   once over the block's stacked states (brute-force path);
 * ``both``    - run the two and record oracle, closed and |difference|.
 
-Cells are independent, every sum is a left fold over one cell's terms, and
-a stacked product gives each matrix its bits alone (see ``linalg``), so a
-block gives each cell the bits the whole grid would: the table is the same
-for any block size.  Each block's parameter rows are made from its cell
-indices, so memory is the table plus one block's working set: tracemalloc
-reads a 27 MB peak for the 1000 x 1000 SCn grid, whose table is 24 MB
-(numpy 2.4).
+Cells are independent, every sum is a left fold over one cell's terms
+(``functools.reduce``, in the kernels' modules), and a stacked product
+gives each matrix its bits alone (see ``linalg``), so a block gives each
+cell the bits the whole grid would: the table is the same for any block
+size.  Each block's parameter rows are made from its cell indices, so
+memory is the table plus one block's working set: tracemalloc reads a
+27 MB peak for the 1000 x 1000 SCn grid, whose table is 24 MB (numpy 2.4).
+One cap, ``MAX_GRID_CELLS``, bounds a grid's cells and so each of its
+axes.
 
 A grid has zero, one or two axes, and a single point is a sweep with no
 axes: :func:`evaluate_point` reads its one row from :func:`run_sweep`, so
@@ -110,10 +112,10 @@ ENGINES = ("oracle", "closed", "both")
 # Suffixes of each measure's three value columns on the both engine.
 _RECORD_FIELDS = ("oracle", "closed", "absdiff")
 
-MAX_AXIS_POINTS = 10**6
-# Cells of a whole grid, the product of its axis counts.  A sweep holds the
-# table, 8 B a column of a cell (136 MB at the cap for every measure on the
-# both engine), plus the working set of one block of cells.
+# Cells of a whole grid, the product of its axis counts, and so also the
+# points of one axis.  A sweep holds the table, 8 B a column of a cell
+# (136 MB at the cap for every measure on the both engine), plus the working
+# set of one block of cells.
 MAX_GRID_CELLS = 10**6
 # Cells evaluated as one stack, and the most rows a writer formats in one
 # pass.
@@ -153,9 +155,9 @@ class AxisSpec:
         # a span whose ratio to the step overflows counts as inf points
         span = (self.stop - self.start) / self.step
         count = self.count if math.isfinite(span) else span
-        if count > MAX_AXIS_POINTS:
+        if count > MAX_GRID_CELLS:
             raise ValueError(
-                f"axis {self.name}: {_count_text(count)} points exceeds {MAX_AXIS_POINTS}"
+                f"axis {self.name}: {_count_text(count)} points exceeds {MAX_GRID_CELLS}"
             )
 
     @property

@@ -17,7 +17,8 @@ Check index:
   A10 The published SCRE closed form holds exactly on (and only on) B=0
   A11 Bounds, generator equivalences, covariance, pure-state variance law
   A12 Byte-identical sweeps across --jobs values; CSV round trip
-  A13 SCRE and QFI share SCn's grooves (A8) and its fall with T (A9)
+  A13 SCRE and QFI share SCn's grooves (A8), its fall with T (A9) and its
+      low-coherence zone growth with B (A7), at 5/6 of each Bell value
   A14 The zero-temperature phase diagram: SCn, SCRE and QFI at T=1e-3 on
       each ground-state region and level-crossing line, on both engines
 
@@ -488,6 +489,30 @@ def test_a13_scre_and_qfi_share_the_scn_features():
             f"(2, opposite signs, 0.9 <= |J| <= 1.1), largest increase along T "
             f"{worst_rise[m]:.2e} (slack 1e-9)"
             for m in measures
+        ),
+    )
+
+
+def test_a13_scre_and_qfi_low_zones_grow_with_b():
+    """A7's zone growth for SCRE and QFI, each at 5/6 of its Bell value."""
+    thresholds = {"SCRE": 2.5, "QFI": 10 / 3}
+    low_zone = {m: [] for m in thresholds}
+    for b in (1, 2, 3, 5, 8, 10):
+        table = run_sweep(
+            SweepSpec(
+                axes=(AxisSpec("J", -20, 20, 0.25), AxisSpec("Jz", -20, 20, 0.25)),
+                fixed={"T": 2.0, "B": float(b)},
+                measures=tuple(thresholds),
+            )
+        )
+        for m, bound in thresholds.items():
+            low_zone[m].append(int((table.column(m) <= bound).sum()))
+    check(
+        "A13 SCRE and QFI low-coherence zones grow with B",
+        all(all(hi >= lo for lo, hi in zip(n, n[1:])) for n in low_zone.values()),
+        "; ".join(
+            f"cells with {m}<={thresholds[m]:.4g} {low_zone[m]} non-decreasing in B"
+            for m in thresholds
         ),
     )
 

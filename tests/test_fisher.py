@@ -11,6 +11,7 @@ import pytest
 
 from xxzsteer import fisher
 from xxzsteer.fisher import (
+    PAIR_FLOOR,
     calibrate_observable,
     calibrated_observable,
     collective_observable,
@@ -18,13 +19,14 @@ from xxzsteer.fisher import (
     qfi_published,
     qfi_spectral,
 )
-from xxzsteer.linalg import eig_hermitian
+from xxzsteer.linalg import dagger, eig_hermitian, validate_density_matrix
 from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
 from xxzsteer.steering import PauliAxis
 from xxzsteer.sweep import evaluate_point
 
 from conftest import (
     draw_params,
+    random_density,
     random_hermitian,
     random_pure_density,
     random_unitary,
@@ -127,6 +129,24 @@ def test_qfi_closed_matches_spectral_on_draws(rng):
     rho = gibbs_closed(cells)
     spectral = qfi_spectral(rho, calibrated_observable(rho))
     assert np.abs(qfi_closed(cells) - spectral).max() <= 1e-8
+
+
+def test_qfi_spectral_sums_its_pair_terms_from_zero_m_major(rng):
+    """The 16 pair terms of each state are one left fold from 0.0, pair
+    (m, k) in m-major order, so any other order (a numpy reduction, whose
+    order depends on the stack) shows in the bits of a random stack."""
+    eig = validate_density_matrix(np.array([random_density(rng, 4) for _ in range(256)]))
+    obs = random_hermitian(rng, 4)
+    weight = np.abs(dagger(eig.vectors) @ obs @ eig.vectors) ** 2
+    total = 0.0
+    for m in range(4):
+        for k in range(4):
+            pm, pk = eig.values[:, m], eig.values[:, k]
+            s = pm + pk
+            kept = s > PAIR_FLOOR
+            term = (pm - pk) * (pm - pk) / np.where(kept, s, 1.0) * weight[:, m, k]
+            total = total + np.where(kept, term, 0.0)
+    assert qfi_spectral(eig, obs).tobytes() == (2.0 * total).tobytes()
 
 
 def test_gauge_aligned_generator_keeps_qfi_even_in_j(rng):

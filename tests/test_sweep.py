@@ -583,6 +583,33 @@ def test_failing_stack_is_halved_not_rerun_cell_by_cell(monkeypatch):
     assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, calls
 
 
+def test_stack_error_is_raised_when_its_first_failing_cell_passes_alone(monkeypatch):
+    """A definition that fails only on stacks of two or more cells: the halving
+    ends at a cell that passes alone, and the sweep raises the whole stack's
+    error."""
+    real = sweep._DEFINITIONS["qfi"]
+    stacks = spectral_stacks(monkeypatch)
+
+    def failing(rho, args):
+        if len(rho.matrix) > 1:
+            raise ValueError(f"stack of {len(rho.matrix)} cells")
+        return real(rho, args)
+
+    monkeypatch.setitem(sweep._DEFINITIONS, "qfi", failing)
+    spec = SweepSpec(
+        axes=(AxisSpec("B", 0.0, 2.0, 0.5),),
+        fixed={"J": 1.0, "Jz": 0.0, "T": 1.0},
+        measures=("QFI",),
+        engine="oracle",
+    )
+    with pytest.raises(ValueError, match="^stack of 5 cells$"):
+        run_sweep(spec)
+    # the stack, its failing left half, that half's passing left cell, and
+    # its right cell measure by measure, which passes
+    assert [len(cells) for cells in stacks] == [5, 2, 1, 1]
+    assert [cells.B.tolist() for cells in stacks[2:]] == [[0.0], [0.5]]
+
+
 # 9 x 5 = 45 cells: six blocks of 7 and one of 3.
 BLOCKED_GRID = dict(
     axes=(AxisSpec("J", -2.0, 2.0, 0.5), AxisSpec("Jz", -1.0, 1.0, 0.5)),
