@@ -218,15 +218,11 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         ns = _PARSER.parse_args(argv)
-    except UsageError as exc:
-        print(f"xxzsteer: error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
-    try:
         if ns.jobs < 1:
             raise UsageError(f"jobs must be a positive integer, got {ns.jobs}")
         return _COMMANDS[ns.command](ns)
+    except SystemExit as exc:  # --help and friends
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"xxzsteer: error: {exc}", file=sys.stderr)
         return 2

@@ -35,11 +35,11 @@ failing cell.  The first failing block holds the first failing cell, and it
 is halved down to that cell (see ``_evaluate``), which costs about one more
 pass over that block.
 
-The CSV and JSON writers format each axis value once per run of rows that
-share all the other axis values, and a grid's last axis twice in all; the
-value columns go through one %-template pass per block of rows (see
-``_rows``).  Their bytes are those of :func:`format_value` applied to each
-value.  A last axis of one point is written as values, a block at a time.
+The CSV and JSON writers format a grid's outer value once per run of rows
+that share it, and its inner axis once in all; the value columns, and the
+axis columns of any other table, go through one %-template pass per block
+of rows (see ``_rows``).  Their bytes are those of :func:`format_value`
+applied to each value.
 
 Every writer, SVG included, goes through ``_write``: an existing output is
 written over in place and cut to length, not truncated when it is opened,
@@ -442,51 +442,41 @@ def _runs(data: np.ndarray, outer: int):
 def _rows(table: SweepTable, before: str, after: str):
     """The table's rows as text, each row's fields between before and after.
 
-    The rows go out in runs (see :func:`_runs`) that share the values of
-    every axis but the last; those are formatted once per run, into the
-    _OUTER place of each of its rows.  A run whose last-axis values have the
-    bits of the run before it reuses a row template that holds them as text,
-    formatted once through _FIELD, so a grid formats its last axis twice in
-    all: in its first run, and for the template at its second.  The other
-    fields go through _FIELD in one pass per block: whole runs that take the
-    same columns as fields, at most _BLOCK_ROWS rows.  So the writer holds
-    about two blocks of text, the block's and a run template.  A last axis
-    of one point would make every row a run of its own, so then the axis
-    columns go through the block's pass as values, as a table without axes.
+    A 2-axis grid whose inner axis has more than one point goes out in runs
+    (see :func:`_runs`) that share an outer value.  Each run is written
+    through one row template that holds its inner-axis text: formatted
+    through _FIELD when the run's inner bits differ from the last run's, and
+    reused while they repeat, so a grid formats its inner axis once.  The
+    outer value is formatted once per run, into the _OUTER place of each of
+    its rows.  Any other table (no axis, one axis, a one-point inner axis,
+    more than two axes) writes its axis columns as values.  The value fields
+    go through _FIELD in one pass per block of whole runs, at most
+    _BLOCK_ROWS rows, so the writer holds about two blocks of text, the
+    block's and a run template.
     """
     data = np.asarray(table.data, dtype=np.float64)
-    axes = len(table.axes)
-    if axes and table.axes[-1].count == 1:
-        axes = 0
-    outer = max(axes - 1, 0)
-    width = data.shape[1]
-    lead = [_OUTER] * (axes > 1)
-    plain = before + ",".join(lead + [_FIELD] * (width - outer)) + after
-    # the value fields escaped for the pass that writes the last axis's text
-    tail = [_FIELD] * (axes > 0) + ["%" + _FIELD] * (width - axes)
-    escaped = before + ",".join(lead + tail) + after
-    outer_fields = ",".join([_FIELD] * outer)
+    axes = 2 if len(table.axes) == 2 and table.axes[1].count > 1 else 0
+    outer = axes // 2
+    # a grid's value fields are escaped for the pass that writes its inner
+    # axis's text into the template
+    fields = [_OUTER, _FIELD] * outer + ["%" * outer + _FIELD] * (data.shape[1] - axes)
+    row = before + ",".join(fields) + after
     seen = template = None
-    # the block's run texts, its first row, and its first column of fields
-    block, start, first = [], 0, outer
+    block, start = [], 0
     for a, b in _runs(data, outer):
-        last = data[a:b, outer:axes]
-        key = (b - a, last.tobytes())
-        if key == seen:
-            if template is None:
-                template = (escaped * (b - a)) % tuple(last.ravel().tolist())
-            rows, fields = template, axes
-        else:
-            # new last-axis values go through the block's pass, as fields
-            seen, template = key, None
-            rows, fields = plain * (b - a), outer
-        if b - start > _BLOCK_ROWS or fields != first:
-            yield "".join(block) % tuple(data[start:a, first:].ravel().tolist())
-            block, start, first = [], a, fields
-        text = outer_fields % tuple(data[a, :outer].tolist())
-        block.append(rows.replace(_OUTER, text))
+        inner = data[a:b, outer:axes]
+        key = (b - a, inner.tobytes())
+        if key != seen:
+            seen, template = key, row * (b - a)
+            if outer:
+                template %= tuple(inner.ravel().tolist())
+        if b - start > _BLOCK_ROWS:
+            yield "".join(block) % tuple(data[start:a, axes:].ravel().tolist())
+            block, start = [], a
+        text = (_FIELD * outer) % tuple(data[a, :outer].tolist())
+        block.append(template.replace(_OUTER, text))
     if block:
-        yield "".join(block) % tuple(data[start:, first:].ravel().tolist())
+        yield "".join(block) % tuple(data[start:, axes:].ravel().tolist())
 
 
 # open(path, "w")'s flags less O_TRUNC: an existing file is written over in

@@ -1218,6 +1218,18 @@ def test_a_one_point_last_axis_is_written_a_block_at_a_time(monkeypatch, block_r
     assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
 
 
+def test_a_grid_is_written_in_blocks_of_whole_runs():
+    """25 runs of 161 rows fit a block of 4096, so the 161 runs of the 161^2
+    grid go out in 7 parts; the first run is not a part of its own."""
+    axes = AxisSpec("J", -20, 20, 0.25), AxisSpec("Jz", -20, 20, 0.25)
+    spec = SweepSpec(axes=axes, fixed={"T": 2.0, "B": 1.0}, measures=("SCn",))
+    table = run_sweep(spec)
+    assert sweep._BLOCK_ROWS == 4096
+    parts = list(sweep._rows(table, "", "\n"))
+    assert [part.count("\n") for part in parts] == [25 * 161] * 6 + [11 * 161]
+    assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
+
+
 def test_runs_share_every_axis_but_the_last_and_fit_a_block(monkeypatch):
     grid = grid_table(np.arange(3.0), np.arange(10.0), 1).data
     assert list(sweep._runs(grid, 1)) == [(0, 10), (10, 20), (20, 30)]
