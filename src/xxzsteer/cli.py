@@ -66,24 +66,21 @@ def _parse_axis(text: str) -> AxisSpec:
         start, stop, step = (float(tok) for tok in parts)
     except ValueError:
         raise UsageError(f"--axis {name}: {raw!r} contains a non-number") from None
-    try:
-        return AxisSpec(name=name, start=start, stop=stop, step=step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return AxisSpec(name=name, start=start, stop=stop, step=step)
 
 
 def _add_common(sub: argparse.ArgumentParser, *, with_axes: bool) -> None:
+    # the names are listed here and checked by SweepSpec alone
     sub.add_argument(
         "--measure",
         action="append",
-        choices=MEASURES,
         metavar="{%s}" % ",".join(MEASURES),
         help="measure to evaluate (repeatable; default: all)",
     )
     sub.add_argument(
         "--engine",
-        choices=ENGINES,
         default="closed",
+        metavar="{%s}" % ",".join(ENGINES),
         help="evaluation engine (default: closed)",
     )
     sub.add_argument(
@@ -156,56 +153,57 @@ def _collect_fixed(pairs: list[str]) -> dict[str, float]:
     return fixed
 
 
-def _build_spec(ns, axes: tuple[AxisSpec, ...], fixed: dict[str, float]) -> SweepSpec:
-    measures = tuple(ns.measure) if ns.measure else MEASURES
+def _request(ns) -> SweepSpec:
+    """The command line's SweepSpec, checked before anything runs.
+
+    Building it parses the axes, collects --fix, builds the SweepSpec and,
+    on plot, asks plot.layout for the mode.  Each rule of a request has one
+    owner among these, and a ValueError any of them raises is a usage error.
+    """
     try:
-        return SweepSpec(axes=axes, fixed=fixed, measures=measures, engine=ns.engine)
+        axes = tuple(_parse_axis(a) for a in getattr(ns, "axis", ()))
+        if not axes and ns.command != "point":
+            raise UsageError("a sweep needs at least one --axis")
+        spec = SweepSpec(
+            axes=axes,
+            fixed=_collect_fixed(ns.fix),
+            measures=tuple(ns.measure or MEASURES),
+            engine=ns.engine,
+        )
+        if ns.command == "plot":
+            mode = layout(spec.axes, spec.value_columns())
+            if ns.mode not in (None, mode):
+                wants = "two axes" if ns.mode == "heatmap" else "one axis"
+                raise UsageError(f"--mode {ns.mode} needs {wants}, got {len(axes)}")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return spec
 
 
-def _sweep_spec(ns) -> SweepSpec:
-    axes = tuple(_parse_axis(a) for a in ns.axis)
-    if not axes:
-        raise UsageError("a sweep needs at least one --axis")
-    return _build_spec(ns, axes, _collect_fixed(ns.fix))
-
-
-def _cmd_point(ns) -> int:
-    fixed = _collect_fixed(ns.fix)
-    spec = _build_spec(ns, (), fixed)
+def _cmd_point(ns, spec: SweepSpec) -> None:
     row = [format_value(x) for x in run_sweep(spec).data[0].tolist()]
     if spec.engine == "both":
         # each measure's record fields, one column each, in that order
         width = len(_RECORD_FIELDS)
         record = "{%s}" % ", ".join(f'"{field}": %s' for field in _RECORD_FIELDS)
         row = [record % tuple(row[k : k + width]) for k in range(0, len(row), width)]
-    params_json = ", ".join(f'"{n}": {format_value(fixed[n])}' for n in PARAM_NAMES)
+    params_json = ", ".join(
+        f'"{n}": {format_value(spec.fixed[n])}' for n in PARAM_NAMES
+    )
     measures_json = ", ".join(f'"{m}": {v}' for m, v in zip(spec.measures, row))
     print(
         '{"params": {%s}, "engine": %s, "measures": {%s}}'
         % (params_json, json.dumps(spec.engine), measures_json)
     )
-    return 0
 
 
-def _cmd_sweep(ns) -> int:
+def _cmd_sweep(ns, spec: SweepSpec) -> None:
     write = write_csv if ns.format == "csv" else write_json
-    write(run_sweep(_sweep_spec(ns)), ns.out)
-    return 0
+    write(run_sweep(spec), ns.out)
 
 
-def _cmd_plot(ns) -> int:
-    spec = _sweep_spec(ns)
-    try:
-        mode = layout(spec.axes, spec.value_columns())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if ns.mode not in (None, mode):
-        wants = "two axes" if ns.mode == "heatmap" else "one axis"
-        raise UsageError(f"--mode {ns.mode} needs {wants}, got {len(spec.axes)}")
+def _cmd_plot(ns, spec: SweepSpec) -> None:
     render_svg(run_sweep(spec), ns.out)
-    return 0
 
 
 _COMMANDS = {"point": _cmd_point, "sweep": _cmd_sweep, "plot": _cmd_plot}
@@ -220,7 +218,8 @@ def main(argv=None) -> int:
         ns = _PARSER.parse_args(argv)
         if ns.jobs < 1:
             raise UsageError(f"jobs must be a positive integer, got {ns.jobs}")
-        return _COMMANDS[ns.command](ns)
+        _COMMANDS[ns.command](ns, _request(ns))
+        return 0
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     except UsageError as exc:

@@ -274,33 +274,30 @@ def _run(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
     """Value columns of every cell, in SweepSpec.value_columns() order.
 
     `rows` holds the parameter rows J, Jz, B, T of N cells, shape (4, N);
-    the cells are checked first, as one ThermalBatch.  The closed forms run
-    next, then each definition once over the stacked spectral states, which
-    are checked and decomposed once for all of them, with every argument
-    the measures ask of it; definitions and arguments run in first-seen
-    order.  Any check raises for its own first failing cell, so which error
-    a stack raises depends on the stack.
+    the cells are checked first, as one ThermalBatch.  Each definition runs
+    next, once over the stacked spectral states, which are checked and
+    decomposed once for all of them, with every argument the measures ask
+    of it, in first-seen order; the closed forms run last.  Any check
+    raises for its own first failing cell, so which error a stack raises
+    depends on the stack.
     """
     cells = ThermalBatch(*rows)
     forms, definitions = zip(*(_MEASURES[m] for m in measures))
-    closed = [form(cells) for form in forms] if engine != "oracle" else []
+    if engine != "closed":
+        rho = validate_density_matrix(gibbs_spectral(cells), "steered state")
+        asked = {}
+        for name, arg in dict.fromkeys(definitions):
+            asked.setdefault(name, []).append(arg)
+        found = {}
+        for name, args in asked.items():
+            found.update(zip([(name, a) for a in args], _DEFINITIONS[name](rho, args)))
+        oracle = [found[d] for d in definitions]
+        if engine == "oracle":
+            return oracle
+    closed = [form(cells) for form in forms]
     if engine == "closed":
         return closed
-    rho = validate_density_matrix(gibbs_spectral(cells), "steered state")
-    asked = {}
-    for name, arg in dict.fromkeys(definitions):
-        asked.setdefault(name, []).append(arg)
-    found = {}
-    for name, args in asked.items():
-        values = _DEFINITIONS[name](rho, args)
-        found.update(zip([(name, arg) for arg in args], values))
-    oracle = [found[d] for d in definitions]
-    if engine == "oracle":
-        return oracle
-    columns = []
-    for o, c in zip(oracle, closed):
-        columns += [o, c, np.abs(o - c)]
-    return columns
+    return [x for o, c in zip(oracle, closed) for x in (o, c, np.abs(o - c))]
 
 
 def _evaluate(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
@@ -312,10 +309,11 @@ def _evaluate(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
     it holds a failing cell: a failing stack is halved, keeping the left
     half if it fails and the right half if not, down to its first failing
     cell, about one more pass over the stack.  That cell then runs measure
-    by measure.  If it passes alone, the stack's own error is raised.  One
-    cell on the closed engine already raises in measure order, so a single
-    failing closed point runs once; the oracle evaluates the two
-    steered-coherence kinds together, so it does not.
+    by measure, each through :func:`_run`, which runs its oracle first.  If
+    it passes alone, the stack's own error is raised.  One cell on the
+    closed engine already raises in measure order, so a single failing
+    closed point runs once; the oracle evaluates the two steered-coherence
+    kinds together, and ``both`` every definition first, so they do not.
     """
     try:
         return _run(rows, measures, engine)
@@ -331,10 +329,8 @@ def _evaluate(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
             rows = rows[:, :half]
         else:
             rows = rows[:, half:]
-    engines = ("oracle", "closed") if engine == "both" else (engine,)
     for m in measures:
-        for one in engines:
-            _run(rows, (m,), one)
+        _run(rows, (m,), engine)
     raise error
 
 

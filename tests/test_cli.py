@@ -11,7 +11,7 @@ import pytest
 import xxzsteer
 from xxzsteer import cli, steering
 from xxzsteer.cli import main
-from xxzsteer.sweep import MEASURES
+from xxzsteer.sweep import ENGINES, MEASURES
 
 from conftest import parse_csv
 
@@ -170,6 +170,50 @@ def test_usage_errors_exit_two_with_their_message(argv, message, capsys, tmp_pat
     assert main(argv) == 2
     assert capsys.readouterr().err == f"xxzsteer: error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+REQUESTS = {
+    "point": ["point", "--fix", "J=1", *SWEEP_FIXED],
+    "sweep": ["sweep", "--axis", "J=0:1:0.5", *SWEEP_FIXED, "--out", "x"],
+    "plot": ["plot", "--axis", "J=0:1:0.5", *SWEEP_FIXED, "--out", "x"],
+}
+
+
+@pytest.mark.parametrize("command", REQUESTS)
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--measure", "Foo"],
+         "unknown measure 'Foo'; choose from ('SCn', 'SCRE', 'SCREpaper', 'QFI', "
+         "'QFIclosed')"),
+        (["--engine", "fast"],
+         "unknown engine 'fast'; choose from ('oracle', 'closed', 'both')"),
+    ],
+    ids=["measure", "engine"],
+)
+def test_unknown_measure_or_engine_exits_two_with_the_spec_message(
+    command, flag, message, capsys, tmp_path, monkeypatch
+):
+    """SweepSpec alone checks measure and engine names, on every command."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*REQUESTS[command], *flag]) == 2
+    assert capsys.readouterr().err == f"xxzsteer: error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", REQUESTS)
+def test_help_names_every_measure_and_engine(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--measure {%s}" % ",".join(MEASURES) in out
+    assert "--engine {%s}" % ",".join(ENGINES) in out
+
+
+def test_a_bad_fix_is_reported_before_a_bad_measure(capsys):
+    """The request is checked in one pass: --fix is parsed before SweepSpec
+    checks the measure names."""
+    assert main(["point", "--measure", "Foo", "--fix", "X", *SWEEP_FIXED]) == 2
+    assert capsys.readouterr().err == "xxzsteer: error: --fix expects NAME=VALUE, got 'X'\n"
 
 
 def test_sweep_rejects_unknown_format(capsys, tmp_path):

@@ -945,6 +945,34 @@ def test_closed_engine_calls_each_closed_form_through_its_module(monkeypatch):
     assert calls == [names[m][1] for m in MEASURES]
 
 
+def test_both_engine_calls_its_definitions_before_its_closed_forms(monkeypatch):
+    """On a stack, as on one cell, the oracle runs before the closed form."""
+    calls = []
+    names = [
+        (steering, "sqc_direct"),
+        (fisher, "qfi_spectral"),
+        (steering, "scn_closed"),
+        (steering, "scre_closed"),
+        (steering, "scre_published"),
+        (fisher, "qfi_closed"),
+        (fisher, "qfi_published"),
+    ]
+    for module, name in names:
+
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    spec = SweepSpec(
+        axes=(AxisSpec("J", -2.0, 2.0, 0.5),),
+        fixed={"Jz": 1.0, "B": 1.0, "T": 1.0},
+        engine="both",
+    )
+    run_sweep(spec)
+    assert calls == [name for _, name in names]
+
+
 def test_sweep_engine_both_cross_check():
     spec = SweepSpec(
         axes=(AxisSpec("J", -3, 3, 1.0),),
