@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of each reference output, one "name digest" line each.
 
-A change that should keep the output bytes keeps every line.  The outputs:
+A change that should keep the output bytes keeps every line.  The expected
+lines are in reference_digests.txt next to this script (numpy 2.4.6; see
+the README); compare with
+
+    PYTHONPATH=src python scripts/reference_digests.py | diff - scripts/reference_digests.txt
+
+The outputs:
 
   closed-grid.csv    the 161x161 (J, Jz) sweep at T=2, B=1, all measures,
   closed-grid.json   closed engine, as CSV and as JSON

@@ -10,6 +10,13 @@ Subcommands:
            2 axes and one value column, lines for 1 axis); a sweep it
            refuses, or a --mode it does not give, is a usage error
 
+A command line that starts with a command name is parsed by that
+command's subparser alone; any other (help, no command, an unknown command,
+an option before the command) goes through the top-level parser.  Both
+give the same namespace, output and exit code: the top-level parser hands a
+subparser every argument after the command name, and its own pass over
+them costs about as much as the subparser's.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -107,7 +114,8 @@ def _add_common(sub: argparse.ArgumentParser, *, with_axes: bool) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(
         prog="xxzsteer",
         description=(
@@ -140,7 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         "mode is a usage error)",
     )
 
-    return parser
+    return parser, {"point": point, "sweep": sweep, "plot": plot}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 def _collect_fixed(pairs: list[str]) -> dict[str, float]:
@@ -208,14 +220,23 @@ def _cmd_plot(ns, spec: SweepSpec) -> None:
 
 _COMMANDS = {"point": _cmd_point, "sweep": _cmd_sweep, "plot": _cmd_plot}
 
-# Built once: building it costs more than most point evaluations.  Each
+# Built once: building them costs more than most point evaluations.  Each
 # parse_args call fills a fresh namespace, so calls share no state.
-_PARSER = build_parser()
+_PARSER, _SUBPARSERS = _build()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace the top-level parser gives (see the module docstring)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def main(argv=None) -> int:
     try:
-        ns = _PARSER.parse_args(argv)
+        ns = _parse(argv)
         if ns.jobs < 1:
             raise UsageError(f"jobs must be a positive integer, got {ns.jobs}")
         _COMMANDS[ns.command](ns, _request(ns))

@@ -164,12 +164,14 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
             + x^3 (y^2 + 1)
         n = (x cosh(B/T) + cosh(J/T)) (u + xy) (yu + x)
 
-    Evaluated entirely in the log domain (signed log-sum-exp for m), so the
-    full parameter box stays finite.  The term 2 y^2 u^3 is what separates
-    this expression from the X-state reduction (which carries 2 y u^3);
-    consequently it matches :func:`qfi_closed` and :func:`qfi_spectral`
-    only at B = 0.  Kept for comparison as the QFIclosed measure.  It reads
-    only the parameters, never the entries.
+    Evaluated entirely in the log domain, so the full parameter box stays
+    finite: m's 8 signed terms and the 4, 2 and 2 terms of n's factors are
+    one (16, N) stack, summed by one grouped :func:`logsumexp` call, each
+    sum shifted by its own largest exponent.  The term 2 y^2 u^3 is what
+    separates this expression from the X-state reduction (which carries
+    2 y u^3); consequently it matches :func:`qfi_closed` and
+    :func:`qfi_spectral` only at B = 0.  Kept for comparison as the
+    QFIclosed measure.  It reads only the parameters, never the entries.
 
     Raises :class:`ParameterRegimeError` for the first cell where the ratio
     leaves double range.
@@ -177,29 +179,43 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
     lx = cells.Jz / cells.T
     ly = cells.B / cells.T
     lu = np.abs(cells.J) / cells.T
+    two_lx = 2 * lx
+    two_lx_lu = two_lx + lu
+    lx_two_lu = lx + 2 * lu
+    two_ly = 2 * ly
+    three_lx = 3 * lx
+    lx_ly = lx + ly
 
-    m = logsumexp(
+    # m's 8 terms, then n's three factors: 4, 2 and 2 terms
+    sums = logsumexp(
         (
-            2 * lx + lu - ly,
-            _LN4 + 2 * lx + lu + ly,
-            2 * lx + lu + 3 * ly,
-            lx + 2 * lu + 2 * ly,
-            lx + 2 * lu,
-            _LN2 + 2 * ly + 3 * lu,
-            3 * lx + 2 * ly,
-            3 * lx,
+            two_lx_lu - ly,
+            _LN4 + two_lx + lu + ly,
+            two_lx_lu + 3 * ly,
+            lx_two_lu + two_ly,
+            lx_two_lu,
+            _LN2 + two_ly + 3 * lu,
+            three_lx + two_ly,
+            three_lx,
+            lx_ly,
+            lx - ly,
+            lu,
+            -lu,
+            lu,
+            lx_ly,
+            ly + lu,
+            lx,
         ),
-        (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0),
+        (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, *(1.0,) * 8),
+        sizes=(8, 4, 2, 2),
     )
-    log_n = (
-        logsumexp((lx + ly, lx - ly, lu, -lu)).log_abs - _LN2
-        + logsumexp((lu, lx + ly)).log_abs
-        + logsumexp((ly + lu, lx)).log_abs
-    )
+    log_m, log_n1, log_n2, log_n3 = sums.log_abs
+    sign_m = sums.sign[0]
+    log_n = log_n1 - _LN2 + log_n2 + log_n3
 
-    exponent = m.log_abs - log_n
+    exponent = log_m - log_n
     with np.errstate(over="ignore"):
-        value = np.where(m.sign == 0.0, 0.0, m.sign * np.exp(exponent))
+        value = np.where(sign_m == 0.0, 0.0, sign_m * np.exp(exponent))
 
     i = first_cell(~np.isfinite(value))
     if i is not None:

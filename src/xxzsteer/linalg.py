@@ -9,10 +9,12 @@ checked in one place, :func:`validate_density_matrix`: it returns a
 :class:`DensityStates`, the checked matrices with the decomposition that
 its positivity check computed, and returns a DensityStates unchanged.  The
 entropy and the oracle measures read that decomposition, so each stack is
-checked and decomposed once.  Sums within one matrix are left folds,
-``functools.reduce`` over the terms in index order, never numpy reductions,
-whose order depends on the array width; so a matrix gives the same bits
-alone as inside any stack.  All entropies are in bits.
+checked and decomposed once.  Sums within one matrix or cell are left
+folds, ``functools.reduce`` over the terms in index order, never numpy's
+additive reductions, whose order depends on the array width; so a matrix
+gives the same bits alone as inside any stack.  A maximum is exact in any
+order, so :func:`logsumexp` takes its shift with numpy's maximum
+reduction.  All entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple
 
@@ -83,10 +86,9 @@ TRACE_TOL = 1e-10
 PROBABILITY_TOL = 1e-12
 
 
-def first_cell(bad) -> int | None:
+def first_cell(bad: np.ndarray) -> int | None:
     """Flat index of the first set cell of a boolean array, or None."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
+    return int(bad.argmax()) if bad.any() else None
 
 
 def frobenius(a: np.ndarray) -> np.ndarray:
@@ -300,29 +302,47 @@ def binary_entropy(q):
 
 
 class LogSumExp(NamedTuple):
-    """A sum of exponentials s_i e^{t_i} kept in double range, cell by cell."""
+    """Sums of exponentials s_i e^{t_i} kept in double range, cell by cell."""
 
     log_abs: np.ndarray  # log |sum|; -inf where the sum is zero
     sign: np.ndarray  # sign of the sum: -1, 0 or 1
-    weights: np.ndarray  # s_i e^{t_i - max_i t_i}, one row per term
+    # s_i e^{t_i - m}, m the largest exponent of the sum that holds term i;
+    # one row per term
+    weights: np.ndarray
     total: np.ndarray  # the sum of the weights
 
 
-def logsumexp(terms, signs=None) -> LogSumExp:
+def logsumexp(terms, signs=None, sizes=None) -> LogSumExp:
     """Sum s_i e^{t_i} with the largest exponent subtracted first.
 
     `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
-    factors (all +1 when omitted).  The shift and the sum are left folds over
-    the terms (``functools.reduce``): numpy's reductions sum a stacked (k, N)
-    array in an order that depends on N, so a cell evaluated alone could
-    differ in its last bits from the same cell in a grid.
+    factors (all +1 when omitted).  `sizes` splits the terms into runs of
+    consecutive terms, one sum each: the results then carry one row per
+    sum, in order, from one exp over all the terms.  Without it the terms
+    make one sum and the results have the shape of a term.
+
+    The shift is each sum's largest exponent, taken by numpy's maximum
+    reduction: a maximum is exact in any order, and which of two signed
+    zeros it keeps changes no bit of the result.  The sum is a left fold
+    over its terms (``functools.reduce``): numpy's additive reductions sum
+    a stacked (k, N) array in an order that depends on N, so a cell
+    evaluated alone could differ in its last bits from the same cell in a
+    grid.
     """
     t = np.array(terms)
-    shift = reduce(np.maximum, t)
-    w = np.exp(t - shift)
+    if sizes is None:
+        shift = np.maximum.reduce(t, axis=0)
+        w = np.exp(t - shift)
+    else:
+        starts = [0, *accumulate(sizes[:-1])]
+        shift = np.maximum.reduceat(t, starts, axis=0)
+        w = np.exp(t - np.repeat(shift, sizes, axis=0))
     if signs is not None:
         w *= np.array(signs)[:, None]
-    total = reduce(add, w)
+    if sizes is None:
+        total = reduce(add, w)
+    else:
+        total = np.array([reduce(add, w[i : i + k]) for i, k in zip(starts, sizes)])
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(total)) + shift
     return LogSumExp(log_abs, np.sign(total), w, total)

@@ -183,9 +183,11 @@ def check_entries(a, b, d, v) -> None:
     diagonal = np.array((a, b, d))
     in_range = (-tol <= diagonal) & (diagonal <= 1.0 + tol)
     norm_res = np.abs(a + 2 * b + d - 1.0)
-    bad = np.array((*~in_range, norm_res > tol, ~(np.abs(v) <= b + tol)))
-    if not bad.any():
+    off_norm = norm_res > tol
+    coherence_ok = np.abs(v) <= b + tol
+    if in_range.all() and not off_norm.any() and coherence_ok.all():
         return
+    bad = np.array((*~in_range, off_norm, ~coherence_ok))
     i = first_cell(bad.any(axis=0))
     clause = int(np.argmax(bad[:, i]))
     if clause < 3:

@@ -264,6 +264,57 @@ def test_consecutive_calls_share_no_parser_state(capsys):
     assert list(json.loads(once)["measures"]) == ["QFI", "SCn"]
 
 
+# Command lines whose outcome must not depend on whether main hands them to a
+# subparser directly or through the top-level parser; "OUT" is a file path.
+DISPATCH_LINES = {
+    "nothing": [],
+    "short help": ["-h"],
+    "long help": ["--help"],
+    "unknown command": ["frobnicate", *BELL_POINT],
+    "command help": ["point", "-h"],
+    "plot help": ["plot", "--help"],
+    "unknown flag after the command": ["point", *BELL_POINT, "--bogus"],
+    "abbreviated flag": ["point", "--fi", "J=10", *BELL_POINT[2:]],
+    "stray positional": ["point", "stray", *BELL_POINT],
+    "sweep without --out": ["sweep", "--axis", "J=0:1:0.5", *BELL_POINT[2:]],
+    "option before the command": ["--fix", "J=10", "point", *BELL_POINT[2:]],
+    "help before the command": ["-h", "point"],
+    "double dash before the command": ["--", "point", *BELL_POINT],
+    "double dash after the command": ["point", "--", *BELL_POINT],
+    "double dash at the end": ["point", *BELL_POINT, "--"],
+    "bad --jobs": ["point", *BELL_POINT, "--jobs", "x"],
+    "point": ["point", *BELL_POINT, "--measure", "QFI", "--engine", "both"],
+    "point with = forms": ["point", "--fix=J=10", "--fix=Jz=2", "--fix=B=0", "--fix=T=0.01"],
+    "sweep": ["sweep", "--axis", "J=0:1:0.5", *BELL_POINT[2:], "--out", "OUT"],
+    "plot with a wrong mode": ["plot", "--axis", "J=0:1:0.5", *BELL_POINT[2:],
+                               "--mode", "heatmap", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_LINES.values(), ids=DISPATCH_LINES)
+def test_direct_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch, tmp_path):
+    """Exit code, stdout, stderr and file of each line match a full parse."""
+    outcomes = []
+    for direct in (True, False):
+        out = tmp_path / f"direct_{direct}"
+        if not direct:
+            monkeypatch.setattr(cli, "_SUBPARSERS", {})
+        code = main([str(out) if arg == "OUT" else arg for arg in argv])
+        written = out.read_bytes() if out.exists() else None
+        outcomes.append((code, *capsys.readouterr(), written))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_line_that_starts_with_a_command_skips_the_top_level_parser(capsys, monkeypatch):
+    class Refusing:
+        def parse_args(self, argv):
+            raise AssertionError(f"top-level parser called with {argv}")
+
+    monkeypatch.setattr(cli, "_PARSER", Refusing())
+    assert main(["point", *BELL_POINT, "--measure", "SCn"]) == 0
+    assert json.loads(capsys.readouterr().out)["measures"]["SCn"] > 2.9
+
+
 def test_cli_imports_without_scipy():
     src = str(Path(xxzsteer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -19,8 +19,8 @@ from xxzsteer.fisher import (
     qfi_published,
     qfi_spectral,
 )
-from xxzsteer.linalg import dagger, eig_hermitian, validate_density_matrix
-from xxzsteer.model import SpinParams, ThermalBatch, gibbs_closed
+from xxzsteer.linalg import dagger, eig_hermitian, logsumexp, validate_density_matrix
+from xxzsteer.model import ParameterRegimeError, SpinParams, ThermalBatch, gibbs_closed
 from xxzsteer.steering import PauliAxis
 from xxzsteer.sweep import evaluate_point
 
@@ -204,6 +204,117 @@ def test_qfi_published_even_in_coupling_sign(rng):
         p = draw_params(rng)
         q = SpinParams(-p.J, p.Jz, p.B, p.T)
         assert abs(qfi_published(p) - qfi_published(q)) <= 1e-10
+
+
+# The published ratio's (J, Jz, B, T) inputs that leave double range, as the
+# benchmark's `points` workload draws them: the first inside the box, the
+# second its corner.
+OVERFLOW_POINTS = (
+    (1.0, 0.0, 1.0, 1e-3),
+    (1e3, -1e3, 1e3, 1e-3),
+    (877.2, -732.0, 659.6, 0.1188),
+    (289.5, -494.2, 945.5, 0.0137),
+    (279.6, -379.0, 134.3, 0.1286),
+    (916.9, -158.8, 362.6, 0.00937),
+    (202.1, -384.9, 614.3, 0.3377),
+    (989.1, -21.58, 404.2, 0.001627),
+    (27.65, -465.5, 22.82, 0.006911),
+    (-648.5, -755.8, 694.0, 0.191),
+    (894.6, -446.4, 183.3, 0.001187),
+    (734.8, -604.5, 420.9, 0.005308),
+    (820.0, 102.2, 271.2, 0.02309),
+)
+
+
+def four_sum_ratio(cells: ThermalBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The published ratio from one log-sum-exp call per sum, unchecked.
+
+    Returns the ratio and the log of its magnitude.
+    """
+    lx = cells.Jz / cells.T
+    ly = cells.B / cells.T
+    lu = np.abs(cells.J) / cells.T
+    m = logsumexp(
+        (
+            2 * lx + lu - ly,
+            math.log(4.0) + 2 * lx + lu + ly,
+            2 * lx + lu + 3 * ly,
+            lx + 2 * lu + 2 * ly,
+            lx + 2 * lu,
+            math.log(2.0) + 2 * ly + 3 * lu,
+            3 * lx + 2 * ly,
+            3 * lx,
+        ),
+        (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0),
+    )
+    log_n = (
+        logsumexp((lx + ly, lx - ly, lu, -lu)).log_abs - math.log(2.0)
+        + logsumexp((lu, lx + ly)).log_abs
+        + logsumexp((ly + lu, lx)).log_abs
+    )
+    exponent = m.log_abs - log_n
+    with np.errstate(over="ignore"):
+        return np.where(m.sign == 0.0, 0.0, m.sign * np.exp(exponent)), exponent
+
+
+def four_sum_error(cells: ThermalBatch) -> str | None:
+    """The message the four-sum ratio raises for its first cell out of range."""
+    value, exponent = four_sum_ratio(cells)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    fault = "overflows double precision" if math.isfinite(exponent[i]) else "is not finite"
+    return f"published QFI ratio {fault} at {cells.describe(i)}"
+
+
+def box_draws(rng, n: int) -> np.ndarray:
+    """(n, 4) cells over the supported box, every third scaled into |x| <= 1."""
+    couplings = rng.uniform(-1e3, 1e3, size=(n, 3))
+    couplings[::3] *= 1e-3
+    temperatures = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 1)))
+    return np.hstack((couplings, temperatures))
+
+
+def regime_error(cells: ThermalBatch) -> str | None:
+    try:
+        qfi_published(cells)
+    except ParameterRegimeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cells", [1, 4096])
+def test_qfi_published_has_the_bits_of_one_log_sum_exp_per_sum(rng, cells):
+    draws = box_draws(rng, 4096 if cells > 1 else 400)
+    draws[:3] = ((0.0, -0.0, 0.0, 1.0), (-0.0, 0.0, -0.0, 2.0), (0.0, 0.0, -0.0, 1e-3))
+    want = four_sum_ratio(ThermalBatch(*draws.T))[0]
+    finite = np.isfinite(want)
+    assert finite[:3].all() and 0 < finite.sum() < len(draws)
+    if cells > 1:
+        got = qfi_published(ThermalBatch(*draws[finite].T))
+        assert got.tobytes() == want[finite].tobytes()
+        return
+    for cell, ref, ok in zip(draws, want, finite):
+        batch = ThermalBatch(*cell[:, None])
+        if ok:
+            assert qfi_published(batch).tobytes() == np.array([ref]).tobytes()
+        else:
+            assert regime_error(batch) == four_sum_error(batch) is not None
+
+
+def test_qfi_published_overflow_names_the_first_cell_as_before(rng):
+    for point in OVERFLOW_POINTS:
+        cells = ThermalBatch.of(SpinParams(*point))
+        assert regime_error(cells) == four_sum_error(cells) is not None
+    inside = box_draws(rng, 64)
+    inside = inside[np.isfinite(four_sum_ratio(ThermalBatch(*inside.T))[0])]
+    for k in range(len(OVERFLOW_POINTS)):
+        draws = np.vstack((inside[:k], OVERFLOW_POINTS[k:], inside[k:]))
+        cells = ThermalBatch(*draws.T)
+        message = four_sum_error(cells)
+        assert message.endswith(f"at {cells.describe(k)}")
+        assert regime_error(cells) == message
 
 
 # ----------------------------------------------------------- calibration

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import decimal
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from xxzsteer.linalg import (
     PAULI_Z,
     binary_entropy,
     eig_hermitian,
+    first_cell,
     kron,
     logsumexp,
     partial_trace_A,
@@ -328,6 +331,72 @@ def test_logsumexp_matches_decimal_reference(rng):
                 assert np.array_equal(alone.weights[:, 0], got.weights[:, j])
     zero = logsumexp((np.array([0.5]), np.array([0.5])), (1.0, -1.0))
     assert zero.log_abs[0] == -np.inf and zero.sign[0] == 0.0
+
+
+def folded_logsumexp(terms, signs=None):
+    """log-sum-exp with the shift taken as a left fold of np.maximum."""
+    t = np.array(terms)
+    shift = reduce(np.maximum, t)
+    w = np.exp(t - shift)
+    if signs is not None:
+        w *= np.array(signs)[:, None]
+    total = reduce(add, w)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(total)) + shift
+    return log_abs, np.sign(total), w, total
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+@pytest.mark.parametrize("signs", [None, (1.0, -1.0), (1.0, 1.0)])
+def test_logsumexp_of_signed_zeros_has_the_bits_of_the_folded_shift(first, second, signs):
+    terms = (np.array([first, 1.5, first]), np.array([second, -0.0, 0.0]))
+    got = logsumexp(terms, signs)
+    want = folded_logsumexp(terms, signs)
+    for field, ref in zip(got, want):
+        assert same_bits(field, ref)
+
+
+def test_grouped_logsumexp_has_the_bits_of_one_call_per_sum(rng):
+    sizes = (3, 1, 4, 2)
+    for cells in (1, 257):
+        terms = rng.uniform(-800.0, 800.0, size=(sum(sizes), cells))
+        terms[:, 0] = (0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 5.0, -0.0, 0.0, -0.0)
+        signs = tuple(rng.choice([-1.0, 1.0], size=sum(sizes)))
+        got = logsumexp(tuple(terms), signs, sizes=sizes)
+        start = 0
+        for g, k in enumerate(sizes):
+            alone = logsumexp(tuple(terms[start : start + k]), signs[start : start + k])
+            assert same_bits(got.log_abs[g], alone.log_abs)
+            assert same_bits(got.sign[g], alone.sign)
+            assert same_bits(got.total[g], alone.total)
+            assert same_bits(got.weights[start : start + k], alone.weights)
+            start += k
+
+
+# ----------------------------------------------------------- first_cell
+
+@pytest.mark.parametrize(
+    "mask, index",
+    [
+        (np.zeros(0, bool), None),
+        (np.zeros(5, bool), None),
+        (np.zeros((3, 4), bool), None),
+        (np.array([False, False, True, True]), 2),
+        (np.array([True]), 0),
+        (np.array([[False, False, False], [False, True, True]]), 4),
+        (np.bool_(True), 0),
+        (np.bool_(False), None),
+    ],
+)
+def test_first_cell_is_the_flat_index_of_the_first_hit(mask, index):
+    assert first_cell(mask) == index
+    hits = np.flatnonzero(mask)
+    assert index == (int(hits[0]) if hits.size else None)
 
 
 @settings(max_examples=100, deadline=None)
