@@ -13,8 +13,6 @@ command-line tool for the sweep front end.
 """
 
 from .fisher import (
-    CalibrationReport,
-    calibrate_observable,
     calibrated_observable,
     collective_observable,
     qfi_closed,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisSpec",
-    "CalibrationReport",
     "CoherenceKind",
     "EigenDecomposition",
     "EngineRecord",
@@ -79,7 +76,6 @@ __all__ = [
     "SweepTable",
     "ThermalBatch",
     "binary_entropy",
-    "calibrate_observable",
     "calibrated_observable",
     "coherence",
     "collective_observable",

@@ -21,12 +21,16 @@ generator is transported along (:func:`calibrated_observable`), keeping the
 measure even in J as the model's phase diagrams show.
 
 A published closed-form ratio for this quantity is kept verbatim in
-:func:`qfi_published`.  :func:`calibrate_observable` compares it against
-the spectral definition for every collective-generator candidate; on this
-family the comparison fails for all of them (its numerator differs from
-the X-state reduction in a single term, 2 e^{2B/T} u^3 in place of
-2 e^{B/T} u^3, so agreement holds only at B = 0), which is why the ratio
-is exposed as a separate measure and not as the canonical closed form.
+:func:`qfi_published`.  Its numerator differs from the X-state reduction
+in a single term, 2 y^2 u^3 in place of 2 y u^3 (x, y, u and n as in its
+docstring; y = e^{B/T}), so exactly
+
+    QFIclosed - QFI = 2 u^3 (y^2 - y) / n:
+
+the two agree only at B = 0, which is why the ratio is exposed as a
+separate measure and not as the canonical closed form.  QFI is even in B,
+so QFIclosed's asymmetry under B -> -B is exactly that of the right-hand
+side.
 
 The closed forms give one value per cell of a ThermalBatch, or the float of
 a SpinParams point (see ``closed_form``); the spectral definition takes one
@@ -36,7 +40,6 @@ density matrix or an (N, 4, 4) stack, such as ``gibbs_closed(cells)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -52,13 +55,7 @@ from .linalg import (
     logsumexp,
     validate_density_matrix,
 )
-from .model import (
-    ParameterRegimeError,
-    SpinParams,
-    ThermalBatch,
-    closed_form,
-    gibbs_closed,
-)
+from .model import ParameterRegimeError, ThermalBatch, closed_form
 from .steering import PauliAxis
 
 __all__ = [
@@ -67,8 +64,6 @@ __all__ = [
     "qfi_spectral",
     "qfi_closed",
     "qfi_published",
-    "CalibrationReport",
-    "calibrate_observable",
 ]
 
 # 0/0 pairs in the spectral sum are removable; skip below this weight.
@@ -169,9 +164,10 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
     one (16, N) stack, summed by one grouped :func:`logsumexp` call, each
     sum shifted by its own largest exponent.  The term 2 y^2 u^3 is what
     separates this expression from the X-state reduction (which carries
-    2 y u^3); consequently it matches :func:`qfi_closed` and
-    :func:`qfi_spectral` only at B = 0.  Kept for comparison as the
-    QFIclosed measure.  It reads only the parameters, never the entries.
+    2 y u^3), so it exceeds the QFI of :func:`qfi_closed` and
+    :func:`qfi_spectral` by exactly 2 u^3 (y^2 - y)/n, which vanishes only
+    at B = 0.  Kept for comparison as the QFIclosed measure.  It reads only
+    the parameters, never the entries.
 
     Raises :class:`ParameterRegimeError` for the first cell where the ratio
     leaves double range.
@@ -223,59 +219,3 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
         fault = "overflows double precision" if finite else "is not finite"
         raise ParameterRegimeError(f"published QFI ratio {fault} at {cells.describe(i)}")
     return value
-
-
-# Worst relative deviation from the published ratio a candidate generator
-# may show over the draws and still be selected.
-CALIBRATION_THRESHOLD = 1e-6
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Outcome of comparing the published ratio with the spectral definition.
-
-    max_relative_deviation maps candidate name -> worst relative deviation
-    of qfi_spectral(rho, candidate) from qfi_published over the draws.
-    selected is the best candidate if it beats the threshold, else None.
-    """
-
-    max_relative_deviation: dict[str, float]
-    threshold: float
-    selected: str | None
-
-
-def calibrate_observable(draws: list[SpinParams]) -> CalibrationReport:
-    """Try to identify the generator implied by the published QFI ratio.
-
-    Candidates are the three collective components and each without the
-    1/2 normalization.  On this model family every candidate fails
-    CALIBRATION_THRESHOLD - the published numerator deviates from the
-    X-state algebra away from B = 0 - so callers should expect ``selected
-    is None`` and fall back to the spectral definition with the
-    gauge-aligned collective X generator (equivalently :func:`qfi_closed`).
-    An empty list of draws is a ValueError: no draw would pass every
-    candidate.
-    """
-    if not draws:
-        raise ValueError("calibration needs at least one draw")
-    candidates = {
-        "collective_x": collective_observable(PauliAxis.X),
-        "collective_y": collective_observable(PauliAxis.Y),
-        "collective_z": collective_observable(PauliAxis.Z),
-        "collective_x_unhalved": 2 * collective_observable(PauliAxis.X),
-        "collective_y_unhalved": 2 * collective_observable(PauliAxis.Y),
-        "collective_z_unhalved": 2 * collective_observable(PauliAxis.Z),
-    }
-    cells = ThermalBatch.of(*draws)
-    reference = qfi_published(cells)
-    rho = gibbs_closed(cells)
-    scale = np.maximum(np.abs(reference), 1e-12)
-    worst = {
-        name: float(np.max(np.abs(qfi_spectral(rho, m) - reference) / scale, initial=0.0))
-        for name, m in candidates.items()
-    }
-    best = min(worst, key=lambda name: worst[name])
-    selected = best if worst[best] <= CALIBRATION_THRESHOLD else None
-    return CalibrationReport(
-        max_relative_deviation=worst, threshold=CALIBRATION_THRESHOLD, selected=selected
-    )
