@@ -40,7 +40,7 @@ from .sweep import (
     write_json,
 )
 
-__all__ = ["UsageError", "build_parser", "main"]
+__all__ = ["UsageError", "main"]
 
 
 class UsageError(Exception):
@@ -149,10 +149,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     )
 
     return parser, {"point": point, "sweep": sweep, "plot": plot}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
 
 
 def _collect_fixed(pairs: list[str]) -> dict[str, float]:

@@ -161,9 +161,9 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
 
     Evaluated entirely in the log domain, so the full parameter box stays
     finite: m's 8 signed terms and the 4, 2 and 2 terms of n's factors are
-    one (16, N) stack, summed by one grouped :func:`logsumexp` call, each
-    sum shifted by its own largest exponent.  The term 2 y^2 u^3 is what
-    separates this expression from the X-state reduction (which carries
+    one (16, N) stack, summed in runs of 8, 4, 2 and 2 by one
+    :func:`logsumexp` call, each sum shifted by its own largest exponent.
+    The term 2 y^2 u^3 is what separates this expression from the X-state reduction (which carries
     2 y u^3), so it exceeds the QFI of :func:`qfi_closed` and
     :func:`qfi_spectral` by exactly 2 u^3 (y^2 - y)/n, which vanishes only
     at B = 0.  Kept for comparison as the QFIclosed measure.  It reads only
@@ -203,7 +203,7 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
             lx,
         ),
         (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, *(1.0,) * 8),
-        sizes=(8, 4, 2, 2),
+        (8, 4, 2, 2),
     )
     log_m, log_n1, log_n2, log_n3 = sums.log_abs
     sign_m = sums.sign[0]

@@ -13,8 +13,8 @@ checked and decomposed once.  Sums within one matrix or cell are left
 folds, ``functools.reduce`` over the terms in index order, never numpy's
 additive reductions, whose order depends on the array width; so a matrix
 gives the same bits alone as inside any stack.  A maximum is exact in any
-order, so :func:`logsumexp` takes its shift with numpy's maximum
-reduction.  All entropies are in bits.
+order, so :func:`logsumexp`, the one log-sum-exp, takes the shift of each
+sum it makes with numpy's maximum reduction.  All entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -125,7 +125,7 @@ def sandwich(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_operator(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_operator(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -312,37 +312,30 @@ class LogSumExp(NamedTuple):
     total: np.ndarray  # the sum of the weights
 
 
-def logsumexp(terms, signs=None, sizes=None) -> LogSumExp:
-    """Sum s_i e^{t_i} with the largest exponent subtracted first.
+def logsumexp(terms, signs, sizes) -> LogSumExp:
+    """Sums s_i e^{t_i}, each with its largest exponent subtracted first.
 
     `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
-    factors (all +1 when omitted).  `sizes` splits the terms into runs of
-    consecutive terms, one sum each: the results then carry one row per
-    sum, in order, from one exp over all the terms.  Without it the terms
-    make one sum and the results have the shape of a term.
+    factors, and `sizes` splits the terms into runs of consecutive terms,
+    one sum each.  The results carry one row per sum, in order, from one exp
+    over all the terms; a single sum is one run.
 
     The shift is each sum's largest exponent, taken by numpy's maximum
-    reduction: a maximum is exact in any order, and which of two signed
-    zeros it keeps changes no bit of the result.  The sum is a left fold
-    over its terms (``functools.reduce``): numpy's additive reductions sum
-    a stacked (k, N) array in an order that depends on N, so a cell
-    evaluated alone could differ in its last bits from the same cell in a
-    grid.
+    reduction over its terms: a maximum is exact in any order, and which of
+    two signed zeros it keeps changes no bit of the result.  The sum is a
+    left fold over its terms (``functools.reduce``): numpy's additive
+    reductions sum a stacked (k, N) array in an order that depends on N, so
+    a cell evaluated alone could differ in its last bits from the same cell
+    in a grid.
     """
-    t = np.array(terms)
-    if sizes is None:
-        shift = np.maximum.reduce(t, axis=0)
-        w = np.exp(t - shift)
-    else:
-        starts = [0, *accumulate(sizes[:-1])]
-        shift = np.maximum.reduceat(t, starts, axis=0)
-        w = np.exp(t - np.repeat(shift, sizes, axis=0))
-    if signs is not None:
-        w *= np.array(signs)[:, None]
-    if sizes is None:
-        total = reduce(add, w)
-    else:
-        total = np.array([reduce(add, w[i : i + k]) for i, k in zip(starts, sizes)])
+    # a new array, made the weights in place; runs are views of its sums
+    w = np.array(terms, dtype=float)
+    runs = [w[i : i + k] for i, k in zip([0, *accumulate(sizes[:-1])], sizes)]
+    shift = np.array([np.maximum.reduce(run) for run in runs])
+    w -= np.repeat(shift, sizes, axis=0)
+    np.exp(w, out=w)
+    w *= np.array(signs)[:, None]
+    total = np.array([reduce(add, run) for run in runs])
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(total)) + shift
     return LogSumExp(log_abs, np.sign(total), w, total)

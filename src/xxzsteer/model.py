@@ -266,14 +266,17 @@ class ThermalBatch:
                     (Jz / 2 - B) / T,
                     (-Jz / 2 + J) / T,
                     (-Jz / 2 - J) / T,
-                )
+                ),
+                (1.0, 1.0, 1.0, 1.0),
+                (4,),
             )
             w0, w1, w2, w3 = z.weights
-            a, d = w0 / z.total, w1 / z.total
-            b = (w2 + w3) / (2 * z.total)
-            v = (w2 - w3) / (2 * z.total)
+            (total,) = z.total
+            a, d = w0 / total, w1 / total
+            b = (w2 + w3) / (2 * total)
+            v = (w2 - w3) / (2 * total)
             check_entries(a, b, d, v)
-            self._log_z = z.log_abs
+            (self._log_z,) = z.log_abs
             self._entries = (a, b, d, v)
         return self._entries
 

@@ -162,8 +162,13 @@ class AxisSpec:
 
     @property
     def count(self) -> int:
-        # small epsilon so 40/0.25-style ratios are not truncated by roundoff
-        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        # (stop - start) / step misses a whole number of steps by the rounding
+        # of start, stop and their difference, up to 2 ulp(1) (|start| +
+        # |stop|) / step, so a stop that close to a grid point is on it; never
+        # less than 1e-9 (40/0.25-style ratios), never more than half a step
+        slack = 2 * math.ulp(1.0) * (abs(self.start) + abs(self.stop)) / self.step
+        slack = min(max(slack, 1e-9), 0.5)
+        return int(math.floor((self.stop - self.start) / self.step + slack)) + 1
 
     def values(self) -> np.ndarray:
         return self._at(np.arange(self.count, dtype=float))

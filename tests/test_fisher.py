@@ -252,15 +252,16 @@ def four_sum_ratio(cells: ThermalBatch) -> tuple[np.ndarray, np.ndarray]:
             3 * lx,
         ),
         (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0),
+        (8,),
     )
-    log_n = (
-        logsumexp((lx + ly, lx - ly, lu, -lu)).log_abs - math.log(2.0)
-        + logsumexp((lu, lx + ly)).log_abs
-        + logsumexp((ly + lu, lx)).log_abs
-    )
-    exponent = m.log_abs - log_n
+    (log_n1,) = logsumexp((lx + ly, lx - ly, lu, -lu), (1.0,) * 4, (4,)).log_abs
+    (log_n2,) = logsumexp((lu, lx + ly), (1.0, 1.0), (2,)).log_abs
+    (log_n3,) = logsumexp((ly + lu, lx), (1.0, 1.0), (2,)).log_abs
+    log_n = log_n1 - math.log(2.0) + log_n2 + log_n3
+    (log_m,), (sign_m,) = m.log_abs, m.sign
+    exponent = log_m - log_n
     with np.errstate(over="ignore"):
-        return np.where(m.sign == 0.0, 0.0, m.sign * np.exp(exponent)), exponent
+        return np.where(sign_m == 0.0, 0.0, sign_m * np.exp(exponent)), exponent
 
 
 def four_sum_error(cells: ThermalBatch) -> str | None:

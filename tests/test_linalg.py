@@ -318,19 +318,20 @@ def test_logsumexp_matches_decimal_reference(rng):
     for k in (2, 4, 8):
         terms = rng.uniform(-800.0, 800.0, size=(k, 300))
         signs = tuple(rng.choice([-1.0, 1.0], size=k))
-        for signed in (None, signs):
-            got = logsumexp(tuple(terms), signed)
+        for signed in ((1.0,) * k, signs):
+            got = logsumexp(tuple(terms), signed, (k,))
+            (log_abs,), (sign,), weights, (total,) = got
             for j in range(terms.shape[1]):
-                ref, ref_sign = decimal_logsumexp(terms[:, j], signed or (1.0,) * k)
-                assert got.sign[j] == ref_sign
-                assert abs(got.log_abs[j] - ref) <= 1e-12 * max(1.0, abs(ref))
+                ref, ref_sign = decimal_logsumexp(terms[:, j], signed)
+                assert sign[j] == ref_sign
+                assert abs(log_abs[j] - ref) <= 1e-12 * max(1.0, abs(ref))
                 # a cell alone gives the same bits as within the batch
-                alone = logsumexp(tuple(terms[:, j : j + 1]), signed)
-                assert (alone.log_abs[0], alone.sign[0]) == (got.log_abs[j], got.sign[j])
-                assert alone.total[0] == got.total[j]
-                assert np.array_equal(alone.weights[:, 0], got.weights[:, j])
-    zero = logsumexp((np.array([0.5]), np.array([0.5])), (1.0, -1.0))
-    assert zero.log_abs[0] == -np.inf and zero.sign[0] == 0.0
+                alone = logsumexp(tuple(terms[:, j : j + 1]), signed, (k,))
+                assert (alone.log_abs[0, 0], alone.sign[0, 0]) == (log_abs[j], sign[j])
+                assert alone.total[0, 0] == total[j]
+                assert np.array_equal(alone.weights[:, 0], weights[:, j])
+    zero = logsumexp((np.array([0.5]), np.array([0.5])), (1.0, -1.0), (2,))
+    assert zero.log_abs[0, 0] == -np.inf and zero.sign[0, 0] == 0.0
 
 
 def folded_logsumexp(terms, signs=None):
@@ -354,27 +355,34 @@ def same_bits(a, b) -> bool:
 @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
 @pytest.mark.parametrize("signs", [None, (1.0, -1.0), (1.0, 1.0)])
 def test_logsumexp_of_signed_zeros_has_the_bits_of_the_folded_shift(first, second, signs):
+    # None: +1 signs against a reference that multiplies by no sign at all
     terms = (np.array([first, 1.5, first]), np.array([second, -0.0, 0.0]))
-    got = logsumexp(terms, signs)
+    log_abs, sign, weights, total = logsumexp(terms, signs or (1.0, 1.0), (2,))
     want = folded_logsumexp(terms, signs)
-    for field, ref in zip(got, want):
+    for field, ref in zip((log_abs[0], sign[0], weights, total[0]), want):
         assert same_bits(field, ref)
 
 
 def test_grouped_logsumexp_has_the_bits_of_one_call_per_sum(rng):
     sizes = (3, 1, 4, 2)
-    for cells in (1, 257):
+    for cells in (1, 257, 4096):
         terms = rng.uniform(-800.0, 800.0, size=(sum(sizes), cells))
         terms[:, 0] = (0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 5.0, -0.0, 0.0, -0.0)
         signs = tuple(rng.choice([-1.0, 1.0], size=sum(sizes)))
-        got = logsumexp(tuple(terms), signs, sizes=sizes)
+        got = logsumexp(tuple(terms), signs, sizes)
         start = 0
         for g, k in enumerate(sizes):
-            alone = logsumexp(tuple(terms[start : start + k]), signs[start : start + k])
-            assert same_bits(got.log_abs[g], alone.log_abs)
-            assert same_bits(got.sign[g], alone.sign)
-            assert same_bits(got.total[g], alone.total)
+            run = slice(start, start + k)
+            alone = logsumexp(tuple(terms[run]), signs[run], (k,))
+            assert same_bits(got.log_abs[g], alone.log_abs[0])
+            assert same_bits(got.sign[g], alone.sign[0])
+            assert same_bits(got.total[g], alone.total[0])
             assert same_bits(got.weights[start : start + k], alone.weights)
+            # and each sum alone has the bits of a shift folded term by term
+            want = folded_logsumexp(tuple(terms[run]), signs[run])
+            alone = (alone.log_abs[0], alone.sign[0], alone.weights, alone.total[0])
+            for field, ref in zip(alone, want):
+                assert same_bits(field, ref)
             start += k
 
 

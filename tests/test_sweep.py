@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from xxzsteer import fisher, steering, sweep
+from xxzsteer.cli import main
 from xxzsteer.model import ParameterRegimeError, SpinParams
 from xxzsteer.plot import render_svg
 from xxzsteer.sweep import (
@@ -35,6 +36,41 @@ def test_axis_point_counts():
     assert AxisSpec("J", -3, 3, 0.01).count == 601
     assert AxisSpec("T", 1, 1, 0.5).count == 1
     assert AxisSpec("B", 0, 1, 0.3).count == 4  # 0, 0.3, 0.6, 0.9
+
+
+@pytest.mark.parametrize(
+    "axis, rows, last",
+    [
+        ("B=-767:-766.99986:0.00001", 15, -766.99986),
+        ("T=151.21:151.27486:0.00001", 6487, 151.27486),
+    ],
+)
+def test_a_stop_on_the_grid_far_from_zero_is_the_last_row(axis, rows, last, tmp_path):
+    """stop - start rounds to a few 1e-8 steps short of a whole number of
+    steps here, more than a fixed 1e-9 would forgive."""
+    out = tmp_path / "x.csv"
+    fixed = [f"--fix={n}=1" for n in ("J", "Jz", "B", "T") if n != axis[0]]
+    argv = ["sweep", "--axis", axis, *fixed, "--measure", "SCn", "--out", str(out)]
+    assert main(argv) == 0
+    _, data = parse_csv(out)
+    assert len(data) == rows and data[-1, 0] == last
+
+
+def test_axis_counts_of_seeded_decimal_specs_are_exact():
+    """Decimal specs as typed, |start| <= 1e3 and up to 10**6 steps, half of
+    them with the stop on the grid: the count is the exact decimal one."""
+    rng = np.random.default_rng(2810)
+    on_grid = 0
+    for _ in range(20000):
+        step = Decimal(int(rng.integers(1, 100))).scaleb(-int(rng.integers(0, 7)))
+        start = Decimal(int(rng.integers(-10**6, 10**6))).scaleb(-3)
+        n = int(math.exp(rng.uniform(0.0, math.log(999_999))))
+        past = 0 if rng.random() < 0.5 else Decimal(int(rng.integers(0, 100))) / 100
+        stop = start + (n + past) * step
+        ax = AxisSpec("J", float(start), float(stop), float(step))
+        assert ax.count == n + 1, (start, stop, step)
+        on_grid += past == 0
+    assert on_grid > 9000
 
 
 def test_axis_values_are_arithmetic_progression():
