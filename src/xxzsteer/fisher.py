@@ -20,7 +20,7 @@ J<0 states are the sigma_z ox I gauge copies of the J>0 ones and the
 generator is transported along (:func:`calibrated_observable`), keeping the
 measure even in J as the model's phase diagrams show.
 
-A published closed-form ratio for this quantity is kept verbatim in
+A published closed-form ratio for this quantity is the QFIclosed measure,
 :func:`qfi_published`.  Its numerator differs from the X-state reduction
 in a single term, 2 y^2 u^3 in place of 2 y u^3 (x, y, u and n as in its
 docstring; y = e^{B/T}), so exactly
@@ -30,7 +30,7 @@ docstring; y = e^{B/T}), so exactly
 the two agree only at B = 0, which is why the ratio is exposed as a
 separate measure and not as the canonical closed form.  QFI is even in B,
 so QFIclosed's asymmetry under B -> -B is exactly that of the right-hand
-side.
+side.  :func:`qfi_published` evaluates the ratio through this identity.
 
 The closed forms give one value per cell of a ThermalBatch, or the float of
 a SpinParams point (see ``closed_form``); the spectral definition takes one
@@ -52,7 +52,6 @@ from .linalg import (
     eig_hermitian,
     first_cell,
     kron,
-    logsumexp,
     validate_density_matrix,
 )
 from .model import ParameterRegimeError, ThermalBatch, closed_form
@@ -69,7 +68,6 @@ __all__ = [
 # 0/0 pairs in the spectral sum are removable; skip below this weight.
 PAIR_FLOOR = 1e-12
 
-_LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 
@@ -130,6 +128,21 @@ def qfi_spectral(rho: np.ndarray, obs):
     return 2.0 * reduce(add, pairs, 0.0)
 
 
+def _x_state_qfi(cells: ThermalBatch, floor: float) -> np.ndarray:
+    """2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|, each term dropped
+    where its denominator is not above `floor`."""
+    a, b, d, v = cells.entries()
+    p = b + np.abs(v)
+    total = 0.0
+    for corner in (a, d):
+        s = corner + p
+        kept = s > floor
+        diff = corner - p
+        term = 2.0 * diff * diff / np.where(kept, s, 1.0)
+        total = total + np.where(kept, term, 0.0)
+    return total
+
+
 @closed_form
 def qfi_closed(cells: ThermalBatch) -> np.ndarray:
     """X-state closed form: 2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
@@ -137,16 +150,7 @@ def qfi_closed(cells: ThermalBatch) -> np.ndarray:
     Terms whose denominator is below the pair floor are dropped, matching
     the removable-singularity convention of the spectral sum.
     """
-    a, b, d, v = cells.entries()
-    p = b + np.abs(v)
-    total = 0.0
-    for corner in (a, d):
-        s = corner + p
-        kept = s > PAIR_FLOOR
-        diff = corner - p
-        term = 2.0 * diff * diff / np.where(kept, s, 1.0)
-        total = total + np.where(kept, term, 0.0)
-    return total
+    return _x_state_qfi(cells, PAIR_FLOOR)
 
 
 @closed_form
@@ -159,15 +163,20 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
             + x^3 (y^2 + 1)
         n = (x cosh(B/T) + cosh(J/T)) (u + xy) (yu + x)
 
-    Evaluated entirely in the log domain, so the full parameter box stays
-    finite: m's 8 signed terms and the 4, 2 and 2 terms of n's factors are
-    one (16, N) stack, summed in runs of 8, 4, 2 and 2 by one
-    :func:`logsumexp` call, each sum shifted by its own largest exponent.
-    The term 2 y^2 u^3 is what separates this expression from the X-state reduction (which carries
-    2 y u^3), so it exceeds the QFI of :func:`qfi_closed` and
-    :func:`qfi_spectral` by exactly 2 u^3 (y^2 - y)/n, which vanishes only
-    at B = 0.  Kept for comparison as the QFIclosed measure.  It reads only
-    the parameters, never the entries.
+    The term 2 y^2 u^3 is what separates this expression from the X-state
+    reduction (which carries 2 y u^3), so the ratio is evaluated as that
+    reduction's QFI, read from the entries as in :func:`qfi_closed` but
+    with no pair floor (the printed ratio drops no term), plus the exact
+    difference 2 u^3 (y^2 - y)/n.  Divided through by u^2 y, that is
+
+        4 (y - 1) / ((1 + e^alpha) (1 + e^beta) (1 + e^{-2|J|/T} + e^alpha + e^beta))
+
+    with alpha = (Jz + B - |J|)/T and beta = (Jz - B - |J|)/T: sign(B) e^E,
+    with E summed in the log domain from those exponents and from
+    log|y - 1| (by ``expm1``), so it is finite wherever the ratio is.  It is
+    exactly 0 at B = 0, where a = d puts both pair weights near 1/2, so
+    there the ratio has the bits of :func:`qfi_closed`.  Kept for
+    comparison as the QFIclosed measure.
 
     Raises :class:`ParameterRegimeError` for the first cell where the ratio
     leaves double range.
@@ -175,47 +184,21 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
     lx = cells.Jz / cells.T
     ly = cells.B / cells.T
     lu = np.abs(cells.J) / cells.T
-    two_lx = 2 * lx
-    two_lx_lu = two_lx + lu
-    lx_two_lu = lx + 2 * lu
-    two_ly = 2 * ly
-    three_lx = 3 * lx
-    lx_ly = lx + ly
-
-    # m's 8 terms, then n's three factors: 4, 2 and 2 terms
-    sums = logsumexp(
-        (
-            two_lx_lu - ly,
-            _LN4 + two_lx + lu + ly,
-            two_lx_lu + 3 * ly,
-            lx_two_lu + two_ly,
-            lx_two_lu,
-            _LN2 + two_ly + 3 * lu,
-            three_lx + two_ly,
-            three_lx,
-            lx_ly,
-            lx - ly,
-            lu,
-            -lu,
-            lu,
-            lx_ly,
-            ly + lu,
-            lx,
-        ),
-        (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, *(1.0,) * 8),
-        (8, 4, 2, 2),
-    )
-    log_m, log_n1, log_n2, log_n3 = sums.log_abs
-    sign_m = sums.sign[0]
-    log_n = log_n1 - _LN2 + log_n2 + log_n3
-
-    exponent = log_m - log_n
-    with np.errstate(over="ignore"):
-        value = np.where(sign_m == 0.0, 0.0, sign_m * np.exp(exponent))
+    alpha = lx + ly - lu
+    beta = lx - ly - lu
+    with np.errstate(divide="ignore", over="ignore"):
+        # log|y - 1|, -inf at B = 0
+        log_y1 = np.maximum(ly, 0.0) + np.log(-np.expm1(-np.abs(ly)))
+        exponent = (
+            _LN4 + log_y1 - np.logaddexp(0.0, alpha) - np.logaddexp(0.0, beta)
+            - np.logaddexp(np.logaddexp(0.0, -2 * lu), np.logaddexp(alpha, beta))
+        )
+        field = np.sign(ly) * np.exp(exponent)
+    value = _x_state_qfi(cells, 0.0) + field
 
     i = first_cell(~np.isfinite(value))
     if i is not None:
-        finite = math.isfinite(exponent[i])
-        fault = "overflows double precision" if finite else "is not finite"
-        raise ParameterRegimeError(f"published QFI ratio {fault} at {cells.describe(i)}")
+        raise ParameterRegimeError(
+            f"published QFI ratio overflows double precision at {cells.describe(i)}"
+        )
     return value

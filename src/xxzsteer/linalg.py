@@ -13,8 +13,8 @@ checked and decomposed once.  Sums within one matrix or cell are left
 folds, ``functools.reduce`` over the terms in index order, never numpy's
 additive reductions, whose order depends on the array width; so a matrix
 gives the same bits alone as inside any stack.  A maximum is exact in any
-order, so :func:`logsumexp`, the one log-sum-exp, takes the shift of each
-sum it makes with numpy's maximum reduction.  All entropies are in bits.
+order, so :func:`logsumexp`, the one log-sum-exp, takes the shift of its
+sum with numpy's maximum reduction.  All entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple
 
@@ -302,40 +301,28 @@ def binary_entropy(q):
 
 
 class LogSumExp(NamedTuple):
-    """Sums of exponentials s_i e^{t_i} kept in double range, cell by cell."""
+    """A sum of exponentials e^{t_i} kept in double range, cell by cell."""
 
-    log_abs: np.ndarray  # log |sum|; -inf where the sum is zero
-    sign: np.ndarray  # sign of the sum: -1, 0 or 1
-    # s_i e^{t_i - m}, m the largest exponent of the sum that holds term i;
-    # one row per term
-    weights: np.ndarray
+    log_abs: np.ndarray  # log of the sum; every term is positive
+    weights: np.ndarray  # e^{t_i - m}, m the largest exponent; one row per term
     total: np.ndarray  # the sum of the weights
 
 
-def logsumexp(terms, signs, sizes) -> LogSumExp:
-    """Sums s_i e^{t_i}, each with its largest exponent subtracted first.
+def logsumexp(terms) -> LogSumExp:
+    """The sum of e^{t_i}, with its largest exponent subtracted first.
 
-    `terms` is a sequence of equal-shape arrays, `signs` the matching +-1
-    factors, and `sizes` splits the terms into runs of consecutive terms,
-    one sum each.  The results carry one row per sum, in order, from one exp
-    over all the terms; a single sum is one run.
-
-    The shift is each sum's largest exponent, taken by numpy's maximum
-    reduction over its terms: a maximum is exact in any order, and which of
-    two signed zeros it keeps changes no bit of the result.  The sum is a
-    left fold over its terms (``functools.reduce``): numpy's additive
-    reductions sum a stacked (k, N) array in an order that depends on N, so
-    a cell evaluated alone could differ in its last bits from the same cell
-    in a grid.
+    `terms` is a sequence of equal-shape arrays, the exponents t_i.  The
+    shift is their largest, taken by numpy's maximum reduction: a maximum
+    is exact in any order, and which of two signed zeros it keeps changes
+    no bit of the result.  The sum is a left fold over the terms
+    (``functools.reduce``): numpy's additive reductions sum a stacked (k, N)
+    array in an order that depends on N, so a cell evaluated alone could
+    differ in its last bits from the same cell in a grid.
     """
-    # a new array, made the weights in place; runs are views of its sums
+    # a new array, made the weights in place
     w = np.array(terms, dtype=float)
-    runs = [w[i : i + k] for i, k in zip([0, *accumulate(sizes[:-1])], sizes)]
-    shift = np.array([np.maximum.reduce(run) for run in runs])
-    w -= np.repeat(shift, sizes, axis=0)
+    shift = np.maximum.reduce(w)
+    w -= shift
     np.exp(w, out=w)
-    w *= np.array(signs)[:, None]
-    total = np.array([reduce(add, run) for run in runs])
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(total)) + shift
-    return LogSumExp(log_abs, np.sign(total), w, total)
+    total = reduce(add, w)
+    return LogSumExp(np.log(total) + shift, w, total)

@@ -260,23 +260,19 @@ class ThermalBatch:
         if self._entries is None:
             J, Jz, B, T = self.J, self.Jz, self.B, self.T
             # -E_i/T for |00>, |11>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
-            z = logsumexp(
+            log_z, (w0, w1, w2, w3), total = logsumexp(
                 (
                     (Jz / 2 + B) / T,
                     (Jz / 2 - B) / T,
                     (-Jz / 2 + J) / T,
                     (-Jz / 2 - J) / T,
-                ),
-                (1.0, 1.0, 1.0, 1.0),
-                (4,),
+                )
             )
-            w0, w1, w2, w3 = z.weights
-            (total,) = z.total
             a, d = w0 / total, w1 / total
             b = (w2 + w3) / (2 * total)
             v = (w2 - w3) / (2 * total)
             check_entries(a, b, d, v)
-            (self._log_z,) = z.log_abs
+            self._log_z = log_z
             self._entries = (a, b, d, v)
         return self._entries
 

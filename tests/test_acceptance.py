@@ -313,7 +313,8 @@ def test_a4_whole_box_random_draws_track_definitions():
     The published forms match the definitions only at zero field, so they
     are checked on the first 20,000 draws with B set to 0.  Measured (numpy
     2.4, OpenBLAS 0.3.31): SCn and QFI 5.7e-11, SCRE 2.4e-11, and at B=0
-    SCREpaper 1.7e-11 and QFIclosed 6.0e-10, in about 1.4 s.
+    SCREpaper 1.7e-11 and QFIclosed 5.7e-11 (QFI's bits at B = 0), in
+    about 1.4 s.
     """
     bounds = {"SCn": 1e-10, "SCRE": 1e-10, "QFI": 1e-8}
     zero_field_bounds = {"SCREpaper": 1e-10, "QFIclosed": 1e-8}
