@@ -323,11 +323,16 @@ def test_logsumexp_matches_decimal_reference(rng):
             assert np.array_equal(alone.weights[:, 0], weights[:, j])
 
 
-def folded_logsumexp(terms):
-    """log-sum-exp with the shift taken as a left fold of np.maximum."""
+def folded_logsumexp(terms, signs=None):
+    """log-sum-exp with the shift taken as a left fold of np.maximum.
+
+    `signs`, if given, multiplies each weight before the sum.
+    """
     t = np.array(terms)
     shift = reduce(np.maximum, t)
     w = np.exp(t - shift)
+    if signs is not None:
+        w *= np.array(signs)[:, None]
     total = reduce(add, w)
     return np.log(total) + shift, w, total
 
@@ -337,10 +342,14 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# None: a reference that multiplies by no sign at all; signs2: one that
+# multiplies each weight by +1.  The ids keep the case names of a table that
+# also held the signed (+1, -1) case, dropped with signed sums.
 @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
-def test_logsumexp_of_signed_zeros_has_the_bits_of_the_folded_shift(first, second):
+@pytest.mark.parametrize("signs", [None, (1.0, 1.0)], ids=["None", "signs2"])
+def test_logsumexp_of_signed_zeros_has_the_bits_of_the_folded_shift(first, second, signs):
     terms = (np.array([first, 1.5, first]), np.array([second, -0.0, 0.0]))
-    for field, ref in zip(logsumexp(terms), folded_logsumexp(terms)):
+    for field, ref in zip(logsumexp(terms), folded_logsumexp(terms, signs)):
         assert same_bits(field, ref)
 
 
