@@ -12,9 +12,7 @@ entropy and the oracle measures read that decomposition, so each stack is
 checked and decomposed once.  Sums within one matrix or cell are left
 folds, ``functools.reduce`` over the terms in index order, never numpy's
 additive reductions, whose order depends on the array width; so a matrix
-gives the same bits alone as inside any stack.  A maximum is exact in any
-order, so :func:`logsumexp`, the one log-sum-exp, takes the shift of its
-sum with numpy's maximum reduction.  All entropies are in bits.
+gives the same bits alone as inside any stack.  All entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -39,7 +37,6 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +56,6 @@ __all__ = [
     "partial_trace_A",
     "vn_entropy",
     "binary_entropy",
-    "LogSumExp",
-    "logsumexp",
     "xlog2x",
     "shannon_bits",
     "frobenius",
@@ -298,31 +293,3 @@ def binary_entropy(q):
         raise ValueError(f"binary_entropy argument {bad!r} outside [0, 1] tolerance")
     q = q.clip(0.0, 1.0)
     return shannon_bits((q, 1.0 - q))
-
-
-class LogSumExp(NamedTuple):
-    """A sum of exponentials e^{t_i} kept in double range, cell by cell."""
-
-    log_abs: np.ndarray  # log of the sum; every term is positive
-    weights: np.ndarray  # e^{t_i - m}, m the largest exponent; one row per term
-    total: np.ndarray  # the sum of the weights
-
-
-def logsumexp(terms) -> LogSumExp:
-    """The sum of e^{t_i}, with its largest exponent subtracted first.
-
-    `terms` is a sequence of equal-shape arrays, the exponents t_i.  The
-    shift is their largest, taken by numpy's maximum reduction: a maximum
-    is exact in any order, and which of two signed zeros it keeps changes
-    no bit of the result.  The sum is a left fold over the terms
-    (``functools.reduce``): numpy's additive reductions sum a stacked (k, N)
-    array in an order that depends on N, so a cell evaluated alone could
-    differ in its last bits from the same cell in a grid.
-    """
-    # a new array, made the weights in place
-    w = np.array(terms, dtype=float)
-    shift = np.maximum.reduce(w)
-    w -= shift
-    np.exp(w, out=w)
-    total = reduce(add, w)
-    return LogSumExp(np.log(total) + shift, w, total)

@@ -19,6 +19,12 @@ Two independent construction routes are provided - closed-form entries and
 a spectral matrix exponential - and must agree entrywise to 1e-10.  All
 exponentials are evaluated after subtracting the largest exponent, so the
 full parameter box (|couplings| up to 1e3, T down to 1e-3) stays finite.
+The closed entries weigh each level against the lower central level, by an
+exponent formed from the parameters, such as (Jz + B - |J|)/T for |00>,
+never as the difference of two rounded level energies of size |Jz|/2T.
+Nothing in them but the sign of v depends on the sign of J, so a, b, d
+and log Z at -J have the bits of those at J, v is exactly negated, and
+every closed measure keeps its bits under J -> -J.
 
 :class:`ThermalBatch` is the one thermal-state type: N parameter cells,
 one array per parameter, entry and log Z, converted and checked by the
@@ -53,7 +59,6 @@ from .linalg import (
     first_cell,
     frobenius,
     kron,
-    logsumexp,
     trace,
 )
 
@@ -259,20 +264,21 @@ class ThermalBatch:
         """Closed-form (a, b, d, v), checked by :func:`check_entries`."""
         if self._entries is None:
             J, Jz, B, T = self.J, self.Jz, self.B, self.T
-            # -E_i/T for |00>, |11>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
-            log_z, (w0, w1, w2, w3), total = logsumexp(
-                (
-                    (Jz / 2 + B) / T,
-                    (Jz / 2 - B) / T,
-                    (-Jz / 2 + J) / T,
-                    (-Jz / 2 - J) / T,
-                )
-            )
-            a, d = w0 / total, w1 / total
-            b = (w2 + w3) / (2 * total)
-            v = (w2 - w3) / (2 * total)
+            lx, ly, lu = Jz / T, B / T, np.abs(J) / T
+            # (E_low - E_i)/T for |00>, |11> and the lower and upper central
+            # levels, E_low that of the lower, (|01> + sign(J)|10>)/sqrt2:
+            # each a difference of parameters, never of two rounded energies,
+            # and none changed by the sign of J
+            w = np.array((lx + ly - lu, lx - ly - lu, np.zeros_like(lu), -2 * lu))
+            shift = np.maximum.reduce(w)
+            w -= shift
+            np.exp(w, out=w)
+            total = functools.reduce(add, w)
+            a, d = w[0] / total, w[1] / total
+            b = (w[2] + w[3]) / (2 * total)
+            v = np.copysign((w[2] - w[3]) / (2 * total), J)
             check_entries(a, b, d, v)
-            self._log_z = log_z
+            self._log_z = np.log(total) + shift + (np.abs(J) - Jz / 2) / T
             self._entries = (a, b, d, v)
         return self._entries
 

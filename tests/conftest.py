@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xxzsteer import SpinParams, ThermalBatch, hamiltonian
-from xxzsteer.model import check_entries
+from xxzsteer.model import COUPLING_MAX, T_FLOOR, check_entries
 
 
 def parse_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -47,6 +48,24 @@ def draw_params(rng, j=(-20, 20), jz=(-20, 20), b=(0, 10), t=(0.05, 10)):
         B=rng.uniform(*b),
         T=rng.uniform(*t),
     )
+
+
+def whole_box(seed: int, draws: int) -> np.ndarray:
+    """Parameter rows (4, draws) over the whole supported box: |J|, |Jz|,
+    |B| log-uniform in [1e-6, COUPLING_MAX] with random signs, T log-uniform
+    in [T_FLOOR, 1e3].  Rows 0-2999 are put on the J, Jz and B faces (1000
+    each, the drawn sign kept), rows 3000-3999 at the T floor, and row 4000
+    at the near-mixed corner (1e-6, 1e-6, 1e-6, 1e3)."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice((-1.0, 1.0), (3, draws))
+    couplings = signs * 10.0 ** rng.uniform(-6, math.log10(COUPLING_MAX), (3, draws))
+    rows = np.vstack([couplings, 10.0 ** rng.uniform(math.log10(T_FLOOR), 3, draws)])
+    for k in range(3):
+        face = slice(1000 * k, 1000 * (k + 1))
+        rows[k, face] = np.copysign(COUPLING_MAX, rows[k, face])
+    rows[3, 3000:4000] = T_FLOOR
+    rows[:, 4000] = 1e-6, 1e-6, 1e-6, 1e3
+    return rows
 
 
 def xstate(a, b, d, v) -> ThermalBatch:

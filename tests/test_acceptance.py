@@ -56,7 +56,6 @@ from xxzsteer.fisher import (
 )
 from xxzsteer.model import (
     COUPLING_MAX,
-    T_FLOOR,
     SpinParams,
     ThermalBatch,
     gibbs_closed,
@@ -87,6 +86,7 @@ from conftest import (
     random_pure_density,
     random_unitary,
     spectral_log_z,
+    whole_box,
 )
 
 BELL_POINT = SpinParams(J=10, Jz=2, B=0, T=0.01)
@@ -276,24 +276,6 @@ def test_a4_full_grid_closed_forms_track_definitions():
         )
 
 
-def whole_box(seed: int, draws: int) -> np.ndarray:
-    """Parameter rows (4, draws) over the whole supported box: |J|, |Jz|,
-    |B| log-uniform in [1e-6, COUPLING_MAX] with random signs, T log-uniform
-    in [T_FLOOR, 1e3].  Rows 0-2999 are put on the J, Jz and B faces (1000
-    each, the drawn sign kept), rows 3000-3999 at the T floor, and row 4000
-    at the near-mixed corner (1e-6, 1e-6, 1e-6, 1e3)."""
-    rng = np.random.default_rng(seed)
-    signs = rng.choice((-1.0, 1.0), (3, draws))
-    couplings = signs * 10.0 ** rng.uniform(-6, math.log10(COUPLING_MAX), (3, draws))
-    rows = np.vstack([couplings, 10.0 ** rng.uniform(math.log10(T_FLOOR), 3, draws)])
-    for k in range(3):
-        face = slice(1000 * k, 1000 * (k + 1))
-        rows[k, face] = np.copysign(COUPLING_MAX, rows[k, face])
-    rows[3, 3000:4000] = T_FLOOR
-    rows[:, 4000] = 1e-6, 1e-6, 1e-6, 1e3
-    return rows
-
-
 def worst_absdiff(rows: np.ndarray, measures) -> dict[str, float]:
     """Each measure's largest closed-vs-oracle gap over the rows, evaluated
     on --engine both a block of cells at a time."""
@@ -312,9 +294,14 @@ def test_a4_whole_box_random_draws_track_definitions():
 
     The published forms match the definitions only at zero field, so they
     are checked on the first 20,000 draws with B set to 0.  Measured (numpy
-    2.4, OpenBLAS 0.3.31): SCn and QFI 5.7e-11, SCRE 2.4e-11, and at B=0
-    SCREpaper 1.7e-11 and QFIclosed 5.7e-11 (QFI's bits at B = 0), in
-    about 1.4 s.
+    2.4, OpenBLAS 0.3.31): SCn and QFI 8.1e-11, SCRE 4.6e-11, and at B=0
+    SCREpaper 4.6e-11 and QFIclosed 8.1e-11 (QFI's bits at B = 0), in
+    about 1.4 s.  The worst cells sit below a split doublet, Jz << -T and
+    |J| << T, where the closed entries are exact to a few ulps and the
+    oracle's eigenvalues of entries of size |Jz| are not: at (6.77e-5,
+    -621.96, 0.01314, 1.343e-3) closed SCn is 1.1e-16 from a 60-digit
+    reference and the oracle's 8.1e-11.  So these gaps are the oracle's
+    own error, within the bounds by x1.2 (SCn) and x2.2 (SCRE).
     """
     bounds = {"SCn": 1e-10, "SCRE": 1e-10, "QFI": 1e-8}
     zero_field_bounds = {"SCREpaper": 1e-10, "QFIclosed": 1e-8}

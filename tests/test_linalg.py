@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import decimal
 import math
-from functools import reduce
-from operator import add
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from xxzsteer.linalg import (
     eig_hermitian,
     first_cell,
     kron,
-    logsumexp,
     partial_trace_A,
     sandwich,
     validate_density_matrix,
@@ -301,56 +297,6 @@ def test_binary_entropy_rejects_out_of_range():
         binary_entropy(1.1)
     with pytest.raises(ValueError):
         binary_entropy(-0.1)
-
-
-def decimal_logsumexp(terms) -> float:
-    """log sum_k e^{t_k}, evaluated at 60 significant digits."""
-    with decimal.localcontext(decimal.Context(prec=60)):
-        return float(sum(decimal.Decimal(t).exp() for t in terms).ln())
-
-
-def test_logsumexp_matches_decimal_reference(rng):
-    for k in (2, 4, 8):
-        terms = rng.uniform(-800.0, 800.0, size=(k, 300))
-        log_abs, weights, total = logsumexp(tuple(terms))
-        for j in range(terms.shape[1]):
-            ref = decimal_logsumexp(terms[:, j])
-            assert abs(log_abs[j] - ref) <= 1e-12 * max(1.0, abs(ref))
-            # a cell alone gives the same bits as within the batch
-            alone = logsumexp(tuple(terms[:, j : j + 1]))
-            assert alone.log_abs[0] == log_abs[j]
-            assert alone.total[0] == total[j]
-            assert np.array_equal(alone.weights[:, 0], weights[:, j])
-
-
-def folded_logsumexp(terms, signs=None):
-    """log-sum-exp with the shift taken as a left fold of np.maximum.
-
-    `signs`, if given, multiplies each weight before the sum.
-    """
-    t = np.array(terms)
-    shift = reduce(np.maximum, t)
-    w = np.exp(t - shift)
-    if signs is not None:
-        w *= np.array(signs)[:, None]
-    total = reduce(add, w)
-    return np.log(total) + shift, w, total
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-# None: a reference that multiplies by no sign at all; signs2: one that
-# multiplies each weight by +1.  The ids keep the case names of a table that
-# also held the signed (+1, -1) case, dropped with signed sums.
-@pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
-@pytest.mark.parametrize("signs", [None, (1.0, 1.0)], ids=["None", "signs2"])
-def test_logsumexp_of_signed_zeros_has_the_bits_of_the_folded_shift(first, second, signs):
-    terms = (np.array([first, 1.5, first]), np.array([second, -0.0, 0.0]))
-    for field, ref in zip(logsumexp(terms), folded_logsumexp(terms, signs)):
-        assert same_bits(field, ref)
 
 
 # ----------------------------------------------------------- first_cell

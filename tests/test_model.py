@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 import re
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -206,13 +209,90 @@ def test_gibbs_entries_match_printed_forms():
 
 
 def test_gibbs_negative_coupling_flips_v_only():
-    ap, bp, dp, vp = ThermalBatch.of(SpinParams(10, 2, 0, 0.01)).entries()
-    am, bm, dm, vm = ThermalBatch.of(SpinParams(-10, 2, 0, 0.01)).entries()
-    assert abs(vp[0] - 0.5) <= 1e-6
-    assert abs(vm[0] + 0.5) <= 1e-6
-    assert abs(ap[0] - am[0]) <= 1e-15
-    assert abs(bp[0] - bm[0]) <= 1e-15
-    assert abs(dp[0] - dm[0]) <= 1e-15
+    assert abs(ThermalBatch.of(SpinParams(10, 2, 0, 0.01)).entries()[3][0] - 0.5) <= 1e-6
+    # near the Bell limit, and a corner of the reference grid at T=2, B=1
+    for J, Jz, B, T in ((10, 2, 0, 0.01), (20, -20, 1, 2)):
+        ap, bp, dp, vp = ThermalBatch.of(SpinParams(J, Jz, B, T)).entries()
+        am, bm, dm, vm = ThermalBatch.of(SpinParams(-J, Jz, B, T)).entries()
+        assert vm[0] == -vp[0]
+        assert (am[0], bm[0], dm[0]) == (ap[0], bp[0], dp[0])
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(0.0, 1.5, 0.7, 2.0), (1.5, 0.0, 0.7, 2.0), (1.5, 0.7, 0.0, 2.0), (0.0, 0.0, 0.0, 0.5)],
+    ids=["J", "Jz", "B", "all three"],
+)
+def test_signed_zero_couplings_keep_the_bits_of_plus_zero(cell):
+    """Each sign pattern of the zero couplings of `cell` gives the bits of
+    a, b, d, |v| and log Z of all zeros positive, and v takes the sign of J."""
+    zeros = [k for k in range(3) if cell[k] == 0.0]
+    rows = np.array(
+        [
+            [-0.0 if k in negative else x for k, x in enumerate(cell)]
+            for n in range(len(zeros) + 1)
+            for negative in itertools.combinations(zeros, n)
+        ]
+    ).T
+    cells = ThermalBatch(*rows)
+    a, b, d, v = cells.entries()
+    for x in (a, b, d, np.abs(v), cells.log_Z):
+        assert x.tobytes() == np.full_like(x, x[0]).tobytes()
+    assert np.array_equal(np.signbit(v), np.signbit(cells.J))
+
+
+# 60 significant digits, and an exponent range that holds e^{-1e6}
+DEEP = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def decimal_reference(J, Jz, B, T) -> tuple[Decimal, Decimal, Decimal]:
+    """SCn, QFI and log Z of one cell at 60 significant digits.
+
+    The weights are e^{-E/T} of the four levels as the module docstring of
+    xxzsteer.model prints them, each over the largest; SCn is
+    sqrt((a-d)^2 + 4v^2) + |a-b| + |b-d| + 2|v| and QFI is
+    2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
+    """
+    with decimal.localcontext(DEEP):
+        J, Jz, B, T = map(Decimal, (J, Jz, B, T))
+        exponents = [(Jz / 2 + B) / T, (Jz / 2 - B) / T, (J - Jz / 2) / T, (-J - Jz / 2) / T]
+        top = max(exponents)
+        w00, w11, w_plus, w_minus = ((x - top).exp() for x in exponents)
+        z = w00 + w11 + w_plus + w_minus
+        a, d = w00 / z, w11 / z
+        b, v = (w_plus + w_minus) / (2 * z), (w_plus - w_minus) / (2 * z)
+        scn = ((a - d) ** 2 + 4 * v * v).sqrt() + abs(a - b) + abs(b - d) + 2 * abs(v)
+        p = b + abs(v)
+        qfi = 2 * (a - p) ** 2 / (a + p) + 2 * (d - p) ** 2 / (d + p)
+        return scn, qfi, z.ln() + top
+
+
+def test_closed_forms_match_a_decimal_reference_below_a_split_doublet():
+    """Regime B: Jz << -T puts the central doublet, split by 2|J| << T,
+    far below |00> and |11>, so the levels are of size |Jz|/2T ~ 1e5 while
+    the split is |J|/T <= 10.  Over 2000 seeded cells, SCn and QFI are
+    within 5.6e-16 and 9.6e-16 of the reference and log Z within 2.8e-16
+    relative (seeds 0-10 of this draw, numpy 2.4); subtracting the two
+    rounded level energies lost up to 7.4e-11 on SCn and QFI."""
+    rng = np.random.default_rng(2026)
+    n = 2000
+    rows = (
+        rng.uniform(-0.01, 0.01, n),
+        rng.uniform(-1000.0, -300.0, n),
+        rng.uniform(-50.0, 50.0, n),
+        rng.uniform(1e-3, 3e-3, n),
+    )
+    cells = ThermalBatch(*rows)
+    got = zip(steering.scn_closed(cells), fisher.qfi_closed(cells), cells.log_Z)
+    worst = [0.0, 0.0, 0.0]
+    for cell, values in zip(zip(*rows), got):
+        refs = decimal_reference(*cell)
+        with decimal.localcontext(DEEP):
+            errors = [abs(Decimal(x) - ref) for x, ref in zip(values, refs)]
+            errors[2] /= abs(refs[2])
+        worst = [max(w, float(e)) for w, e in zip(worst, errors)]
+    print(f"SCn {worst[0]:.2e}, QFI {worst[1]:.2e}, log Z relative {worst[2]:.2e}")
+    assert worst[0] <= 2e-15 and worst[1] <= 2e-15 and worst[2] <= 1e-15, worst
 
 
 def test_gibbs_closed_equals_spectral_bulk(rng):

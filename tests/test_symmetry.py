@@ -8,6 +8,14 @@ rests on LAPACK ``eigh``, which no LAPACK promises to commute with the
 scaling, so its columns are held to a few ulp and the test prints how many
 cells differ at all (run with ``pytest -s`` to see it).
 
+J -> -J conjugates the state by sigma_z ox I, which negates v and keeps
+a, b and d.  The closed entries depend on J only through |J| and the sign
+of v, and every closed form reads |v| or v^2, so every closed column must
+keep its bits under it: on the reference 161x161 grid and on seeded draws
+of the whole supported box, its faces, T floor and near-mixed corner (A4's
+draws).  QFIclosed leaves double range on part of the box, so it is checked
+cell by cell on every fourth draw, and must raise at J and at -J alike.
+
 B -> -B swaps the populations a and d of the X state.  SCn, SCRE, SCREpaper
 and QFI are even under that swap; their bounds below are set from the
 worst gaps measured on these draws (CPython 3.11, numpy 2.4, OpenBLAS
@@ -16,11 +24,16 @@ worst gaps measured on these draws (CPython 3.11, numpy 2.4, OpenBLAS
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from xxzsteer.model import COUPLING_MAX, T_FLOOR
+from xxzsteer.fisher import qfi_published
+from xxzsteer.model import COUPLING_MAX, T_FLOOR, ParameterRegimeError, SpinParams
 from xxzsteer.sweep import MEASURES, _run
+
+from conftest import whole_box
 
 # Power-of-two factors and the oracle's allowance under them, in ulp.
 SCALES = (2.0, 0.25)
@@ -89,6 +102,48 @@ def test_power_of_two_scaling_moves_oracle_columns_at_most_four_ulp(
         print(f"x{factor:g} {m} oracle: {np.count_nonzero(oracle != want)} of "
               f"{want.size} cells differ, worst {ulp.max():g} ulp")
         assert ulp.max() <= ORACLE_ULP, m
+
+
+def _reflected(rows: np.ndarray) -> np.ndarray:
+    return rows * np.array([[-1.0], [1.0], [1.0], [1.0]])
+
+
+def _reference_grid() -> np.ndarray:
+    """Parameter rows (4, 161**2) of the 161x161 (J, Jz) grid at T=2, B=1."""
+    axis = np.linspace(-20.0, 20.0, 161)
+    J, Jz = np.meshgrid(axis, axis, indexing="ij")
+    return np.vstack([J.ravel(), Jz.ravel(), np.ones(J.size), np.full(J.size, 2.0)])
+
+
+def test_j_reflection_keeps_every_closed_column_bit_identical_on_the_grid():
+    rows = _reference_grid()
+    base = _run(rows, MEASURES, "closed")
+    for m, got, want in zip(MEASURES, _run(_reflected(rows), MEASURES, "closed"), base):
+        assert got.tobytes() == want.tobytes(), m
+
+
+def _published_cell_by_cell(rows: np.ndarray) -> np.ndarray:
+    """QFIclosed of every fourth cell, each alone, NaN where it raises."""
+    values = []
+    for cell in rows[:, ::4].T:
+        try:
+            values.append(qfi_published(SpinParams(*cell)))
+        except ParameterRegimeError:
+            values.append(math.nan)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("seed", [30, 31, 32])
+def test_j_reflection_keeps_every_closed_column_bit_identical_over_the_box(seed):
+    rows = whole_box(seed, 4096)
+    # QFIclosed leaves double range on part of the box, so it goes cell by cell
+    bounded = tuple(m for m in MEASURES if m != "QFIclosed")
+    base = _run(rows, bounded, "closed")
+    for m, got, want in zip(bounded, _run(_reflected(rows), bounded, "closed"), base):
+        assert got.tobytes() == want.tobytes(), m
+    got, want = _published_cell_by_cell(_reflected(rows)), _published_cell_by_cell(rows)
+    print(f"seed {seed}: QFIclosed raises at {np.isnan(want).sum()} of {want.size} cells")
+    assert got.tobytes() == want.tobytes(), "QFIclosed"
 
 
 def test_steering_and_fisher_measures_are_even_in_b(draws, base):
