@@ -15,10 +15,13 @@ collective X generator, which collapses the spectral sum on the X state to
 
     F = 2 (a-p)^2/(a+p) + 2 (d-p)^2/(d+p),      p = b + |v|,
 
-the closed form :func:`qfi_closed`.  |v| rather than v appears because the
-J<0 states are the sigma_z ox I gauge copies of the J>0 ones and the
-generator is transported along (:func:`calibrated_observable`), keeping the
-measure even in J as the model's phase diagrams show.
+the closed form :func:`qfi_closed`.  Each of its terms is at most twice
+its weight, so only an exact 0/0 is dropped; the spectral sum, whose
+eigenvalues carry rounding, drops pairs below ``PAIR_FLOOR``.  |v| rather
+than v appears because the J<0 states are the sigma_z ox I gauge copies of
+the J>0 ones and the generator is transported along
+(:func:`calibrated_observable`), keeping the measure even in J as the
+model's phase diagrams show.
 
 A published closed-form ratio for this quantity is the QFIclosed measure,
 :func:`qfi_published`.  Its numerator differs from the X-state reduction
@@ -30,7 +33,8 @@ docstring; y = e^{B/T}), so exactly
 the two agree only at B = 0, which is why the ratio is exposed as a
 separate measure and not as the canonical closed form.  QFI is even in B,
 so QFIclosed's asymmetry under B -> -B is exactly that of the right-hand
-side.  :func:`qfi_published` evaluates the ratio through this identity.
+side.  :func:`qfi_published` evaluates the ratio through this identity,
+on the kernel that :func:`qfi_closed` uses.
 
 The closed forms give one value per cell of a ThermalBatch, or the float of
 a SpinParams point (see ``closed_form``); the spectral definition takes one
@@ -128,15 +132,15 @@ def qfi_spectral(rho: np.ndarray, obs):
     return 2.0 * reduce(add, pairs, 0.0)
 
 
-def _x_state_qfi(cells: ThermalBatch, floor: float) -> np.ndarray:
-    """2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|, each term dropped
-    where its denominator is not above `floor`."""
+def _x_state_qfi(cells: ThermalBatch) -> np.ndarray:
+    """2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|, each term 0 where
+    its denominator is exactly 0."""
     a, b, d, v = cells.entries()
     p = b + np.abs(v)
     total = 0.0
     for corner in (a, d):
         s = corner + p
-        kept = s > floor
+        kept = s > 0.0
         diff = corner - p
         term = 2.0 * diff * diff / np.where(kept, s, 1.0)
         total = total + np.where(kept, term, 0.0)
@@ -147,10 +151,10 @@ def _x_state_qfi(cells: ThermalBatch, floor: float) -> np.ndarray:
 def qfi_closed(cells: ThermalBatch) -> np.ndarray:
     """X-state closed form: 2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
 
-    Terms whose denominator is below the pair floor are dropped, matching
-    the removable-singularity convention of the spectral sum.
+    A term is at most twice its weight a + p or d + p, so it needs no floor:
+    only a term whose weight is exactly 0, a removable 0/0, is dropped.
     """
-    return _x_state_qfi(cells, PAIR_FLOOR)
+    return _x_state_qfi(cells)
 
 
 @closed_form
@@ -165,8 +169,7 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
 
     The term 2 y^2 u^3 is what separates this expression from the X-state
     reduction (which carries 2 y u^3), so the ratio is evaluated as that
-    reduction's QFI, read from the entries as in :func:`qfi_closed` but
-    with no pair floor (the printed ratio drops no term), plus the exact
+    reduction's QFI, from the kernel of :func:`qfi_closed`, plus the exact
     difference 2 u^3 (y^2 - y)/n.  Divided through by u^2 y, that is
 
         4 (y - 1) / ((1 + e^alpha) (1 + e^beta) (1 + e^{-2|J|/T} + e^alpha + e^beta))
@@ -174,9 +177,8 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
     with alpha = (Jz + B - |J|)/T and beta = (Jz - B - |J|)/T: sign(B) e^E,
     with E summed in the log domain from those exponents and from
     log|y - 1| (by ``expm1``), so it is finite wherever the ratio is.  It is
-    exactly 0 at B = 0, where a = d puts both pair weights near 1/2, so
-    there the ratio has the bits of :func:`qfi_closed`.  Kept for
-    comparison as the QFIclosed measure.
+    exactly 0 at B = 0, so there the ratio has the bits of
+    :func:`qfi_closed`.  Kept for comparison as the QFIclosed measure.
 
     Raises :class:`ParameterRegimeError` for the first cell where the ratio
     leaves double range.
@@ -194,7 +196,7 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
             - np.logaddexp(np.logaddexp(0.0, -2 * lu), np.logaddexp(alpha, beta))
         )
         field = np.sign(ly) * np.exp(exponent)
-    value = _x_state_qfi(cells, 0.0) + field
+    value = _x_state_qfi(cells) + field
 
     i = first_cell(~np.isfinite(value))
     if i is not None:

@@ -56,7 +56,6 @@ __all__ = [
     "partial_trace_A",
     "vn_entropy",
     "binary_entropy",
-    "xlog2x",
     "shannon_bits",
     "frobenius",
     "validate_density_matrix",
@@ -260,21 +259,18 @@ def vn_entropy(rho):
     return shannon_bits(np.moveaxis(lam, -1, 0))
 
 
-def xlog2x(q: np.ndarray) -> np.ndarray:
-    """q log2 q elementwise, 0 where q <= 0 (0 log 0 = 0)."""
-    # 1 log2 1 is exactly 0, so the cells set to 1 give 0
-    safe = np.where(q > 0.0, q, 1.0)
-    return safe * np.log2(safe)
-
-
 def shannon_bits(probs):
     """Shannon entropy in bits of nonnegative weights, 0 log 0 = 0.
 
     `probs` runs over the outcomes along its first axis; each outcome may
     be an array of cells.  The terms are summed from 0 in outcome order.
-    A sequence of numbers gives a float.
+    A sequence of numbers gives a float.  A weight at or below 0 gives a
+    term of 0.
     """
-    return reduce(sub, xlog2x(np.asarray(probs, dtype=float)), 0.0)
+    q = np.asarray(probs, dtype=float)
+    # 1 log2 1 is exactly 0, so the cells set to 1 give 0
+    safe = np.where(q > 0.0, q, 1.0)
+    return reduce(sub, safe * np.log2(safe), 0.0)
 
 
 def binary_entropy(q):

@@ -22,9 +22,12 @@ off-diagonals, the relative entropy the populations and one von Neumann
 entropy).  :func:`coherence` applies the same per-kind formulas to one
 basis.  For the thermal X state the l1 version collapses to
 :func:`scn_closed` and the relative-entropy version to :func:`scre_closed`.
-A previously published relative-entropy closed form is kept verbatim in
+A previously published relative-entropy closed form is kept in
 :func:`scre_published`; it agrees with the definition only on the
-zero-field slice a = d and is reported, not silently fixed.
+zero-field slice a = d and is reported, not silently fixed.  Its printed
+five terms reduce exactly to 4 - H(a, b, b, d) - 2 H2((1+r)/2), so it is
+evaluated from the same entropies as :func:`scre_closed`, which differs
+from it by exactly 2 (1 - H2(a + b)).
 
 The closed forms read the entries of a ThermalBatch and give one value per
 cell, or the float of a SpinParams point (``closed_form``).  The definition
@@ -58,7 +61,6 @@ from .linalg import (
     trace,
     validate_density_matrix,
     vn_entropy,
-    xlog2x,
 )
 from .model import ThermalBatch, closed_form
 
@@ -251,6 +253,16 @@ def scn_closed(cells: ThermalBatch) -> np.ndarray:
     return _radius(a, d, v) + np.abs(a - b) + np.abs(b - d) + 2 * np.abs(v)
 
 
+def _even_entropies(a, b, d, v):
+    """H(a, b, b, d) + 2 H2((1+r)/2), the part SCRE and SCREpaper share.
+
+    Both terms are even under the swap a <-> d that B -> -B makes.
+    """
+    # binary_entropy clips (1+r)/2, which rounding may carry past 1
+    u = (1.0 + _radius(a, d, v)) / 2.0
+    return shannon_bits((a, b, b, d)) + 2.0 * binary_entropy(u)
+
+
 @closed_form
 def scre_closed(cells: ThermalBatch) -> np.ndarray:
     """Relative-entropy steered coherence of the thermal X state.
@@ -262,43 +274,32 @@ def scre_closed(cells: ThermalBatch) -> np.ndarray:
     This is the X-state reduction of the definitional average (the Z
     ensemble contributes 2 H2(a+b) - ... via the entropy chain rule, the X
     and Y ensembles the r term); it is validated against
-    :func:`sqc_direct` rather than trusted.
+    :func:`sqc_direct` rather than trusted.  Alice's Z outcome a + b is
+    read as (1 + a - d)/2, which is exactly 1/2 where a = d.
     """
     a, b, d, v = cells.entries()
-    # binary_entropy clips (1+r)/2, which rounding may carry past 1
-    u = (1.0 + _radius(a, d, v)) / 2.0
-    return (
-        2.0
-        + 2.0 * binary_entropy(a + b)
-        - shannon_bits((a, b, b, d))
-        - 2.0 * binary_entropy(u)
-    )
+    return 2.0 + 2.0 * binary_entropy((1.0 + a - d) / 2.0) - _even_entropies(a, b, d, v)
 
 
 @closed_form
 def scre_published(cells: ThermalBatch) -> np.ndarray:
-    """A published closed form for SCRE, reproduced exactly as printed.
+    """A published closed form for SCRE, as printed (logarithms base 2):
 
     1/4 [(1-a-2b+3d) log(1-a-2b+3d) + (1+3a-2b-d) log(1+3a-2b-d)]
       + 1/2 (1-a+2b-d) log(1-a+2b-d)
       + sum_{+-} (1 +- r) log(1 +- r),      r = sqrt((a-d)^2 + 4v^2)
 
-    Where the definitional average produces the term 2 H2(a+b), this
-    expression carries the constant 2, so it matches :func:`sqc_direct`
-    only when a = d (zero field).  It is kept for comparison; the canonical
-    closed form is :func:`scre_closed`.
+    With a + 2b + d = 1 its three first arguments are exactly 4d, 4a and
+    4b, and 1 +- r is 2u and 2(1 - u) with u = (1+r)/2, so the printed form
+    is exactly
+
+        SCREpaper = 4 - H(a, b, b, d) - 2 H2((1+r)/2),
+
+    which is how it is evaluated.  Where the definitional average produces
+    the term 2 H2(a+b), this expression carries the constant 2, so it
+    matches :func:`sqc_direct` only when a = d (zero field); there
+    :func:`scre_closed` reads H2(1/2) = 1 exactly and the two share their
+    bits.  It is kept for comparison; the canonical closed form is
+    :func:`scre_closed`.
     """
-    a, b, d, v = cells.entries()
-    r = _radius(a, d, v)
-    x = xlog2x(
-        np.array(
-            [
-                1 - a - 2 * b + 3 * d,
-                1 + 3 * a - 2 * b - d,
-                1 - a + 2 * b - d,
-                1 + r,
-                1 - r,  # xlog2x gives 0 where rounding makes it negative
-            ]
-        )
-    )
-    return 0.25 * (x[0] + x[1]) + 0.5 * x[2] + x[3] + x[4]
+    return 4.0 - _even_entropies(*cells.entries())

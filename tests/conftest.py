@@ -50,6 +50,19 @@ def draw_params(rng, j=(-20, 20), jz=(-20, 20), b=(0, 10), t=(0.05, 10)):
     )
 
 
+def box_draws(rng, n: int) -> np.ndarray:
+    """(n, 4) cells over the supported box, every third scaled into |x| <= 1."""
+    couplings = rng.uniform(-1e3, 1e3, size=(n, 3))
+    couplings[::3] *= 1e-3
+    temperatures = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 1)))
+    return np.hstack((couplings, temperatures))
+
+
+def small_draws(rng, n: int) -> np.ndarray:
+    """(n, 4) cells with |J|, |Jz|, |B| <= 5 and T in [0.2, 5]."""
+    return np.column_stack((rng.uniform(-5, 5, (n, 3)), rng.uniform(0.2, 5, n)))
+
+
 def whole_box(seed: int, draws: int) -> np.ndarray:
     """Parameter rows (4, draws) over the whole supported box: |J|, |Jz|,
     |B| log-uniform in [1e-6, COUPLING_MAX] with random signs, T log-uniform

@@ -28,11 +28,13 @@ from xxzsteer.steering import PauliAxis
 from xxzsteer.sweep import evaluate_point
 
 from conftest import (
+    box_draws,
     draw_params,
     random_density,
     random_hermitian,
     random_pure_density,
     random_unitary,
+    small_draws,
 )
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -180,6 +182,29 @@ def test_qfi_bounds_on_draws(rng):
     assert -1e-12 <= qfi.min() and qfi.max() <= 4.0 + 1e-12
 
 
+def test_qfi_closed_drops_only_a_zero_pair_weight():
+    """Each term 2(c - p)^2/(c + p) is at most twice its weight c + p, so the
+    closed QFI needs no floor; it drops a term only where its weight is
+    exactly 0, an exact 0/0.
+
+    The first cell has a + p = 7.3e-13: flooring it at PAIR_FLOOR cost
+    1.5e-12, against its 50-digit value 1.99999999999561845.  The other
+    cells are fully polarized, so one weight is exactly 0, and give 2 with
+    no warning, in a stack and each alone.
+    """
+    point = SpinParams(
+        -2.0604601983630366, 4.085108274267331, -4.5818425071254385, 0.23640704770509818
+    )
+    assert abs(qfi_closed(point) - 1.9999999999956184) <= 1e-14
+    polarized = [(0.0, 1000.0, 1.0, 1e-3), (0.0, 1000.0, -1.0, 1e-3), (0.5, 1000.0, 2.0, 1e-3)]
+    cells = ThermalBatch(*np.array(polarized).T)
+    a, b, d, v = cells.entries()
+    p = b + np.abs(v)
+    assert np.all((a + p == 0.0) | (d + p == 0.0))
+    assert qfi_closed(cells).tolist() == [2.0] * len(polarized)
+    assert [qfi_closed(SpinParams(*cell)) for cell in polarized] == [2.0] * len(polarized)
+
+
 # ------------------------------------------------------- published ratio
 
 @pytest.mark.parametrize(
@@ -230,19 +255,6 @@ OVERFLOW_POINTS = (
     (734.8, -604.5, 420.9, 0.005308),
     (820.0, 102.2, 271.2, 0.02309),
 )
-
-
-def box_draws(rng, n: int) -> np.ndarray:
-    """(n, 4) cells over the supported box, every third scaled into |x| <= 1."""
-    couplings = rng.uniform(-1e3, 1e3, size=(n, 3))
-    couplings[::3] *= 1e-3
-    temperatures = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(n, 1)))
-    return np.hstack((couplings, temperatures))
-
-
-def small_draws(rng, n: int) -> np.ndarray:
-    """(n, 4) cells with |J|, |Jz|, |B| <= 5 and T in [0.2, 5]."""
-    return np.column_stack((rng.uniform(-5, 5, (n, 3)), rng.uniform(0.2, 5, n)))
 
 
 def regime_error(cells: ThermalBatch) -> str | None:
@@ -297,7 +309,10 @@ def test_qfi_published_tracks_the_printed_ratio(rng, cells):
     the rounding of B/T, Jz/T and |J|/T.
     """
     n = 4096 if cells > 1 else 400
-    for draws, bound in ((small_draws(rng, n), 2e-14), (box_draws(rng, n), 2e-10)):
+    for name, draws, bound in (
+        ("small", small_draws(rng, n), 2e-14),
+        ("box", box_draws(rng, n), 2e-10),
+    ):
         draws[:3] = ((0.0, -0.0, 0.0, 1.0), (-0.0, 0.0, -0.0, 2.0), (0.0, 0.0, -0.0, 1e-3))
         draws[3 : n // 8, 2] = 0.0
         ratios = [published_reference(cell)[0] for cell in draws]
@@ -307,6 +322,7 @@ def test_qfi_published_tracks_the_printed_ratio(rng, cells):
         else:
             got = [qfi_published(SpinParams(*cell)) for cell in draws[fits]]
         worst = max(map(scaled_error, got, np.array(ratios, object)[fits]))
+        print(f"QFIclosed, {name} draws: worst {float(worst):.2e}, bound {bound:.0e}")
         assert worst <= bound, worst
         for cell in draws[~fits]:
             alone = ThermalBatch(*cell[:, None])
@@ -328,12 +344,10 @@ def test_qfi_published_overflow_names_the_first_cell_as_before(rng):
 
 
 def test_qfi_published_has_the_bits_of_qfi_at_zero_field(rng):
-    """At B = +-0 the field term is exactly 0, so QFIclosed is QFI to the bit.
-
-    There a = d, so a + p and d + p are at least a + b = 1/2 and QFI's pair
-    floor, which the printed ratio does not apply, drops nothing.  The first
-    cell sits on the J face at low T, where summing the printed form term by
-    term loses about 1e6 ulps (3.4e-10 from the oracle).
+    """At B = +-0 the field term is exactly 0, so QFIclosed is QFI to the bit,
+    from the kernel both share.  The first cell sits on the J face at low T,
+    where summing the printed form term by term loses about 1e6 ulps
+    (3.4e-10 from the oracle).
     """
     draws = box_draws(rng, 4096)
     draws[:, 2] = 0.0
@@ -353,9 +367,10 @@ def test_qfi_published_matches_definition_only_at_zero_field(rng):
     carries 2 y u^3, and the difference vanishes exactly when B = 0.  The
     right-hand side is a 50-digit reference; the cells where QFIclosed
     leaves double range, by that reference, are dropped.  Worst measured
-    over seeds 0-19: 2.4e-13 max(1, |QFIclosed|) on the small-coupling
-    draws, a pair term below QFI's floor that the printed ratio keeps, and
-    6.9e-12 on the box draws.
+    over seeds 0-19, in max(1, |QFIclosed|): on the small-coupling draws
+    4.6e-15 with the closed QFI and 2.4e-13 with the spectral one, a pair
+    term below the spectral sum's floor that the printed ratio keeps; on
+    the box draws 6.9e-12 with either.
     """
     small = small_draws(rng, 1000)
     small[:100, 2] = 0.0

@@ -40,8 +40,8 @@ SCALES = (2.0, 0.25)
 ORACLE_ULP = 4
 
 # Worst |f(B) - f(-B)| allowed, per measure: (oracle, closed).  Measured on
-# the draws below: SCn 1.3e-15 and 8.9e-16, SCRE 4.0e-15 and 1.7e-14,
-# SCREpaper 4.0e-15 and 2.7e-15, QFI 0 and 0.  The closed QFI sums the same
+# the draws below: SCn 1.3e-15 and 8.9e-16, SCRE 4.0e-15 and 3.6e-15,
+# SCREpaper 4.0e-15 and 8.9e-16, QFI 0 and 0.  The closed QFI sums the same
 # two terms in swapped order, so it is held to exact evenness; the oracle's
 # QFI to 4 ulp of its ceiling 4.
 EVEN_BOUNDS = {
