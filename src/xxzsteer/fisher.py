@@ -134,7 +134,8 @@ def qfi_spectral(rho: np.ndarray, obs):
 
 def _x_state_qfi(cells: ThermalBatch) -> np.ndarray:
     """2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|, each term 0 where
-    its denominator is exactly 0."""
+    its denominator is exactly 0.  QFI and QFIclosed read it through
+    ``cells.shared``, so a batch evaluates it once for both."""
     a, b, d, v = cells.entries()
     p = b + np.abs(v)
     total = 0.0
@@ -154,7 +155,8 @@ def qfi_closed(cells: ThermalBatch) -> np.ndarray:
     A term is at most twice its weight a + p or d + p, so it needs no floor:
     only a term whose weight is exactly 0, a removable 0/0, is dropped.
     """
-    return _x_state_qfi(cells)
+    # a copy, so the caller may write into it as into any measure's values
+    return cells.shared(_x_state_qfi).copy()
 
 
 @closed_form
@@ -196,7 +198,7 @@ def qfi_published(cells: ThermalBatch) -> np.ndarray:
             - np.logaddexp(np.logaddexp(0.0, -2 * lu), np.logaddexp(alpha, beta))
         )
         field = np.sign(ly) * np.exp(exponent)
-    value = _x_state_qfi(cells) + field
+    value = cells.shared(_x_state_qfi) + field
 
     i = first_cell(~np.isfinite(value))
     if i is not None:

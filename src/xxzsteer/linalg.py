@@ -29,6 +29,17 @@ bits, ``(m^T @ left^T)^T`` does not.  No BLAS promises either, so
 tests/test_linalg.py pins the identity for every fixed operator the
 oracle uses.  Products whose operators change from cell to cell (V w
 V^dagger, V^dagger O V) stay stacked.
+
+:func:`sandwich` also takes a stack of K fixed operators a side, shape
+(K, n, n), such as Alice's six projectors: one ``matmul`` call a side then
+makes the K GEMMs, each of the shape one operator gets alone, so each
+block keeps its bits and the fixed cost of a call is paid once, not K
+times.  The operator stacks are made row-major first, whatever view the
+caller passes.  numpy's ``matmul`` takes a stacked operand to BLAS only
+when its matrices have a layout BLAS accepts, and its own loop in place
+of BLAS is slower and sums in another order, so it may change bits as
+well as time.  A row-major copy of K small operators costs next to
+nothing and gives every caller the same GEMMs.
 """
 
 from __future__ import annotations
@@ -102,19 +113,31 @@ def trace(a: np.ndarray) -> np.ndarray:
 def sandwich(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left @ m @ right`` for each matrix of a stack, one GEMM a side.
 
-    `m` is one matrix or a stack, shape (..., n, n); `left` and `right` are
-    fixed (n, n) operators.  The product is complex and bit-identical to the
-    stacked one (see the module docstring).  Two buffers the size of `m` are
-    allocated, as for the stacked product's intermediate and result.
+    `m` is one matrix or a stack, shape (..., n, n).  `left` and `right` are
+    fixed (n, n) operators, giving shape (..., n, n), or stacks of K of
+    them, shape (K, n, n), giving (K, ..., n, n): block k is
+    ``left[k] @ m @ right[k]``.  The K operators go through one ``matmul``
+    call a side, which makes one GEMM per operator, of the shape a single
+    operator gets.  The product is complex and bit-identical to the stacked
+    one (see the module docstring).  Two buffers of K times the size of `m`
+    are allocated, as for the stacked products' intermediates and results.
     """
     shape, n = m.shape, m.shape[-1]
-    buf = np.empty(shape, complex)
-    out = np.empty(shape, complex)
-    # out = (left @ m)^T = m^T @ left^T, then buf = left @ m
-    np.copyto(buf, np.swapaxes(m, -1, -2))
-    np.matmul(buf.reshape(-1, n), left.T, out=out.reshape(-1, n))
+    # row-major stacks, so that matmul takes every operator to BLAS (see
+    # the module docstring)
+    left_t = np.ascontiguousarray(np.swapaxes(left, -1, -2))
+    right = np.ascontiguousarray(right)
+    k = left_t.shape[:-2]
+    buf = np.empty((*k, *shape), complex)
+    out = np.empty_like(buf)
+    flat = (*k, -1, n)
+    # out = (left @ m)^T = m^T @ left^T, m^T held in the first block of buf,
+    # then buf = left @ m
+    first = buf[(0,) * len(k)]
+    np.copyto(first, np.swapaxes(m, -1, -2))
+    np.matmul(first.reshape(-1, n), left_t, out=out.reshape(flat))
     np.copyto(buf, np.swapaxes(out, -1, -2))
-    np.matmul(buf.reshape(-1, n), right, out=out.reshape(-1, n))
+    np.matmul(buf.reshape(flat), right, out=out.reshape(flat))
     return out
 
 

@@ -226,7 +226,8 @@ class ThermalBatch:
     numbers is converted whole, a float64 one kept as given; any other goes
     value by value as SpinParams goes (see ``_floats``), and a value that is
     not a real number fails as NaN does but is shown as given.  The entries
-    a, b, d, v and log Z are computed, checked and kept on first use.
+    a, b, d, v and log Z are computed, checked and kept on first use, and
+    so is any part two measures share (:meth:`shared`).
 
     Every check on a batch raises for its first failing cell.  Which cell
     and check a whole sweep reports is settled in ``sweep._evaluate``.
@@ -245,6 +246,7 @@ class ThermalBatch:
         self.J, self.Jz, self.B, self.T = columns
         self._entries = None
         self._log_z = None
+        self._shared = {}
 
     @classmethod
     def of(cls, *points: SpinParams) -> "ThermalBatch":
@@ -281,6 +283,20 @@ class ThermalBatch:
             self._log_z = np.log(total) + shift + (np.abs(J) - Jz / 2) / T
             self._entries = (a, b, d, v)
         return self._entries
+
+    def shared(self, part) -> np.ndarray:
+        """``part(self)``, computed on first use and kept, read-only.
+
+        A part that two measures share, such as the entropies of SCRE and
+        SCREpaper, is then evaluated once per batch whichever measures ask.
+        The array is read-only because every later caller gets it too.  A
+        part that raises is not kept, so the next caller raises the same.
+        """
+        if part not in self._shared:
+            value = part(self)
+            value.flags.writeable = False
+            self._shared[part] = value
+        return self._shared[part]
 
     @property
     def log_Z(self) -> np.ndarray:

@@ -15,11 +15,12 @@ relative-entropy value at 2).
 
 :func:`sqc_direct` evaluates that average literally and acts as the
 reference for the closed forms.  It gives the l1 and the relative-entropy
-kind from one pass: the three ensembles, one check of Bob's six
-conditional states and one change into each reference basis serve both,
-and each kind adds only its own formula (the l1 kind reads the
+kind from one pass: the three ensembles, built together as one stack of
+Alice's six projected states, one check of Bob's six conditional states
+and one stacked change into all three reference bases serve both, and
+each kind adds only its own formula (the l1 kind reads the
 off-diagonals, the relative entropy the populations and one von Neumann
-entropy).  :func:`coherence` applies the same per-kind formulas to one
+entropy).  :func:`steer` is the one-axis view of the same ensembles.  :func:`coherence` applies the same per-kind formulas to one
 basis.  For the thermal X state the l1 version collapses to
 :func:`scn_closed` and the relative-entropy version to :func:`scre_closed`.
 A previously published relative-entropy closed form is kept in
@@ -27,7 +28,8 @@ A previously published relative-entropy closed form is kept in
 zero-field slice a = d and is reported, not silently fixed.  Its printed
 five terms reduce exactly to 4 - H(a, b, b, d) - 2 H2((1+r)/2), so it is
 evaluated from the same entropies as :func:`scre_closed`, which differs
-from it by exactly 2 (1 - H2(a + b)).
+from it by exactly 2 (1 - H2(a + b)); a batch evaluates those entropies
+once for both (``ThermalBatch.shared``).
 
 The closed forms read the entries of a ThermalBatch and give one value per
 cell, or the float of a SpinParams point (``closed_form``).  The definition
@@ -50,7 +52,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityStates,
     binary_entropy,
     dagger,
     first_cell,
@@ -122,10 +123,54 @@ _BASES = {
     PauliAxis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
 }
 _BASES_DAGGER = {axis: dagger(u) for axis, u in _BASES.items()}
+# The same, stacked in PauliAxis order for one sandwich over all three.
+_STACKED_BASES = np.array([_BASES[axis] for axis in PauliAxis])
+_STACKED_BASES_DAGGER = np.array([_BASES_DAGGER[axis] for axis in PauliAxis])
 
 # The terms of the steered-coherence average, [m, a, nu] as in sqc_direct:
 # every reference basis nu but Alice's own axis m, in summation order.
 _CROSS_TERMS = np.repeat(~np.eye(3, dtype=bool)[:, None, :], 2, axis=1)
+
+
+def _ensembles(rho, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's measurements of each axis of `axes` on qubit A, as arrays (p, states).
+
+    p[k, a] and states[k, a] are outcome a of axes[k], as :func:`steer`
+    gives them for one axis.  All outcomes' projected states come from one
+    stacked :func:`sandwich`, with one trace and one partial trace.  The
+    checks raise what one :func:`steer` call per axis would raise first:
+    axes in the given order, and within an axis outcome 0's probability,
+    then outcome 1's, then their sum.
+    """
+    rho = validate_density_matrix(rho, "steered state").matrix
+    if rho.shape[-1] != 4:
+        raise ValueError("steering requires a two-qubit (4x4) state")
+    projectors = np.array([proj for axis in axes for proj in _PROJECTORS[axis]])
+    projected = sandwich(rho, projectors, projectors)
+    q = trace(projected).real
+    p = np.maximum(q, 0.0).reshape(len(axes), 2, *q.shape[1:])
+    total, tr = p[:, 0] + p[:, 1], trace(rho).real
+    negative = (q < -PROBABILITY_FLOOR).reshape(p.shape)
+    off = np.abs(total - tr) > 1e-12
+    if negative.any() or off.any():
+        for k, axis in enumerate(axes):
+            for a in (0, 1):
+                i = first_cell(negative[k, a])
+                if i is not None:
+                    raise ValueError(
+                        f"negative outcome probability "
+                        f"{float(np.ravel(q[2 * k + a])[i])!r} for {axis}"
+                    )
+            i = first_cell(off[k])
+            if i is not None:
+                raise ValueError(
+                    f"ensemble probabilities sum to {float(np.ravel(total[k])[i])!r}, "
+                    f"not the state's trace {float(np.ravel(tr)[i])!r}"
+                )
+    kept = (q > PROBABILITY_FLOOR)[..., None, None]
+    states = partial_trace_A(projected) / np.where(kept, q[..., None, None], 1.0)
+    states = np.where(kept, (states + dagger(states)) / 2, IDENTITY_2 / 2)
+    return p, states.reshape(*p.shape, 2, 2)
 
 
 def steer(rho: np.ndarray, axis: PauliAxis) -> tuple[np.ndarray, np.ndarray]:
@@ -137,37 +182,11 @@ def steer(rho: np.ndarray, axis: PauliAxis) -> tuple[np.ndarray, np.ndarray]:
     states of shape (2, 2, 2), or an (N, 4, 4) stack, giving (2, N) and
     (2, N, 2, 2); a DensityStates is not checked again.  The outcomes'
     probabilities must add up to the state's own trace, which checks that
-    Alice's projectors are complete.
+    Alice's projectors are complete.  This is the one-axis case of the
+    ensembles that :func:`sqc_direct` builds for all three axes at once.
     """
-    rho = validate_density_matrix(rho, "steered state").matrix
-    if rho.shape[-1] != 4:
-        raise ValueError("steering requires a two-qubit (4x4) state")
-    p, states = [], []
-    for proj in _PROJECTORS[axis]:
-        projected = sandwich(rho, proj, proj)
-        q = trace(projected).real
-        i = first_cell(q < -PROBABILITY_FLOOR)
-        if i is not None:
-            raise ValueError(
-                f"negative outcome probability {float(q.flat[i])!r} for {axis}"
-            )
-        kept = (q > PROBABILITY_FLOOR)[..., None, None]
-        state = partial_trace_A(projected) / np.where(kept, q[..., None, None], 1.0)
-        states.append(np.where(kept, (state + dagger(state)) / 2, IDENTITY_2 / 2))
-        p.append(np.maximum(q, 0.0))
-    total, tr = p[0] + p[1], trace(rho).real
-    i = first_cell(np.abs(total - tr) > 1e-12)
-    if i is not None:
-        raise ValueError(
-            f"ensemble probabilities sum to {float(np.ravel(total)[i])!r}, "
-            f"not the state's trace {float(np.ravel(tr)[i])!r}"
-        )
-    return np.array(p), np.array(states)
-
-
-def _in_basis(states: DensityStates, axis: PauliAxis) -> np.ndarray:
-    """The qubit states written in the eigenbasis of one Pauli axis."""
-    return sandwich(states.matrix, _BASES_DAGGER[axis], _BASES[axis])
+    p, states = _ensembles(rho, (axis,))
+    return p[0], states[0]
 
 
 def _l1(in_basis: np.ndarray, entropy) -> np.ndarray:
@@ -204,7 +223,8 @@ def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     if rho2.matrix.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
     entropy = vn_entropy(rho2) if kind is CoherenceKind.RELATIVE_ENTROPY else None
-    return _FORMS[kind](_in_basis(rho2, basis_axis), entropy)
+    in_basis = sandwich(rho2.matrix, _BASES_DAGGER[basis_axis], _BASES[basis_axis])
+    return _FORMS[kind](in_basis, entropy)
 
 
 def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
@@ -214,20 +234,23 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     entropy is evaluated explicitly - so it can arbitrate the closed forms.
     Returns one value per kind, in the order asked: a float for one 4x4
     state, N values for an (N, 4, 4) stack.  The kinds share one pass: the
-    three ensembles are built, Bob's six conditional states checked and
-    taken into each Pauli basis once, and only the work of the kinds asked
-    is done, so a kind raises nothing on behalf of another.
+    three ensembles are built together, from one stacked product of the
+    six projectors, Bob's six conditional states checked once and taken
+    into all three Pauli bases by one more, and only the work of the kinds
+    asked is done, so a kind raises nothing on behalf of another.  The
+    ensembles raise what one :func:`steer` call per axis, in PauliAxis
+    order, would raise first.
     """
     if not kinds:
         raise ValueError("sqc_direct needs at least one coherence kind")
-    rho = validate_density_matrix(rho, "steered state")
-    p, states = zip(*(steer(rho, mu) for mu in PauliAxis))
-    # Bob's six conditional states, checked once and taken in each basis once
-    states = validate_density_matrix(np.array(states), "coherence input")
+    p, states = _ensembles(rho, tuple(PauliAxis))
+    # Bob's six conditional states, checked once and taken into all three
+    # bases at once: in_basis[nu, m, a] is outcome a of axis m in basis nu
+    states = validate_density_matrix(states, "coherence input")
     entropy = vn_entropy(states) if CoherenceKind.RELATIVE_ENTROPY in kinds else None
-    in_basis = [_in_basis(states, nu) for nu in PauliAxis]
+    in_basis = sandwich(states.matrix, _STACKED_BASES_DAGGER, _STACKED_BASES)
     # p[m, a, 0]: the weight of outcome a of Alice's axis m
-    p = np.array(p)[:, :, None]
+    p = p[:, :, None]
     kept = p > PROBABILITY_FLOOR
     totals = {}
     for kind in dict.fromkeys(kinds):
@@ -253,11 +276,14 @@ def scn_closed(cells: ThermalBatch) -> np.ndarray:
     return _radius(a, d, v) + np.abs(a - b) + np.abs(b - d) + 2 * np.abs(v)
 
 
-def _even_entropies(a, b, d, v):
+def _even_entropies(cells: ThermalBatch) -> np.ndarray:
     """H(a, b, b, d) + 2 H2((1+r)/2), the part SCRE and SCREpaper share.
 
-    Both terms are even under the swap a <-> d that B -> -B makes.
+    Both terms are even under the swap a <-> d that B -> -B makes.  The
+    measures read it through ``cells.shared``, so a batch evaluates it once
+    for both.
     """
+    a, b, d, v = cells.entries()
     # binary_entropy clips (1+r)/2, which rounding may carry past 1
     u = (1.0 + _radius(a, d, v)) / 2.0
     return shannon_bits((a, b, b, d)) + 2.0 * binary_entropy(u)
@@ -277,8 +303,9 @@ def scre_closed(cells: ThermalBatch) -> np.ndarray:
     :func:`sqc_direct` rather than trusted.  Alice's Z outcome a + b is
     read as (1 + a - d)/2, which is exactly 1/2 where a = d.
     """
-    a, b, d, v = cells.entries()
-    return 2.0 + 2.0 * binary_entropy((1.0 + a - d) / 2.0) - _even_entropies(a, b, d, v)
+    a, _, d, _ = cells.entries()
+    z_outcome = binary_entropy((1.0 + a - d) / 2.0)
+    return 2.0 + 2.0 * z_outcome - cells.shared(_even_entropies)
 
 
 @closed_form
@@ -302,4 +329,4 @@ def scre_published(cells: ThermalBatch) -> np.ndarray:
     bits.  It is kept for comparison; the canonical closed form is
     :func:`scre_closed`.
     """
-    return 4.0 - _even_entropies(*cells.entries())
+    return 4.0 - cells.shared(_even_entropies)

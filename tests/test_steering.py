@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -139,6 +140,58 @@ def test_steer_rejects_incomplete_projectors_at_the_first_cell(monkeypatch):
     rho = np.array([KET00, np.diag([0.5, 0.25, 0.125, 0.125]), np.eye(4) / 4])
     with pytest.raises(ValueError, match=r"sum to 0\.75, not the state's trace 1\.0$"):
         steer(rho, PauliAxis.Z)
+
+
+def _first_steer_error(rho) -> str:
+    """The message of the first error of one steer call per axis, in order."""
+    for axis in PauliAxis:
+        try:
+            steer(rho, axis)
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no axis failed")
+
+
+# Patched projector pairs by axis, with the message the sequential steer
+# calls raise first: i P gives the outcome -Tr(P rho P), 2i P four times
+# that, and zeros lose it.
+_TWO_FAILING_AXES = {
+    "outcome before sum": (
+        {PauliAxis.X: ("P0", "iP1"), PauliAxis.Y: ("0", "P1")},
+        r"^negative outcome probability -0\.5 for PauliAxis\.X$",
+    ),
+    "first axis's sum before a later outcome": (
+        {PauliAxis.X: ("P0", "0"), PauliAxis.Z: ("iP0", "P1")},
+        r"^ensemble probabilities sum to 0\.5, not the state's trace 1\.0$",
+    ),
+    "outcome 0 before outcome 1": (
+        {PauliAxis.Y: ("iP0", "2iP1"), PauliAxis.Z: ("0", "0")},
+        r"^negative outcome probability -0\.5 for PauliAxis\.Y$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TWO_FAILING_AXES))
+def test_sqc_direct_raises_what_sequential_steer_calls_raise_first(monkeypatch, case):
+    """With two axes failing, the stacked ensembles raise the first axis's
+    error, and within it the outcomes' before the sum's, as one steer call
+    per axis in PauliAxis order does, whichever cell each axis fails at."""
+    patches, message = _TWO_FAILING_AXES[case]
+    for axis, names in patches.items():
+        p0, p1 = steering._PROJECTORS[axis]
+        ops = {"P0": p0, "P1": p1, "iP0": 1j * p0, "iP1": 1j * p1, "2iP1": 2j * p1,
+               "0": np.zeros((4, 4))}
+        monkeypatch.setitem(steering._PROJECTORS, axis, tuple(ops[n] for n in names))
+    mixed = np.eye(4, dtype=complex) / 4
+    # |+0>: Alice's X outcome 1 has weight 0, so the X patches fail only at
+    # the mixed cell after it, while the Y and Z patches fail at this one
+    plus0 = np.kron(np.full((2, 2), 0.5), np.diag([1.0, 0.0])).astype(complex)
+    for rho in (mixed, np.array([plus0, mixed])):
+        expected = _first_steer_error(rho)
+        assert re.match(message, expected)
+        with pytest.raises(ValueError) as raised:
+            sqc_direct(rho, CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY)
+        assert str(raised.value) == expected
 
 
 def test_steer_requires_a_two_qubit_state():

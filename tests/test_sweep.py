@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from xxzsteer import fisher, steering, sweep
 from xxzsteer.cli import main
-from xxzsteer.model import ParameterRegimeError, SpinParams
+from xxzsteer.model import ParameterRegimeError, SpinParams, ThermalBatch
 from xxzsteer.plot import render_svg
 from xxzsteer.sweep import (
     MEASURES,
@@ -908,6 +908,54 @@ def test_oracle_stack_makes_one_steering_call(monkeypatch, measures, kinds):
     )
     run_sweep(spec)
     assert calls == ([kinds] if kinds else [])
+
+
+@pytest.mark.parametrize("engine", ["closed", "both"])
+@pytest.mark.parametrize(
+    "measures",
+    [MEASURES, ("SCREpaper", "SCRE"), ("QFIclosed", "SCn", "QFI"), ("SCRE", "QFI")],
+)
+def test_each_block_evaluates_a_shared_kernel_once(monkeypatch, engine, measures):
+    """SCRE and SCREpaper share one entropy evaluation a block, QFI and
+    QFIclosed one X-state QFI, and each column keeps the bits of its
+    single-measure sweep."""
+    # each shared kernel: its module and the measures that read it
+    kernels = {
+        "_even_entropies": (steering, {"SCRE", "SCREpaper"}),
+        "_x_state_qfi": (fisher, {"QFI", "QFIclosed"}),
+    }
+    calls = {name: [] for name in kernels}
+    for name, (module, _) in kernels.items():
+
+        def counted(cells, real=getattr(module, name), seen=calls[name]):
+            seen.append(len(cells))
+            return real(cells)
+
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", 7)
+    spec = SweepSpec(**BLOCKED_GRID, measures=measures, engine=engine)
+    table = run_sweep(spec)
+    blocks = [7] * 6 + [3]
+    for name, (_, users) in kernels.items():
+        assert calls[name] == (blocks if users & set(measures) else []), name
+    for m in measures:
+        alone = run_sweep(SweepSpec(**BLOCKED_GRID, measures=(m,), engine=engine))
+        for column in spec.value_columns():
+            if column.split("_")[0] == m:
+                assert table.column(column).tobytes() == alone.column(column).tobytes()
+
+
+def test_a_shared_kernel_is_read_only():
+    """A batch's shared arrays reject writes; the measures' values do not."""
+    cells = ThermalBatch.of(SpinParams(1.5, 0.5, 1.0, 1.0), SpinParams(-1, 2, 0, 0.5))
+    for part in (steering._even_entropies, fisher._x_state_qfi):
+        shared = cells.shared(part)
+        assert cells.shared(part) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+    for measure in (steering.scre_closed, steering.scre_published, fisher.qfi_closed,
+                    fisher.qfi_published):
+        measure(cells)[0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["vn_entropy", "binary_entropy"])
