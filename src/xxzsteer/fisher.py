@@ -52,6 +52,7 @@ import numpy as np
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
+    DensityStates,
     dagger,
     eig_hermitian,
     first_cell,
@@ -103,9 +104,11 @@ def calibrated_observable(rho) -> np.ndarray:
     the same way.  Both choices couple |00> and |11> to whichever of the
     central eigenstates carries the weight b + |v|.
 
-    `rho` is a density matrix or a stack of them; each gets its generator
-    from the sign of its coherence v = rho[1, 2].
+    `rho` is a density matrix or a stack of them, or a DensityStates; each
+    gets its generator from the sign of its coherence v = rho[1, 2].
     """
+    if isinstance(rho, DensityStates):
+        rho = rho.matrix
     v = np.asarray(rho)[..., 1, 2].real
     return np.where((v >= 0.0)[..., None, None], _COLLECTIVE_X, _STAGGERED_X)
 

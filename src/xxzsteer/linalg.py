@@ -5,14 +5,18 @@ function takes one matrix or a stack of them, shape (..., n, n), and a
 failed check raises for the first failing matrix with the measured
 residual.  Eigendecompositions come from LAPACK (``np.linalg.eigh``) and
 are checked against the input they diagonalize.  Density matrices are
-checked in one place, :func:`validate_density_matrix`: it returns a
-:class:`DensityStates`, the checked matrices with the decomposition that
-its positivity check computed, and returns a DensityStates unchanged.  The
-entropy and the oracle measures read that decomposition, so each stack is
-checked and decomposed once.  Sums within one matrix or cell are left
-folds, ``functools.reduce`` over the terms in index order, never numpy's
-additive reductions, whose order depends on the array width; so a matrix
-gives the same bits alone as inside any stack.  All entropies are in bits.
+checked by one private checker, whose checks :func:`validate_density_matrix`
+runs: it returns a :class:`DensityStates`, the checked matrices with the
+decomposition that its positivity check computed, and returns a
+DensityStates unchanged.  ``model.gibbs_spectral`` runs the same checker
+on the decomposition it builds its states from (e^{-H/T} shares H's
+eigenvectors), which is then held to the same reconstruction bound as
+LAPACK's.  The entropy and the oracle measures read that decomposition,
+so each stack is checked and decomposed once.  Sums within one matrix or
+cell are left folds, ``functools.reduce`` over the terms in index order,
+never numpy's additive reductions, whose order depends on the array
+width; so a matrix gives the same bits alone as inside any stack.  All
+entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -92,12 +96,21 @@ PROBABILITY_TOL = 1e-12
 
 def first_cell(bad: np.ndarray) -> int | None:
     """Flat index of the first set cell of a boolean array, or None."""
-    return int(bad.argmax()) if bad.any() else None
+    if not bad.size:
+        return None
+    # argmax gives the first set cell, or 0 when none is set
+    i = int(bad.argmax())
+    return i if bad.item(i) else None
 
 
 def frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius norm of each matrix of a stack.
+
+    numpy's own ``np.linalg.norm(a, axis=(-2, -1))`` expression, so the same
+    bits, without the dispatch that costs more than the arithmetic on a
+    small stack.
+    """
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -180,7 +193,7 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class DensityStates(EigenDecomposition):
-    """Density matrices that passed :func:`validate_density_matrix`.
+    """Density matrices that passed the checks of :func:`validate_density_matrix`.
 
     `matrix` is the Hermitian part of the input, `values` and `vectors` its
     eigendecomposition, so a consumer reads the spectrum without another
@@ -191,7 +204,8 @@ class DensityStates(EigenDecomposition):
 
 
 def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
-    res = frobenius(a - dagger(a))
+    adjoint = dagger(a)
+    res = frobenius(a - adjoint)
     bound = HERMITICITY_TOL * np.maximum(1.0, frobenius(a))
     i = first_cell(res > bound)
     if i is not None:
@@ -199,17 +213,16 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
             f"{name} is not Hermitian: ||A - A^dagger||_F = {res.flat[i]:.3e} "
             f"exceeds {bound.flat[i]:.3e}"
         )
-    return (a + dagger(a)) / 2
+    return (a + adjoint) / 2
 
 
-def _eigh(h: np.ndarray) -> EigenDecomposition:
-    """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
-    values, vectors = np.linalg.eigh(h)
+def _require_rebuilds(h: np.ndarray, eig: EigenDecomposition) -> EigenDecomposition:
+    """`eig`, once it rebuilds the Hermitian matrices `h` to RECONSTRUCTION_TOL."""
     # V diag(w) V^dagger as one einsum loop over the stack, not a stacked @
     # of one BLAS call per small matrix; only the residual's size meets the
     # bound, so its bits are free to differ from the @ product's
-    scaled = vectors * values[..., None, :]
-    res = frobenius(np.einsum("...ik,...jk->...ij", scaled, vectors.conj()) - h)
+    scaled = eig.vectors * eig.values[..., None, :]
+    res = frobenius(np.einsum("...ik,...jk->...ij", scaled, eig.vectors.conj()) - h)
     bound = RECONSTRUCTION_TOL * np.maximum(1.0, frobenius(h))
     i = first_cell(res > bound)
     if i is not None:
@@ -218,7 +231,13 @@ def _eigh(h: np.ndarray) -> EigenDecomposition:
             f"||V diag(w) V^dagger - A||_F = {res.flat[i]:.3e} "
             f"exceeds {bound.flat[i]:.3e}"
         )
-    return EigenDecomposition(values=values, vectors=vectors)
+    return eig
+
+
+def _eigh(h: np.ndarray) -> EigenDecomposition:
+    """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
+    values, vectors = np.linalg.eigh(h)
+    return _require_rebuilds(h, EigenDecomposition(values=values, vectors=vectors))
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
@@ -254,13 +273,26 @@ def validate_density_matrix(rho, name: str = "state") -> DensityStates:
     """
     if isinstance(rho, DensityStates):
         return rho
-    h = _require_hermitian(_as_operator(rho, name), name)
+    return _density_states(_as_operator(rho, name), name)
+
+
+def _density_states(a: np.ndarray, name: str, eig=None) -> DensityStates:
+    """The checks of :func:`validate_density_matrix` on a complex stack.
+
+    In order: Hermiticity, unit trace, then the eigendecomposition of the
+    Hermitian part, LAPACK's unless `eig` gives one that the caller already
+    has, checked by reconstruction as LAPACK's is (RuntimeError), then
+    positivity.  `eig`, such as the one a thermal state is built from, must
+    have ascending eigenvalues.  Each check raises for its first failing
+    matrix.
+    """
+    h = _require_hermitian(a, name)
     tr = trace(h).real
     i = first_cell(np.abs(tr - 1.0) > TRACE_TOL)
     if i is not None:
         t = float(tr.flat[i])
         raise ValueError(f"{name} trace is {t!r}, off unity by {abs(t - 1.0):.3e}")
-    eig = _eigh(h)
+    eig = _eigh(h) if eig is None else _require_rebuilds(h, eig)
     lam_min = eig.values[..., 0]
     i = first_cell(lam_min < -PSD_TOL)
     if i is not None:

@@ -32,9 +32,12 @@ rule SpinParams applies to a point.  A single point is a batch of one,
 ``ThermalBatch.of(SpinParams(...))``.  Both routes work array-at-a-time
 over a batch and give an (N, 4, 4) stack: :func:`gibbs_closed` assembles
 the density matrices from the closed-form entries, :func:`gibbs_spectral`
-exponentiates the stacked Hamiltonians of :func:`hamiltonian`.  Each closed
-measure is one function, made by :func:`closed_form`, that gives one value
-per cell of a batch, or the float of a SpinParams point.
+exponentiates the stacked Hamiltonians of :func:`hamiltonian` and returns
+its stack checked, as a DensityStates with the decomposition it is built
+from, H's eigenvectors and the Gibbs weights, so the oracle decomposes it
+no more.  Each closed measure is one function, made by
+:func:`closed_form`, that gives one value per cell of a batch, or the
+float of a SpinParams point.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     PROBABILITY_TOL,
+    DensityStates,
+    EigenDecomposition,
+    _density_states,
     dagger,
     eig_hermitian,
     first_cell,
@@ -334,19 +340,26 @@ def gibbs_closed(cells: ThermalBatch) -> np.ndarray:
     return rho
 
 
-def gibbs_spectral(cells: ThermalBatch) -> np.ndarray:
+def gibbs_spectral(cells: ThermalBatch) -> DensityStates:
     """Thermal states via eigendecomposition of H and a shifted exponential.
 
-    Gives the (N, 4, 4) stack of density matrices.  Checks the X structure,
+    Gives the (N, 4, 4) stack of density matrices as a DensityStates,
+    ``.matrix``, with the decomposition they are built from: H's
+    eigenvectors and the Gibbs weights over their sum, in reverse, so that
+    the eigenvalues ascend.  e^{-H/T} shares H's eigenvectors, whatever H
+    is, so no other ``eigh`` is needed.  Checks the X structure,
     Hermiticity, trace and U(1) commutation of the computed matrices and
     raises, for the first failing cell, with the measured residuals; then
-    checks their X-state entries as :func:`check_entries` does.
+    checks their X-state entries as :func:`check_entries` does, and last
+    the matrices and their decomposition as ``validate_density_matrix``
+    checks the oracle's steered state.
     """
     eig = eig_hermitian(hamiltonian(cells))
     lowest = eig.values[:, 0]
     weights = np.exp(-(eig.values - lowest[:, None]) / cells.T[:, None])
     total = functools.reduce(add, weights.T)
-    rho = (eig.vectors * (weights / total[:, None])[:, None, :]) @ dagger(eig.vectors)
+    p = weights / total[:, None]
+    rho = (eig.vectors * p[:, None, :]) @ dagger(eig.vectors)
     rho = (rho + dagger(rho)) / 2
 
     tol = 1e-12
@@ -369,4 +382,9 @@ def gibbs_spectral(cells: ThermalBatch) -> np.ndarray:
     b = (rho[:, 1, 1].real + rho[:, 2, 2].real) / 2
     v = (rho[:, 1, 2] + rho[:, 2, 1]).real / 2
     check_entries(a, b, d, v)
-    return rho
+    # the weights fall as H's eigenvalues rise: reversed, they ascend
+    ascending = EigenDecomposition(
+        values=np.ascontiguousarray(p[:, ::-1]),
+        vectors=np.ascontiguousarray(eig.vectors[:, :, ::-1]),
+    )
+    return _density_states(rho, "steered state", ascending)

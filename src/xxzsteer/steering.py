@@ -33,9 +33,10 @@ once for both (``ThermalBatch.shared``).
 
 The closed forms read the entries of a ThermalBatch and give one value per
 cell, or the float of a SpinParams point (``closed_form``).  The definition
-and its parts take one matrix or a stack, such as ``gibbs_spectral(cells)``:
-:func:`sqc_direct` and :func:`coherence` give a float for one matrix and
-an array for a stack, :func:`steer` arrays with the outcome axis leading.
+and its parts take one matrix, a stack, or a checked stack such as
+``gibbs_spectral(cells)``: :func:`sqc_direct` and :func:`coherence` give a
+float for one matrix and an array for a stack, :func:`steer` arrays with
+the outcome axis leading.
 """
 
 from __future__ import annotations
@@ -239,7 +240,10 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     into all three Pauli bases by one more, and only the work of the kinds
     asked is done, so a kind raises nothing on behalf of another.  The
     ensembles raise what one :func:`steer` call per axis, in PauliAxis
-    order, would raise first.
+    order, would raise first.  Each kind is evaluated once over all three
+    bases, and each of its checks raises for its first failing value in
+    (basis, axis, outcome, cell) order, the value that one evaluation per
+    basis in PauliAxis order meets first.
     """
     if not kinds:
         raise ValueError("sqc_direct needs at least one coherence kind")
@@ -254,8 +258,10 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     kept = p > PROBABILITY_FLOOR
     totals = {}
     for kind in dict.fromkeys(kinds):
-        # c[m, a, nu]: C^nu of Bob's state after outcome a of axis m
-        c = np.stack([_FORMS[kind](b, entropy) for b in in_basis], axis=2)
+        # c[m, a, nu]: C^nu of Bob's state after outcome a of axis m, from
+        # one call over all three bases, whose checks meet the bases in
+        # PauliAxis order
+        c = np.moveaxis(_FORMS[kind](in_basis, entropy), 0, 2)
         terms = np.where(kept, p * c, 0.0)[_CROSS_TERMS]
         totals[kind] = 0.5 * reduce(add, terms, 0.0)
     return tuple(totals[kind] for kind in kinds)

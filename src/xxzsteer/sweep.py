@@ -59,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher, steering
-from .linalg import validate_density_matrix
 from .model import PARAM_NAMES, SpinParams, ThermalBatch, gibbs_spectral
 from .steering import CoherenceKind
 
@@ -105,7 +104,7 @@ MEASURES = tuple(_MEASURES)
 _DEFINITIONS = {
     "sqc": lambda rho, kinds: steering.sqc_direct(rho, *kinds),
     "qfi": lambda rho, _: (
-        fisher.qfi_spectral(rho, fisher.calibrated_observable(rho.matrix)),
+        fisher.qfi_spectral(rho, fisher.calibrated_observable(rho)),
     ),
 }
 ENGINES = ("oracle", "closed", "both")
@@ -280,8 +279,8 @@ def _run(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
 
     `rows` holds the parameter rows J, Jz, B, T of N cells, shape (4, N);
     the cells are checked first, as one ThermalBatch.  Each definition runs
-    next, once over the stacked spectral states, which are checked and
-    decomposed once for all of them, with every argument the measures ask
+    next, once over the stacked spectral states, which come checked and
+    decomposed from ``gibbs_spectral``, with every argument the measures ask
     of it, in first-seen order; the closed forms run last.  Any check
     raises for its own first failing cell, so which error a stack raises
     depends on the stack.
@@ -289,7 +288,7 @@ def _run(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
     cells = ThermalBatch(*rows)
     forms, definitions = zip(*(_MEASURES[m] for m in measures))
     if engine != "closed":
-        rho = validate_density_matrix(gibbs_spectral(cells), "steered state")
+        rho = gibbs_spectral(cells)
         asked = {}
         for name, arg in dict.fromkeys(definitions):
             asked.setdefault(name, []).append(arg)

@@ -149,7 +149,7 @@ def bulk():
         "sqc_l1": sqc_l1,
         "sqc_re": sqc_re,
         "qfi_spectral": qfi_spectral(rho, calibrated_observable(rho)),
-        "entry_diff": np.abs(rho - gibbs_spectral(cells)).max(axis=(1, 2)),
+        "entry_diff": np.abs(rho - gibbs_spectral(cells).matrix).max(axis=(1, 2)),
         # log Z of the closed route against the Hamiltonian's eigenvalues
         "z_rel": np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))),
     }

@@ -6,24 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xxzsteer import ThermalBatch, gibbs_spectral, hamiltonian, linalg, steering
 from xxzsteer.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
+    EigenDecomposition,
     binary_entropy,
+    dagger,
     eig_hermitian,
     first_cell,
+    frobenius,
     kron,
     partial_trace_A,
     sandwich,
     validate_density_matrix,
     vn_entropy,
 )
-from xxzsteer import steering
 from xxzsteer.fisher import qfi_spectral
 from xxzsteer.steering import CoherenceKind, PauliAxis, coherence, steer
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import box_draws, random_density, random_hermitian, random_unitary
 
 I4 = np.eye(4, dtype=complex)
 
@@ -303,6 +306,71 @@ def test_validated_states_are_not_checked_or_decomposed_again(rng, monkeypatch):
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
+def _perturbed_vector(stack, values, vectors):
+    vectors[1, 0, 3] += 1e-6
+    return stack, values, vectors
+
+
+def _negative_eigenvalue(stack, values, vectors):
+    # unit trace, one eigenvalue far below -PSD_TOL
+    stack[1] = np.diag([0.6, 0.5, 0.0, -0.1])
+    values[1], vectors[1] = np.linalg.eigh(stack[1])
+    return stack, values, vectors
+
+
+def _trace_off_one(stack, values, vectors):
+    stack[1] *= 1.01
+    values[1] *= 1.01
+    return stack, values, vectors
+
+
+def _not_hermitian(stack, values, vectors):
+    stack[1, 0, 1] += 1e-3
+    return stack, values, vectors
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        (_perturbed_vector, RuntimeError, "eigendecomposition does not rebuild its input"),
+        (_negative_eigenvalue, ValueError, "probe is not positive semidefinite"),
+        (_trace_off_one, ValueError, "probe trace is"),
+        (_not_hermitian, ValueError, "probe is not Hermitian"),
+    ],
+    ids=["perturbed eigenvector", "negative eigenvalue", "trace off one", "not Hermitian"],
+)
+def test_given_decomposition_is_checked_as_lapacks_is(rng, monkeypatch, spoil, error, message):
+    """The checks of a stack with a decomposition the caller already has, as
+    gibbs_spectral passes one, raise what validate_density_matrix raises when
+    LAPACK returns that decomposition: same type, same message."""
+    stack = np.array([random_density(rng, 4) for _ in range(3)])
+    values, vectors = np.linalg.eigh(stack)
+    given = validate_density_matrix(stack, "probe")
+    checked = linalg._density_states(stack, "probe", EigenDecomposition(values, vectors))
+    for name in ("matrix", "values", "vectors"):
+        assert getattr(checked, name).tobytes() == getattr(given, name).tobytes()
+
+    stack, values, vectors = spoil(stack, values, vectors)
+    with pytest.raises(error, match=f"^{message}") as own:
+        linalg._density_states(stack, "probe", EigenDecomposition(values, vectors))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (values.copy(), vectors.copy()))
+    with pytest.raises(error) as lapack:
+        validate_density_matrix(stack, "probe")
+    assert type(own.value) is type(lapack.value)
+    assert str(own.value) == str(lapack.value)
+
+
+def test_spectral_states_keep_an_ascending_decomposition_that_rebuilds_them(rng):
+    """gibbs_spectral's states carry H's eigenvectors and the Gibbs weights,
+    ascending, and they rebuild each state to 1e-12 over the whole box."""
+    states = gibbs_spectral(ThermalBatch(*box_draws(rng, 2000).T))
+    assert np.all(np.diff(states.values, axis=-1) >= 0.0)
+    rebuilt = (states.vectors * states.values[:, None, :]) @ dagger(states.vectors)
+    assert frobenius(rebuilt - states.matrix).max() <= 1e-12
+    assert frobenius(dagger(states.vectors) @ states.vectors - I4).max() <= 1e-12
+    assert np.abs(states.values.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
@@ -336,6 +404,25 @@ def test_first_cell_is_the_flat_index_of_the_first_hit(mask, index):
     assert first_cell(mask) == index
     hits = np.flatnonzero(mask)
     assert index == (int(hits[0]) if hits.size else None)
+
+
+# ----------------------------------------------------------- frobenius
+
+def test_frobenius_has_the_bits_of_numpys_norm(rng):
+    """frobenius is np.linalg.norm's matrix-norm expression without its
+    dispatch: the same bits on every stack the checks measure."""
+    cells = ThermalBatch(*box_draws(rng, 300).T)
+    states = gibbs_spectral(cells)
+    stacks = [
+        hamiltonian(cells).real,
+        states.matrix,
+        steering._ensembles(states, tuple(PauliAxis))[1],
+        random_hermitian(rng, 2) + 1j * random_hermitian(rng, 2),
+    ]
+    assert [a.shape for a in stacks] == [(300, 4, 4), (300, 4, 4), (3, 2, 300, 2, 2), (2, 2)]
+    assert stacks[0].dtype == float
+    for a in stacks:
+        assert frobenius(a).tobytes() == np.linalg.norm(a, axis=(-2, -1)).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -47,6 +47,11 @@ def kron_built_hamiltonian(p):
     return h - 0.5 * p.B * (np.kron(SZ, I2) + np.kron(I2, SZ))
 
 
+def spectral_matrices(cells: ThermalBatch) -> np.ndarray:
+    """The (N, 4, 4) density matrices of the spectral route."""
+    return gibbs_spectral(cells).matrix
+
+
 def one_state(builder, p: SpinParams) -> np.ndarray:
     """The 4x4 density matrix that a construction route gives for one point."""
     return builder(ThermalBatch.of(p))[0]
@@ -168,7 +173,7 @@ def test_partition_function_matches_eigenvalue_sum(rng):
 # ----------------------------------------------------------- Gibbs state
 
 def test_gibbs_free_spins_is_maximally_mixed():
-    for builder in (gibbs_closed, gibbs_spectral):
+    for builder in (gibbs_closed, spectral_matrices):
         rho = one_state(builder, SpinParams(0, 0, 0, 1))
         assert np.allclose(x_entries(rho), (0.25, 0.25, 0.25, 0.0), atol=1e-15)
         assert np.allclose(rho, np.eye(4) / 4, atol=1e-15)
@@ -178,7 +183,7 @@ def test_gibbs_bell_limit():
     p = SpinParams(J=10, Jz=2, B=0, T=0.01)
     eig = eig_hermitian(hamiltonian(ThermalBatch.of(p))[0])
     ground = np.outer(eig.vectors[:, 0], eig.vectors[:, 0].conj())
-    for builder in (gibbs_closed, gibbs_spectral):
+    for builder in (gibbs_closed, spectral_matrices):
         rho = one_state(builder, p)
         assert np.allclose(x_entries(rho), (0, 0.5, 0, 0.5), atol=1e-6)
         assert np.abs(rho - ground).max() <= 1e-6
@@ -188,7 +193,7 @@ def test_gibbs_polarized_limit():
     p = SpinParams(J=1, Jz=0, B=20, T=0.1)
     eig = eig_hermitian(hamiltonian(ThermalBatch.of(p))[0])
     ground = np.outer(eig.vectors[:, 0], eig.vectors[:, 0].conj())
-    for builder in (gibbs_closed, gibbs_spectral):
+    for builder in (gibbs_closed, spectral_matrices):
         rho = one_state(builder, p)
         assert abs(x_entries(rho)[0] - 1.0) <= 1e-6
         assert np.abs(rho - ground).max() <= 1e-6
@@ -298,14 +303,14 @@ def test_closed_forms_match_a_decimal_reference_below_a_split_doublet():
 def test_gibbs_closed_equals_spectral_bulk(rng):
     """1000 random draws: entrywise and partition-function agreement."""
     cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(1000)))
-    assert np.abs(gibbs_closed(cells) - gibbs_spectral(cells)).max() <= 1e-10
+    assert np.abs(gibbs_closed(cells) - spectral_matrices(cells)).max() <= 1e-10
     assert np.abs(np.expm1(cells.log_Z - spectral_log_z(cells))).max() <= 1e-10
 
 
 def test_gibbs_state_invariants_on_draws(rng):
     cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(100)))
     number = np.diag([2.0, 0.0, 0.0, -2.0])
-    for rho in gibbs_spectral(cells):
+    for rho in spectral_matrices(cells):
         a, b, d, v = x_entries(rho)
         assert abs(a + 2 * b + d - 1.0) <= 1e-12
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
@@ -319,7 +324,7 @@ def test_number_commutator_is_the_stacked_commutator_bit_for_bit(rng):
     seeded matrices and on spectral states with noise off the X structure."""
     S = model._TOTAL_SZ
     cells = ThermalBatch.of(*(draw_params(rng, b=(-10, 10)) for _ in range(200)))
-    spectral = gibbs_spectral(cells)
+    spectral = spectral_matrices(cells)
     stacks = [rng.normal(size=(*n, 4, 4)) + 1j * rng.normal(size=(*n, 4, 4))
               for n in [(1,), (37,), (4096,), (3, 5)]]
     stacks.append(spectral + 1e-13 * stacks[2][:200])
@@ -360,7 +365,7 @@ def test_sigma_z_conjugation_maps_j_to_minus_j(rng):
 
 def test_degenerate_spectrum_is_deterministic():
     p = SpinParams(0, 0, 0, 0.5)
-    assert np.array_equal(one_state(gibbs_spectral, p), one_state(gibbs_spectral, p))
+    assert np.array_equal(one_state(spectral_matrices, p), one_state(spectral_matrices, p))
 
 
 def test_gibbs_state_rejects_inconsistent_entries():
@@ -429,7 +434,9 @@ def test_batch_of_points_has_the_bits_of_their_batches_of_one(rng):
 
     def bits(cells):
         arrays = (cells.J, cells.Jz, cells.B, cells.T, *cells.entries(), cells.log_Z)
-        return [x.tobytes() for x in (*arrays, gibbs_spectral(cells))]
+        spectral = gibbs_spectral(cells)
+        arrays += (spectral.matrix, spectral.values, spectral.vectors)
+        return [x.tobytes() for x in arrays]
 
     cells = ThermalBatch.of(*points)
     assert bits(cells) == [
@@ -486,7 +493,7 @@ def test_closed_form_gives_a_point_the_bits_of_its_cell(module, name, rng):
 )
 def test_construction_routes_agree_property(j, jz, b, t):
     cells = ThermalBatch.of(SpinParams(J=j, Jz=jz, B=b, T=t))
-    assert np.abs(gibbs_closed(cells) - gibbs_spectral(cells)).max() <= 1e-10
+    assert np.abs(gibbs_closed(cells) - spectral_matrices(cells)).max() <= 1e-10
 
 
 # ------------------------------------------ stacked checks vs one cell alone

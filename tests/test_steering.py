@@ -270,6 +270,46 @@ def test_sqc_invariant_under_v_flip(rng):
         assert np.abs(value - flip).max() <= 1e-12
 
 
+def test_relative_entropy_checks_meet_the_bases_in_pauli_order(monkeypatch):
+    """sqc_direct evaluates the relative entropy over all three bases at
+    once, and a negative value raises for the value that one evaluation per
+    basis, X then Y then Z, meets first.  The shifted entropy makes the
+    value negative at a late state in every basis and, in a later basis
+    only, at an earlier one, which any order but basis first would name."""
+    points = [SpinParams(1.0, 0.5, 0.3, 1.0), SpinParams(-2.0, 1.0, 1.0, 2.0),
+              SpinParams(0.5, -1.0, 0.2, 0.7)]
+    rho = gibbs_spectral(ThermalBatch.of(*points))
+    states = validate_density_matrix(steering._ensembles(rho, tuple(PauliAxis))[1])
+    re = CoherenceKind.RELATIVE_ENTROPY
+    # c[nu, m, a, cell]: unshifted coherence of each of Bob's states in basis nu
+    c = np.array([coherence(states, axis, re) for axis in PauliAxis])
+    shift = np.zeros(c.shape[1:])
+    late = (2, 1, len(points) - 1)
+    shift[late] = c[(slice(None), *late)].max() + 0.01
+    # the first earlier state that basis Y or Z finds below basis X
+    early = next(
+        k for k in np.ndindex(shift.shape)
+        if c[(slice(1, None), *k)].min() < c[(0, *k)] - 1e-3
+    )
+    assert np.ravel_multi_index(early, shift.shape) < np.ravel_multi_index(late, shift.shape)
+    shift[early] = (c[(slice(1, None), *early)].min() + c[(0, *early)]) / 2
+    negative = c - shift < -1e-12
+    assert np.flatnonzero(negative[0]).tolist() == [np.ravel_multi_index(late, shift.shape)]
+    assert negative[(slice(1, None), *early)].any()
+
+    entropy = steering.vn_entropy
+    monkeypatch.setattr(steering, "vn_entropy", lambda s: entropy(s) + shift)
+    with pytest.raises(RuntimeError, match="came out negative") as stacked:
+        sqc_direct(rho, re)
+    for axis in PauliAxis:
+        try:
+            coherence(states, axis, re)
+        except RuntimeError as err:
+            first = str(err)
+            break
+    assert str(stacked.value) == first
+
+
 def test_sqc_kinds_in_one_pass_match_single_kind_calls_bit_for_bit(rng):
     """Seeded draws, the B = 0 slice and near-pure cells at the T floor."""
     points = [draw_params(rng) for _ in range(40)]
@@ -295,7 +335,7 @@ def test_sqc_kinds_in_one_pass_match_single_kind_calls_bit_for_bit(rng):
         for value, expected in zip(got, want):
             assert value.tobytes() == expected.tobytes()
     # one matrix gives floats, the same as its cell of the stack
-    for value, cell in zip(sqc_direct(rho[-1], l1, re), (alone_l1, alone_re)):
+    for value, cell in zip(sqc_direct(rho.matrix[-1], l1, re), (alone_l1, alone_re)):
         assert isinstance(value, float) and value == cell[-1]
 
 

@@ -852,11 +852,11 @@ def test_block_cells_have_the_bits_of_the_axis_values(monkeypatch):
 
 
 def test_oracle_decomposes_each_stack_once(monkeypatch):
-    """Three eigh calls for every measure on the oracle, whatever the stack size.
+    """Two eigh calls for every measure on the oracle, whatever the stack size.
 
-    One for the Hamiltonians, one for rho, which every definition shares,
-    and one for Bob's conditional states, which the two steered-coherence
-    kinds share.
+    One for the Hamiltonians, whose eigenvectors also diagonalize rho, which
+    every definition shares, and one for Bob's conditional states, which
+    the two steered-coherence kinds share.
     """
     calls = []
     lapack = np.linalg.eigh
@@ -867,7 +867,7 @@ def test_oracle_decomposes_each_stack_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     evaluate_point(SpinParams(1.5, 0.5, 1.0, 1.0), MEASURES, "oracle")
-    assert len(calls) == 3, calls
+    assert len(calls) == 2, calls
     point = len(calls)
     calls.clear()
     run_sweep(
