@@ -5,7 +5,11 @@ A change that should keep the output bytes keeps every line.  The expected
 lines are in reference_digests.txt next to this script (numpy 2.4.6; see
 the README); compare with
 
-    PYTHONPATH=src python scripts/reference_digests.py | diff - scripts/reference_digests.txt
+    python scripts/reference_digests.py | diff - scripts/reference_digests.txt
+
+The script imports xxzsteer from the checkout's own src/ directory, which
+it puts first on sys.path, and refuses to run if the package comes from
+anywhere else.
 
 The outputs:
 
@@ -35,10 +39,15 @@ import io
 import math
 import pathlib
 import random
+import sys
 import tempfile
 
-import figures
-from xxzsteer.cli import main as xxzsteer
+# the checkout's own package, whatever else is installed
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import figures  # noqa: E402
+from xxzsteer.cli import main as xxzsteer  # noqa: E402
 
 COUPLING_GRID = ["--axis", "J=-20:20:0.25", "--axis", "Jz=-20:20:0.25", "--fix", "T=2",
                  "--fix", "B=1"]
@@ -108,6 +117,9 @@ def digests(workdir: pathlib.Path) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
+    where = pathlib.Path(sys.modules["xxzsteer"].__file__).resolve().parent
+    if where != SRC / "xxzsteer":
+        raise SystemExit(f"imported xxzsteer from {where}, not from {SRC}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in digests(pathlib.Path(tmp)).items():
             print(name, digest)

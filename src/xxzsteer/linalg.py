@@ -5,18 +5,18 @@ function takes one matrix or a stack of them, shape (..., n, n), and a
 failed check raises for the first failing matrix with the measured
 residual.  Eigendecompositions come from LAPACK (``np.linalg.eigh``) and
 are checked against the input they diagonalize.  Density matrices are
-checked by one private checker, whose checks :func:`validate_density_matrix`
-runs: it returns a :class:`DensityStates`, the checked matrices with the
-decomposition that its positivity check computed, and returns a
-DensityStates unchanged.  ``model.gibbs_spectral`` runs the same checker
-on the decomposition it builds its states from (e^{-H/T} shares H's
-eigenvectors), which is then held to the same reconstruction bound as
-LAPACK's.  The entropy and the oracle measures read that decomposition,
-so each stack is checked and decomposed once.  Sums within one matrix or
-cell are left folds, ``functools.reduce`` over the terms in index order,
-never numpy's additive reductions, whose order depends on the array
-width; so a matrix gives the same bits alone as inside any stack.  All
-entropies are in bits.
+checked in one place, :func:`validate_density_matrix`: it returns a
+:class:`DensityStates`, the checked matrices with the decomposition that
+its positivity check computed, and returns a DensityStates unchanged.
+``model.gibbs_spectral`` returns a DensityStates too, with the
+decomposition its states are built from, H's eigenvectors and the Gibbs
+weights; they are not checked again, as how they are built and the checks
+it makes imply these.  The entropy and the oracle measures read that
+decomposition, so each stack is checked and decomposed once.  Sums within
+one matrix or cell are left folds, ``functools.reduce`` over the terms in
+index order, never numpy's additive reductions, whose order depends on the
+array width; so a matrix gives the same bits alone as inside any stack.
+All entropies are in bits.
 
 A product of a stack with a fixed operator, ``left @ m @ right`` with
 ``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
@@ -193,10 +193,13 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class DensityStates(EigenDecomposition):
-    """Density matrices that passed the checks of :func:`validate_density_matrix`.
+    """Density matrices with their eigendecomposition, checked.
 
-    `matrix` is the Hermitian part of the input, `values` and `vectors` its
-    eigendecomposition, so a consumer reads the spectrum without another
+    Made by :func:`validate_density_matrix`, whose checks they passed, or by
+    ``model.gibbs_spectral``, whose construction and checks imply the same:
+    `matrix` is Hermitian with unit trace, `values` ascend from at least
+    -PSD_TOL, and with `vectors` they rebuild `matrix` to
+    RECONSTRUCTION_TOL.  A consumer reads the spectrum without another
     ``eigh``.
     """
 
@@ -216,13 +219,14 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return (a + adjoint) / 2
 
 
-def _require_rebuilds(h: np.ndarray, eig: EigenDecomposition) -> EigenDecomposition:
-    """`eig`, once it rebuilds the Hermitian matrices `h` to RECONSTRUCTION_TOL."""
+def _eigh(h: np.ndarray) -> EigenDecomposition:
+    """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
+    values, vectors = np.linalg.eigh(h)
     # V diag(w) V^dagger as one einsum loop over the stack, not a stacked @
     # of one BLAS call per small matrix; only the residual's size meets the
     # bound, so its bits are free to differ from the @ product's
-    scaled = eig.vectors * eig.values[..., None, :]
-    res = frobenius(np.einsum("...ik,...jk->...ij", scaled, eig.vectors.conj()) - h)
+    scaled = vectors * values[..., None, :]
+    res = frobenius(np.einsum("...ik,...jk->...ij", scaled, vectors.conj()) - h)
     bound = RECONSTRUCTION_TOL * np.maximum(1.0, frobenius(h))
     i = first_cell(res > bound)
     if i is not None:
@@ -231,13 +235,7 @@ def _require_rebuilds(h: np.ndarray, eig: EigenDecomposition) -> EigenDecomposit
             f"||V diag(w) V^dagger - A||_F = {res.flat[i]:.3e} "
             f"exceeds {bound.flat[i]:.3e}"
         )
-    return eig
-
-
-def _eigh(h: np.ndarray) -> EigenDecomposition:
-    """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
-    values, vectors = np.linalg.eigh(h)
-    return _require_rebuilds(h, EigenDecomposition(values=values, vectors=vectors))
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
@@ -273,26 +271,13 @@ def validate_density_matrix(rho, name: str = "state") -> DensityStates:
     """
     if isinstance(rho, DensityStates):
         return rho
-    return _density_states(_as_operator(rho, name), name)
-
-
-def _density_states(a: np.ndarray, name: str, eig=None) -> DensityStates:
-    """The checks of :func:`validate_density_matrix` on a complex stack.
-
-    In order: Hermiticity, unit trace, then the eigendecomposition of the
-    Hermitian part, LAPACK's unless `eig` gives one that the caller already
-    has, checked by reconstruction as LAPACK's is (RuntimeError), then
-    positivity.  `eig`, such as the one a thermal state is built from, must
-    have ascending eigenvalues.  Each check raises for its first failing
-    matrix.
-    """
-    h = _require_hermitian(a, name)
+    h = _require_hermitian(_as_operator(rho, name), name)
     tr = trace(h).real
     i = first_cell(np.abs(tr - 1.0) > TRACE_TOL)
     if i is not None:
         t = float(tr.flat[i])
         raise ValueError(f"{name} trace is {t!r}, off unity by {abs(t - 1.0):.3e}")
-    eig = _eigh(h) if eig is None else _require_rebuilds(h, eig)
+    eig = _eigh(h)
     lam_min = eig.values[..., 0]
     i = first_cell(lam_min < -PSD_TOL)
     if i is not None:

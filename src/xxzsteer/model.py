@@ -33,9 +33,9 @@ rule SpinParams applies to a point.  A single point is a batch of one,
 over a batch and give an (N, 4, 4) stack: :func:`gibbs_closed` assembles
 the density matrices from the closed-form entries, :func:`gibbs_spectral`
 exponentiates the stacked Hamiltonians of :func:`hamiltonian` and returns
-its stack checked, as a DensityStates with the decomposition it is built
-from, H's eigenvectors and the Gibbs weights, so the oracle decomposes it
-no more.  Each closed measure is one function, made by
+its stack as a DensityStates with the decomposition it is built from, H's
+eigenvectors and the Gibbs weights, so the oracle neither checks nor
+decomposes it again.  Each closed measure is one function, made by
 :func:`closed_form`, that gives one value per cell of a batch, or the
 float of a SpinParams point.
 """
@@ -58,8 +58,6 @@ from .linalg import (
     PAULI_Z,
     PROBABILITY_TOL,
     DensityStates,
-    EigenDecomposition,
-    _density_states,
     dagger,
     eig_hermitian,
     first_cell,
@@ -347,12 +345,14 @@ def gibbs_spectral(cells: ThermalBatch) -> DensityStates:
     ``.matrix``, with the decomposition they are built from: H's
     eigenvectors and the Gibbs weights over their sum, in reverse, so that
     the eigenvalues ascend.  e^{-H/T} shares H's eigenvectors, whatever H
-    is, so no other ``eigh`` is needed.  Checks the X structure,
-    Hermiticity, trace and U(1) commutation of the computed matrices and
-    raises, for the first failing cell, with the measured residuals; then
-    checks their X-state entries as :func:`check_entries` does, and last
-    the matrices and their decomposition as ``validate_density_matrix``
-    checks the oracle's steered state.
+    is, so no other ``eigh`` is needed.  Checks the X structure, trace and
+    U(1) commutation of the computed matrices and raises, for the first
+    failing cell, with the measured residuals; then checks their X-state
+    entries as :func:`check_entries` does.  The states are not checked
+    again as ``validate_density_matrix`` would: they are Hermitian as
+    built, as (rho + rho^dagger)/2, the trace check is stricter than its
+    own, the weights are nonnegative, and they rebuild from the
+    decomposition that built them.
     """
     eig = eig_hermitian(hamiltonian(cells))
     lowest = eig.values[:, 0]
@@ -383,8 +383,8 @@ def gibbs_spectral(cells: ThermalBatch) -> DensityStates:
     v = (rho[:, 1, 2] + rho[:, 2, 1]).real / 2
     check_entries(a, b, d, v)
     # the weights fall as H's eigenvalues rise: reversed, they ascend
-    ascending = EigenDecomposition(
+    return DensityStates(
         values=np.ascontiguousarray(p[:, ::-1]),
         vectors=np.ascontiguousarray(eig.vectors[:, :, ::-1]),
+        matrix=rho,
     )
-    return _density_states(rho, "steered state", ascending)

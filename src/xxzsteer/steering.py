@@ -20,9 +20,10 @@ Alice's six projected states, one check of Bob's six conditional states
 and one stacked change into all three reference bases serve both, and
 each kind adds only its own formula (the l1 kind reads the
 off-diagonals, the relative entropy the populations and one von Neumann
-entropy).  :func:`steer` is the one-axis view of the same ensembles.  :func:`coherence` applies the same per-kind formulas to one
-basis.  For the thermal X state the l1 version collapses to
-:func:`scn_closed` and the relative-entropy version to :func:`scre_closed`.
+entropy).  :func:`steer` is the one-axis view of the same ensembles.
+:func:`coherence` applies the same per-kind formulas to one basis.  For
+the thermal X state the l1 version collapses to :func:`scn_closed` and the
+relative-entropy version to :func:`scre_closed`.
 A previously published relative-entropy closed form is kept in
 :func:`scre_published`; it agrees with the definition only on the
 zero-field slice a = d and is reported, not silently fixed.  Its printed
@@ -99,6 +100,7 @@ _PAULI_MATRICES = {
     PauliAxis.Y: PAULI_Y,
     PauliAxis.Z: PAULI_Z,
 }
+
 
 class CoherenceKind(enum.Enum):
     L1 = "l1"

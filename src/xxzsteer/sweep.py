@@ -279,11 +279,11 @@ def _run(rows: np.ndarray, measures, engine: str) -> list[np.ndarray]:
 
     `rows` holds the parameter rows J, Jz, B, T of N cells, shape (4, N);
     the cells are checked first, as one ThermalBatch.  Each definition runs
-    next, once over the stacked spectral states, which come checked and
-    decomposed from ``gibbs_spectral``, with every argument the measures ask
-    of it, in first-seen order; the closed forms run last.  Any check
-    raises for its own first failing cell, so which error a stack raises
-    depends on the stack.
+    next, once over the stacked spectral states, which ``gibbs_spectral``
+    builds and checks with their decomposition, with every argument the
+    measures ask of it, in first-seen order; the closed forms run last.
+    Any check raises for its own first failing cell, so which error a stack
+    raises depends on the stack.
     """
     cells = ThermalBatch(*rows)
     forms, definitions = zip(*(_MEASURES[m] for m in measures))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,28 @@ def whole_box(seed: int, draws: int) -> np.ndarray:
     rows[3, 3000:4000] = T_FLOOR
     rows[:, 4000] = 1e-6, 1e-6, 1e-6, 1e3
     return rows
+
+
+# 60 significant digits, and an exponent range that holds e^{-1e6}
+DEEP = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def decimal_xstate(J, Jz, B, T) -> tuple[Decimal, Decimal, Decimal, Decimal, Decimal]:
+    """X-state entries a, b, d, v and log Z of one cell at 60 significant
+    digits, from the cell's floats, with the standard library alone.
+
+    The weights are e^{-E/T} of the four levels as the module docstring of
+    xxzsteer.model prints them, each over the largest.
+    """
+    with decimal.localcontext(DEEP):
+        J, Jz, B, T = (Decimal(float(x)) for x in (J, Jz, B, T))
+        exponents = [(Jz / 2 + B) / T, (Jz / 2 - B) / T, (J - Jz / 2) / T, (-J - Jz / 2) / T]
+        top = max(exponents)
+        w00, w11, w_plus, w_minus = ((x - top).exp() for x in exponents)
+        z = w00 + w11 + w_plus + w_minus
+        a, d = w00 / z, w11 / z
+        b, v = (w_plus + w_minus) / (2 * z), (w_plus - w_minus) / (2 * z)
+        return a, b, d, v, z.ln() + top
 
 
 def xstate(a, b, d, v) -> ThermalBatch:

@@ -11,7 +11,6 @@ from xxzsteer.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
-    EigenDecomposition,
     binary_entropy,
     dagger,
     eig_hermitian,
@@ -26,7 +25,7 @@ from xxzsteer.linalg import (
 from xxzsteer.fisher import qfi_spectral
 from xxzsteer.steering import CoherenceKind, PauliAxis, coherence, steer
 
-from conftest import box_draws, random_density, random_hermitian, random_unitary
+from conftest import box_draws, random_density, random_hermitian, random_unitary, whole_box
 
 I4 = np.eye(4, dtype=complex)
 
@@ -306,69 +305,50 @@ def test_validated_states_are_not_checked_or_decomposed_again(rng, monkeypatch):
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
-def _perturbed_vector(stack, values, vectors):
-    vectors[1, 0, 3] += 1e-6
-    return stack, values, vectors
-
-
-def _negative_eigenvalue(stack, values, vectors):
-    # unit trace, one eigenvalue far below -PSD_TOL
-    stack[1] = np.diag([0.6, 0.5, 0.0, -0.1])
-    values[1], vectors[1] = np.linalg.eigh(stack[1])
-    return stack, values, vectors
-
-
-def _trace_off_one(stack, values, vectors):
-    stack[1] *= 1.01
-    values[1] *= 1.01
-    return stack, values, vectors
-
-
-def _not_hermitian(stack, values, vectors):
-    stack[1, 0, 1] += 1e-3
-    return stack, values, vectors
-
-
-@pytest.mark.parametrize(
-    "spoil, error, message",
-    [
-        (_perturbed_vector, RuntimeError, "eigendecomposition does not rebuild its input"),
-        (_negative_eigenvalue, ValueError, "probe is not positive semidefinite"),
-        (_trace_off_one, ValueError, "probe trace is"),
-        (_not_hermitian, ValueError, "probe is not Hermitian"),
-    ],
-    ids=["perturbed eigenvector", "negative eigenvalue", "trace off one", "not Hermitian"],
-)
-def test_given_decomposition_is_checked_as_lapacks_is(rng, monkeypatch, spoil, error, message):
-    """The checks of a stack with a decomposition the caller already has, as
-    gibbs_spectral passes one, raise what validate_density_matrix raises when
-    LAPACK returns that decomposition: same type, same message."""
-    stack = np.array([random_density(rng, 4) for _ in range(3)])
-    values, vectors = np.linalg.eigh(stack)
-    given = validate_density_matrix(stack, "probe")
-    checked = linalg._density_states(stack, "probe", EigenDecomposition(values, vectors))
-    for name in ("matrix", "values", "vectors"):
-        assert getattr(checked, name).tobytes() == getattr(given, name).tobytes()
-
-    stack, values, vectors = spoil(stack, values, vectors)
-    with pytest.raises(error, match=f"^{message}") as own:
-        linalg._density_states(stack, "probe", EigenDecomposition(values, vectors))
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (values.copy(), vectors.copy()))
-    with pytest.raises(error) as lapack:
-        validate_density_matrix(stack, "probe")
-    assert type(own.value) is type(lapack.value)
-    assert str(own.value) == str(lapack.value)
-
-
-def test_spectral_states_keep_an_ascending_decomposition_that_rebuilds_them(rng):
+def test_spectral_states_keep_an_ascending_decomposition_that_rebuilds_them():
     """gibbs_spectral's states carry H's eigenvectors and the Gibbs weights,
-    ascending, and they rebuild each state to 1e-12 over the whole box."""
-    states = gibbs_spectral(ThermalBatch(*box_draws(rng, 2000).T))
+    ascending, over the whole box, its faces and corners included.  They
+    hold what validate_density_matrix checks, though it does not run on
+    them: each matrix equals its conjugate transpose exactly (up to the
+    sign of a zero), the weights are nonnegative, the trace is 1 and the
+    decomposition rebuilds each state, both to 1e-12."""
+    states = gibbs_spectral(ThermalBatch(*whole_box(34, 8192)))
+    assert np.array_equal(states.matrix, dagger(states.matrix))
+    assert np.all(states.values >= 0.0)
     assert np.all(np.diff(states.values, axis=-1) >= 0.0)
+    assert np.abs(np.trace(states.matrix, axis1=1, axis2=2) - 1.0).max() <= 1e-12
     rebuilt = (states.vectors * states.values[:, None, :]) @ dagger(states.vectors)
     assert frobenius(rebuilt - states.matrix).max() <= 1e-12
     assert frobenius(dagger(states.vectors) @ states.vectors - I4).max() <= 1e-12
     assert np.abs(states.values.sum(axis=-1) - 1.0).max() <= 1e-12
+    validate_density_matrix(states.matrix)
+
+
+def test_spectral_states_are_checked_once_on_the_hamiltonian(rng, monkeypatch):
+    """One Hermiticity check and one reconstruction residual per
+    gibbs_spectral call, both on the stacked Hamiltonians: the states built
+    from their decomposition are not checked again."""
+    cells = ThermalBatch(*box_draws(rng, 64).T)
+    h = hamiltonian(cells)
+    hermitian, rebuilt = [], []
+    require_hermitian, einsum = linalg._require_hermitian, np.einsum
+
+    def spy_hermitian(a, name):
+        hermitian.append(a)
+        return require_hermitian(a, name)
+
+    def spy_einsum(subscripts, *operands):
+        out = einsum(subscripts, *operands)
+        if subscripts == "...ik,...jk->...ij":
+            rebuilt.append(out)
+        return out
+
+    monkeypatch.setattr(linalg, "_require_hermitian", spy_hermitian)
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    gibbs_spectral(cells)
+    assert len(hermitian) == 1 and np.array_equal(hermitian[0], h)
+    assert len(rebuilt) == 1
+    assert frobenius(rebuilt[0] - h).max() <= 1e-12 * frobenius(h).max()
 
 
 def test_binary_entropy_values():

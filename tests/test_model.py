@@ -32,7 +32,7 @@ from xxzsteer.model import (
 )
 from xxzsteer.steering import scn_closed
 
-from conftest import draw_params, spectral_log_z
+from conftest import DEEP, decimal_xstate, draw_params, spectral_log_z
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -246,30 +246,19 @@ def test_signed_zero_couplings_keep_the_bits_of_plus_zero(cell):
     assert np.array_equal(np.signbit(v), np.signbit(cells.J))
 
 
-# 60 significant digits, and an exponent range that holds e^{-1e6}
-DEEP = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
 def decimal_reference(J, Jz, B, T) -> tuple[Decimal, Decimal, Decimal]:
     """SCn, QFI and log Z of one cell at 60 significant digits.
 
-    The weights are e^{-E/T} of the four levels as the module docstring of
-    xxzsteer.model prints them, each over the largest; SCn is
+    The entries are conftest's decimal X state; SCn is
     sqrt((a-d)^2 + 4v^2) + |a-b| + |b-d| + 2|v| and QFI is
     2(a-p)^2/(a+p) + 2(d-p)^2/(d+p) with p = b + |v|.
     """
+    a, b, d, v, log_z = decimal_xstate(J, Jz, B, T)
     with decimal.localcontext(DEEP):
-        J, Jz, B, T = map(Decimal, (J, Jz, B, T))
-        exponents = [(Jz / 2 + B) / T, (Jz / 2 - B) / T, (J - Jz / 2) / T, (-J - Jz / 2) / T]
-        top = max(exponents)
-        w00, w11, w_plus, w_minus = ((x - top).exp() for x in exponents)
-        z = w00 + w11 + w_plus + w_minus
-        a, d = w00 / z, w11 / z
-        b, v = (w_plus + w_minus) / (2 * z), (w_plus - w_minus) / (2 * z)
         scn = ((a - d) ** 2 + 4 * v * v).sqrt() + abs(a - b) + abs(b - d) + 2 * abs(v)
         p = b + abs(v)
         qfi = 2 * (a - p) ** 2 / (a + p) + 2 * (d - p) ** 2 / (d + p)
-        return scn, qfi, z.ln() + top
+        return scn, qfi, log_z
 
 
 def test_closed_forms_match_a_decimal_reference_below_a_split_doublet():

@@ -31,7 +31,7 @@ from xxzsteer.steering import (
     steer,
 )
 
-from conftest import box_draws, draw_params, small_draws, whole_box, xstate
+from conftest import box_draws, decimal_xstate, draw_params, small_draws, whole_box, xstate
 
 I2 = np.eye(2, dtype=complex)
 SZ_I = np.kron(np.diag([1.0, -1.0]), I2)
@@ -409,20 +409,14 @@ WIDE = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 def printed_scre_reference(cell) -> Decimal:
     """SCREpaper's five printed terms, as in scre_published's docstring, of
-    one cell at 50 significant digits.
+    one cell, summed at 50 significant digits.
 
-    The entries come from the level weights as the module docstring of
-    xxzsteer.model prints them, each over the largest; the logarithms are
-    base 2, with 0 log 0 = 0.  No term is rewritten through a + 2b + d = 1.
+    The entries are conftest's 60-digit decimal X state; the logarithms
+    are base 2, with 0 log 0 = 0.  No term is rewritten through
+    a + 2b + d = 1.
     """
-    J, Jz, B, T = (Decimal(float(value)) for value in cell)
+    a, b, d, v, _ = decimal_xstate(*cell)
     with decimal.localcontext(WIDE):
-        exponents = [(Jz / 2 + B) / T, (Jz / 2 - B) / T, (J - Jz / 2) / T, (-J - Jz / 2) / T]
-        top = max(exponents)
-        w00, w11, w_plus, w_minus = ((x - top).exp() for x in exponents)
-        z = w00 + w11 + w_plus + w_minus
-        a, d = w00 / z, w11 / z
-        b, v = (w_plus + w_minus) / (2 * z), (w_plus - w_minus) / (2 * z)
         r = ((a - d) ** 2 + 4 * v * v).sqrt()
         ln2 = Decimal(2).ln()
 
