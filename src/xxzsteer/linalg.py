@@ -3,8 +3,10 @@
 Operators and density matrices live in dimensions 2 and 4 only.  Every
 function takes one matrix or a stack of them, shape (..., n, n), and a
 failed check raises for the first failing matrix with the measured
-residual.  Eigendecompositions come from LAPACK (``np.linalg.eigh``) and
-are checked against the input they diagonalize.  Density matrices are
+residual.  Eigendecompositions of 4x4 matrices come from LAPACK
+(``np.linalg.eigh``), those of 2x2 matrices from a closed form that is
+plain linear algebra for any Hermitian 2x2 matrix (:func:`_eigh_2x2`), and
+both are checked against the input they diagonalize.  Density matrices are
 checked in one place, :func:`validate_density_matrix`: it returns a
 :class:`DensityStates`, the checked matrices with the decomposition that
 its positivity check computed, and returns a DensityStates unchanged.
@@ -219,9 +221,64 @@ def _require_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     return (a + adjoint) / 2
 
 
+def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of Hermitian 2x2 matrices in closed form.
+
+    Write the matrix as [[a, b], [conj b, d]], m = (a+d)/2, delta = (a-d)/2
+    and r = hypot(delta, |b|).  The eigenvalues are m -+ r.  The one of
+    larger magnitude, m + sign(m) r, is formed so, free of cancellation; the
+    other as (a d - |b|^2) / that, as LAPACK's 2x2 kernel ``dlaev2`` does,
+    so that the small eigenvalue of a nearly pure state keeps its relative
+    accuracy, which its entropy term needs.
+
+    With s = r + |delta|, n = hypot(s, |b|), p = s/n and q = b/n, the m + r
+    eigenvector is (p, conj q) for delta > 0 and (q, p) otherwise, free of
+    cancellation too, and the m - r one is its orthogonal partner:
+    V = [[u, w], [-conj w, conj u]] with (u, w) = (q, p) or (p, q).  s, n, p
+    and q are formed from delta and b scaled by the power of two that brings
+    r into [1/2, 1), which is exact, so that no step underflows or keeps
+    only the few bits of a subnormal.  r = 0 takes s = 1, giving V = I.
+    Every operation is elementwise, so a matrix gets the same bits alone as
+    in any stack.
+    """
+    cells = h.shape[:-2]
+    # one row a matrix, (a, 0, Re b, Im b, Re b, -Im b, d, 0), so b comes as
+    # the real pairs that ldexp scales
+    x = np.ascontiguousarray(h).reshape(-1, 4).view(float)
+    a, d, b = x[:, 0], x[:, 6], x[:, 2:4]
+    m, delta = (a + d) / 2, (a - d) / 2
+    mod = np.hypot(b[:, 0], b[:, 1])
+    r = np.hypot(delta, mod)
+    big = m + np.copysign(r, m)
+    # 1 in place of a 0, which only the zero matrix has; its other
+    # eigenvalue is 0 too
+    over = big + (big == 0.0)
+    small = (a / over) * d - (mod / over) * mod
+    values = np.empty((len(x), 2))
+    np.minimum(small, big, out=values[:, 0])
+    np.maximum(small, big, out=values[:, 1])
+    e = -np.frexp(r)[1]
+    delta, b = np.ldexp(delta, e), np.ldexp(b, e[:, None])
+    mod = np.hypot(b[:, 0], b[:, 1])
+    s = np.hypot(delta, mod) + np.abs(delta) + (r == 0.0)
+    n = np.hypot(s, mod)
+    p, q = s / n, (b / n[:, None]).view(complex)[:, 0]
+    up = delta > 0.0
+    u, w = np.where(up, q, p), np.where(up, p, q)
+    vectors = np.empty((len(x), 2, 2), complex)
+    vectors[:, 0, 0], vectors[:, 0, 1] = u, w
+    np.negative(w.conj(), out=vectors[:, 1, 0])
+    np.conjugate(u, out=vectors[:, 1, 1])
+    return values.reshape(*cells, 2), vectors.reshape(*cells, 2, 2)
+
+
 def _eigh(h: np.ndarray) -> EigenDecomposition:
-    """LAPACK ``eigh`` of Hermitian matrices, checked by reconstruction."""
-    values, vectors = np.linalg.eigh(h)
+    """Eigendecomposition of Hermitian matrices, checked by reconstruction.
+
+    2x2 matrices go through the closed form :func:`_eigh_2x2`, 4x4 ones
+    through LAPACK ``eigh``.
+    """
+    values, vectors = (_eigh_2x2 if h.shape[-1] == 2 else np.linalg.eigh)(h)
     # V diag(w) V^dagger as one einsum loop over the stack, not a stacked @
     # of one BLAS call per small matrix; only the residual's size meets the
     # bound, so its bits are free to differ from the @ product's
@@ -239,7 +296,8 @@ def _eigh(h: np.ndarray) -> EigenDecomposition:
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Diagonalize complex Hermitian matrices with LAPACK ``eigh``.
+    """Diagonalize complex Hermitian matrices: 4x4 ones with LAPACK ``eigh``,
+    2x2 ones in closed form.
 
     Takes one matrix or a stack; eigenvalues ascend.  Non-Hermitian input is
     rejected with the measured residual, and a decomposition that does not

@@ -846,3 +846,71 @@ def test_a15_high_temperature_law_over_the_box():
         all(worst[m, e] <= c[m] for m, e in worst),
         ", ".join(f"{m} {e} {worst[m, e]:.3f} (<= {c[m]:g})" for m, e in worst),
     )
+
+
+def test_a17_ordering_laws_among_the_measures():
+    """SCRE <= SCn and QFI <= 2 SCn on both engines over 20,000 seeded draws
+    of the whole box, its faces, its T floor and its near-mixed corner.
+
+    SCRE <= SCn.  Both measures average Bob's basis coherences with the
+    same weights, 1/2 sum_{mu,a} p_{mu,a} sum_{nu != mu} C^nu(rho_{B|mu,a}),
+    so the law holds term by term if the relative-entropy coherence of a
+    qubit state is at most its l1 coherence in every basis.  In the basis
+    nu, let the state's Bloch vector have length R <= 1, component z along
+    nu and x = sqrt(R^2 - z^2) across it.  Then C_l1 = x, and with
+    h(t) = H2((1 + t)/2), the populations (1 +- z)/2 and the eigenvalues
+    (1 +- R)/2 give C_re = h(|z|) - h(R).  As h'(t) = -atanh(t)/ln 2, with
+    t = R u and c = |z|/R,
+
+        C_re = R int_c^1 atanh(R u) du / ln 2 <= R int_c^1 atanh(u) du / ln 2
+             = R h(c),
+
+    since atanh rises and R <= 1, while C_l1 = R sqrt(1 - c^2).  It is left
+    to show phi(c) = h(c) - sqrt(1 - c^2) <= 0 on [0, 1], the pure-state
+    case.  phi(0) = phi(1) = 0 and phi'(0) = 0, and phi''(c) =
+    [(1 - c^2)^(-1/2) - 1/ln 2] / (1 - c^2) changes sign once, at
+    c* = sqrt(1 - (ln 2)^2).  On [0, c*] phi is concave, so it lies below
+    its tangent at 0, which is 0; on [c*, 1] it is convex, so it lies below
+    its chord, whose ends are at most 0.
+
+    QFI <= 2 SCn, from the closed forms of qfi_closed and scn_closed.  With
+    a, b, d >= 0 and p = b + |v|, each term of QFI = 2 (a-p)^2/(a+p) +
+    2 (d-p)^2/(d+p) is at most 2 |a-p| or 2 |d-p|, as |x - p| <= x + p.
+    Since |a - p| <= |a - b| + |v| and |d - p| <= |b - d| + |v|,
+
+        QFI <= 2 (|a-b| + |b-d| + 2|v|) = 2 (SCn - r) <= 2 SCn,
+
+    with r = sqrt((a-d)^2 + 4v^2).  Equality needs r = 0, so a = d and
+    v = 0, and then a = 0 or b = 0: the even mixture of |01> and |10>
+    (J -> 0, Jz << -T) or of |00> and |11> (B = 0, Jz - |J| >> T), each with
+    SCn = 1 and QFI = 2.  QFI <= 2 SCn^2 is not proved, so it is not
+    checked.
+
+    Four more cells sit on those two mixtures at the T floor (J = B = 0,
+    Jz = +-1 and +-1000), where both laws are equalities: SCn = SCRE = 1 and
+    QFI = 2.  Measured (numpy 2.4): over the whole-box draws of seeds
+    1717-1719, 1 and 2, the largest SCRE - SCn is 3.1e-15 on the closed
+    engine, on the polarized plateau where both are 2, and 0 on the oracle;
+    QFI - 2 SCn stays below -3.4e-9 on both, and QFI/SCn reaches
+    1.99999993.  On the four equality cells the closed engine reads both
+    laws' gaps as exactly 0 and the oracle reads SCRE - SCn = 2.2e-16 and
+    QFI - 2 SCn = 4.4e-16.  Both laws get a rounding tolerance of 1e-14.
+    """
+    tolerance = 1e-14
+    measures = ("SCn", "SCRE", "QFI")
+    engines = ("oracle", "closed")
+    equality = [[0.0] * 4, [-1.0, 1.0, -1e3, 1e3], [0.0] * 4, [1e-3] * 4]
+    rows = np.hstack([whole_box(1717, 20_000), equality])
+    excess = {(law, e): -math.inf for law in ("SCRE - SCn", "QFI - 2 SCn") for e in engines}
+    for start in range(0, rows.shape[1], sweep._BLOCK_ROWS):
+        columns = sweep._evaluate(rows[:, start : start + sweep._BLOCK_ROWS], measures, "both")
+        for j, e in enumerate(engines):
+            scn, scre, qfi = columns[j::3]
+            for law, gap in (("SCRE - SCn", scre - scn), ("QFI - 2 SCn", qfi - 2 * scn)):
+                excess[law, e] = max(excess[law, e], float(gap.max()))
+    check(
+        "A17 SCRE <= SCn and QFI <= 2 SCn over 20,004 cells of the whole box, both engines",
+        all(worst <= tolerance for worst in excess.values()),
+        ", ".join(f"max {law} {e} {worst:.2e}" for (law, e), worst in excess.items())
+        + f" (<= {tolerance:g})",
+    )

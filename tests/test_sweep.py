@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from xxzsteer import fisher, steering, sweep
+from xxzsteer import fisher, linalg, steering, sweep
 from xxzsteer.cli import main
 from xxzsteer.model import ParameterRegimeError, SpinParams, ThermalBatch
 from xxzsteer.plot import render_svg
@@ -852,23 +852,29 @@ def test_block_cells_have_the_bits_of_the_axis_values(monkeypatch):
 
 
 def test_oracle_decomposes_each_stack_once(monkeypatch):
-    """Two eigh calls for every measure on the oracle, whatever the stack size.
+    """One LAPACK eigh and one closed 2x2 eigensolve for every measure on
+    the oracle, whatever the stack size.
 
-    One for the Hamiltonians, whose eigenvectors also diagonalize rho, which
-    every definition shares, and one for Bob's conditional states, which
-    the two steered-coherence kinds share.
+    LAPACK takes the Hamiltonians, whose eigenvectors also diagonalize rho,
+    which every definition shares; the closed form takes Bob's conditional
+    states, which the two steered-coherence kinds share.
     """
     calls = []
-    lapack = np.linalg.eigh
 
-    def counted(a):
-        calls.append(a.shape)
-        return lapack(a)
+    def counted(name, solve):
+        def spy(a):
+            calls.append((name, a.shape))
+            return solve(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        return spy
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("lapack", np.linalg.eigh))
+    monkeypatch.setattr(linalg, "_eigh_2x2", counted("2x2", linalg._eigh_2x2))
     evaluate_point(SpinParams(1.5, 0.5, 1.0, 1.0), MEASURES, "oracle")
-    assert len(calls) == 2, calls
-    point = len(calls)
+    assert [(name, shape[-2:]) for name, shape in calls] == [
+        ("lapack", (4, 4)),
+        ("2x2", (2, 2)),
+    ], calls
     calls.clear()
     run_sweep(
         SweepSpec(
@@ -877,7 +883,7 @@ def test_oracle_decomposes_each_stack_once(monkeypatch):
             engine="both",
         )
     )
-    assert len(calls) == point, calls
+    assert [name for name, _ in calls] == ["lapack", "2x2"], calls
 
 
 @pytest.mark.parametrize(
