@@ -19,33 +19,6 @@ one matrix or cell are left folds, ``functools.reduce`` over the terms in
 index order, never numpy's additive reductions, whose order depends on the
 array width; so a matrix gives the same bits alone as inside any stack.
 All entropies are in bits.
-
-A product of a stack with a fixed operator, ``left @ m @ right`` with
-``left`` and ``right`` one (n, n) matrix for the whole stack, goes through
-:func:`sandwich`: one 2-D GEMM a side over the stack reshaped to
-(N*n, n), the left side as ``(m^T @ left^T)^T``.  numpy's stacked ``@``
-makes one BLAS call per 2x2 or 4x4 matrix, which costs more than the
-arithmetic.  Regrouping the calls keeps the bits because the elements of
-a GEMM are independent: each is still one length-n complex dot product of
-the same numbers, and how many of them one call makes changes none of
-them.  Its rounding does depend on which operand sits on which side of the
-call, which is why the left side is taken transposed: the direct form
-``left @ [m_0 m_1 ...]`` differs from the stacked product in the last
-bits, ``(m^T @ left^T)^T`` does not.  No BLAS promises either, so
-tests/test_linalg.py pins the identity for every fixed operator the
-oracle uses.  Products whose operators change from cell to cell (V w
-V^dagger, V^dagger O V) stay stacked.
-
-:func:`sandwich` also takes a stack of K fixed operators a side, shape
-(K, n, n), such as Alice's six projectors: one ``matmul`` call a side then
-makes the K GEMMs, each of the shape one operator gets alone, so each
-block keeps its bits and the fixed cost of a call is paid once, not K
-times.  The operator stacks are made row-major first, whatever view the
-caller passes.  numpy's ``matmul`` takes a stacked operand to BLAS only
-when its matrices have a layout BLAS accepts, and its own loop in place
-of BLAS is slower and sums in another order, so it may change bits as
-well as time.  A row-major copy of K small operators costs next to
-nothing and gives every caller the same GEMMs.
 """
 
 from __future__ import annotations
@@ -68,7 +41,6 @@ __all__ = [
     "kron",
     "dagger",
     "trace",
-    "sandwich",
     "eig_hermitian",
     "partial_trace_A",
     "vn_entropy",
@@ -123,37 +95,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def trace(a: np.ndarray) -> np.ndarray:
     """Trace of each matrix of a stack, summed in index order."""
     return reduce(add, (a[..., k, k] for k in range(a.shape[-1])))
-
-
-def sandwich(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ m @ right`` for each matrix of a stack, one GEMM a side.
-
-    `m` is one matrix or a stack, shape (..., n, n).  `left` and `right` are
-    fixed (n, n) operators, giving shape (..., n, n), or stacks of K of
-    them, shape (K, n, n), giving (K, ..., n, n): block k is
-    ``left[k] @ m @ right[k]``.  The K operators go through one ``matmul``
-    call a side, which makes one GEMM per operator, of the shape a single
-    operator gets.  The product is complex and bit-identical to the stacked
-    one (see the module docstring).  Two buffers of K times the size of `m`
-    are allocated, as for the stacked products' intermediates and results.
-    """
-    shape, n = m.shape, m.shape[-1]
-    # row-major stacks, so that matmul takes every operator to BLAS (see
-    # the module docstring)
-    left_t = np.ascontiguousarray(np.swapaxes(left, -1, -2))
-    right = np.ascontiguousarray(right)
-    k = left_t.shape[:-2]
-    buf = np.empty((*k, *shape), complex)
-    out = np.empty_like(buf)
-    flat = (*k, -1, n)
-    # out = (left @ m)^T = m^T @ left^T, m^T held in the first block of buf,
-    # then buf = left @ m
-    first = buf[(0,) * len(k)]
-    np.copyto(first, np.swapaxes(m, -1, -2))
-    np.matmul(first.reshape(-1, n), left_t, out=out.reshape(flat))
-    np.copyto(buf, np.swapaxes(out, -1, -2))
-    np.matmul(buf.reshape(flat), right, out=out.reshape(flat))
-    return out
 
 
 def _as_operator(a: np.ndarray, name: str) -> np.ndarray:
@@ -279,11 +220,17 @@ def _eigh(h: np.ndarray) -> EigenDecomposition:
     through LAPACK ``eigh``.
     """
     values, vectors = (_eigh_2x2 if h.shape[-1] == 2 else np.linalg.eigh)(h)
-    # V diag(w) V^dagger as one einsum loop over the stack, not a stacked @
-    # of one BLAS call per small matrix; only the residual's size meets the
-    # bound, so its bits are free to differ from the @ product's
-    scaled = vectors * values[..., None, :]
-    res = frobenius(np.einsum("...ik,...jk->...ij", scaled, vectors.conj()) - h)
+    # V diag(w) V^dagger over the whole stack, not a stacked @ of one BLAS
+    # call per small matrix: for 2x2 matrices a left fold over k of the
+    # outer products, for 4x4 ones one einsum loop, the faster of the two
+    # at each size; only the residual's size meets the bound, so its bits
+    # are free to differ between them
+    scaled, conj = vectors * values[..., None, :], vectors.conj()
+    if h.shape[-1] == 2:
+        rebuilt = reduce(add, (scaled[..., :, k, None] * conj[..., None, :, k] for k in range(2)))
+    else:
+        rebuilt = np.einsum("...ik,...jk->...ij", scaled, conj)
+    res = frobenius(rebuilt - h)
     bound = RECONSTRUCTION_TOL * np.maximum(1.0, frobenius(h))
     i = first_cell(res > bound)
     if i is not None:

@@ -15,15 +15,14 @@ relative-entropy value at 2).
 
 :func:`sqc_direct` evaluates that average literally and acts as the
 reference for the closed forms.  It gives the l1 and the relative-entropy
-kind from one pass: the three ensembles, built together as one stack of
-Alice's six projected states, one check of Bob's six conditional states
-and one stacked change into all three reference bases serve both, and
-each kind adds only its own formula (the l1 kind reads the
-off-diagonals, the relative entropy the populations and one von Neumann
-entropy).  :func:`steer` is the one-axis view of the same ensembles.
-:func:`coherence` applies the same per-kind formulas to one basis.  For
-the thermal X state the l1 version collapses to :func:`scn_closed` and the
-relative-entropy version to :func:`scre_closed`.
+kind from one pass: the three ensembles, built together, one check of
+Bob's six conditional states and one change into all three reference
+bases serve both, and each kind adds only its own formula (the l1 kind
+reads the off-diagonals, the relative entropy the populations and one von
+Neumann entropy).  :func:`steer` is the one-axis view of the same
+ensembles.  :func:`coherence` applies the same per-kind formulas to one
+basis.  For the thermal X state the l1 version collapses to
+:func:`scn_closed` and the relative-entropy version to :func:`scre_closed`.
 A previously published relative-entropy closed form is kept in
 :func:`scre_published`; it agrees with the definition only on the
 zero-field slice a = d and is reported, not silently fixed.  Its printed
@@ -31,6 +30,20 @@ five terms reduce exactly to 4 - H(a, b, b, d) - 2 H2((1+r)/2), so it is
 evaluated from the same entropies as :func:`scre_closed`, which differs
 from it by exactly 2 (1 - H2(a + b)); a batch evaluates those entropies
 once for both (``ThermalBatch.shared``).
+
+Both fixed steps of the definition are linear maps of a matrix's entries,
+each written out as a matrix and applied to a whole stack as one 2-D GEMM
+(:func:`_linear_map`): Bob's unnormalized states Tr_A[P rho P] for all of
+Alice's projectors P (:func:`_conditional_map`, built from ``_PROJECTORS``
+at each call), and U^dagger sigma U for the three Pauli bases U
+(``_BASIS_CHANGE``; :func:`coherence` reads its block for one basis).  The
+maps are the literal definitions, with no X-state structure.  The oracle's
+bits rest on BLAS ``zgemm`` through them: each element of the product is
+one complex dot product of a matrix's entries with a fixed column, so a
+matrix gets the same bits alone as in any stack, however many rows a call
+has.  No BLAS promises that, so tests/test_steering.py pins it on slices
+of one batch, and CI compares the reference outputs at one and two BLAS
+threads.
 
 The closed forms read the entries of a ThermalBatch and give one value per
 cell, or the float of a SpinParams point (``closed_form``).  The definition
@@ -58,8 +71,6 @@ from .linalg import (
     dagger,
     first_cell,
     kron,
-    partial_trace_A,
-    sandwich,
     shannon_bits,
     trace,
     validate_density_matrix,
@@ -125,32 +136,65 @@ _BASES = {
     PauliAxis.Y: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
     PauliAxis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
 }
-_BASES_DAGGER = {axis: dagger(u) for axis, u in _BASES.items()}
-# The same, stacked in PauliAxis order for one sandwich over all three.
-_STACKED_BASES = np.array([_BASES[axis] for axis in PauliAxis])
-_STACKED_BASES_DAGGER = np.array([_BASES_DAGGER[axis] for axis in PauliAxis])
+# U^dagger sigma U for the three bases as one linear map of sigma's entries:
+# sigma.reshape(-1, 4) @ _BASIS_CHANGE has columns (nu, j, l), nu in
+# PauliAxis order, from C[(b, b'), (nu, j, l)] = conj(U_nu[b, j]) U_nu[b', l].
+_BASIS_CHANGE = np.einsum(
+    "nbj,ncl->bcnjl",
+    np.conj([_BASES[axis] for axis in PauliAxis]),
+    [_BASES[axis] for axis in PauliAxis],
+).reshape(4, 12)
+# Each basis's own 4x4 block of that map.
+_ONE_BASIS_CHANGE = {
+    axis: _BASIS_CHANGE[:, 4 * nu : 4 * nu + 4] for nu, axis in enumerate(PauliAxis)
+}
 
 # The terms of the steered-coherence average, [m, a, nu] as in sqc_direct:
 # every reference basis nu but Alice's own axis m, in summation order.
 _CROSS_TERMS = np.repeat(~np.eye(3, dtype=bool)[:, None, :], 2, axis=1)
 
 
+def _linear_map(m: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """A fixed linear map of each matrix's entries to K 2x2 blocks, one GEMM.
+
+    `m` is one matrix or a stack, shape (..., n, n), and `columns` the map
+    as an (n*n, 4K) matrix whose columns run over (k, j, l).  Returns the
+    (K, ..., 2, 2) blocks, block k of every matrix together.
+    """
+    out = m.reshape(-1, m.shape[-1] ** 2) @ columns
+    return np.moveaxis(out.reshape(*m.shape[:-2], -1, 2, 2), -3, 0)
+
+
+def _conditional_map(projectors: np.ndarray) -> np.ndarray:
+    """Tr_A[P rho P] for each of K projectors as one (16, 4K) linear map.
+
+    rho.reshape(-1, 16) @ map has columns (k, b, b'), the entries of Bob's
+    unnormalized state after projector k, from
+    map[(x, y), (k, b, b')] = sum_i P_k[(i b), x] P_k[y, (i b')].
+    """
+    left = projectors.reshape(-1, 2, 2, 4)
+    right = projectors.reshape(-1, 4, 2, 2)
+    return np.einsum("kibx,kyic->xykbc", left, right).reshape(16, -1)
+
+
 def _ensembles(rho, axes) -> tuple[np.ndarray, np.ndarray]:
     """Alice's measurements of each axis of `axes` on qubit A, as arrays (p, states).
 
     p[k, a] and states[k, a] are outcome a of axes[k], as :func:`steer`
-    gives them for one axis.  All outcomes' projected states come from one
-    stacked :func:`sandwich`, with one trace and one partial trace.  The
-    checks raise what one :func:`steer` call per axis would raise first:
-    axes in the given order, and within an axis outcome 0's probability,
-    then outcome 1's, then their sum.
+    gives them for one axis.  Bob's unnormalized states Tr_A[P rho P] for
+    all outcomes come from one GEMM of rho's entries by
+    :func:`_conditional_map`, which is built from ``_PROJECTORS`` at each
+    call, and their traces are the outcomes' weights q.  The checks raise
+    what one :func:`steer` call per axis would raise first: axes in the
+    given order, and within an axis outcome 0's probability, then outcome
+    1's, then their sum.
     """
     rho = validate_density_matrix(rho, "steered state").matrix
     if rho.shape[-1] != 4:
         raise ValueError("steering requires a two-qubit (4x4) state")
     projectors = np.array([proj for axis in axes for proj in _PROJECTORS[axis]])
-    projected = sandwich(rho, projectors, projectors)
-    q = trace(projected).real
+    bob = _linear_map(rho, _conditional_map(projectors))
+    q = trace(bob).real
     p = np.maximum(q, 0.0).reshape(len(axes), 2, *q.shape[1:])
     total, tr = p[:, 0] + p[:, 1], trace(rho).real
     negative = (q < -PROBABILITY_FLOOR).reshape(p.shape)
@@ -171,7 +215,7 @@ def _ensembles(rho, axes) -> tuple[np.ndarray, np.ndarray]:
                     f"not the state's trace {float(np.ravel(tr)[i])!r}"
                 )
     kept = (q > PROBABILITY_FLOOR)[..., None, None]
-    states = partial_trace_A(projected) / np.where(kept, q[..., None, None], 1.0)
+    states = bob / np.where(kept, q[..., None, None], 1.0)
     states = np.where(kept, (states + dagger(states)) / 2, IDENTITY_2 / 2)
     return p, states.reshape(*p.shape, 2, 2)
 
@@ -226,7 +270,7 @@ def coherence(rho2: np.ndarray, basis_axis: PauliAxis, kind: CoherenceKind):
     if rho2.matrix.shape[-1] != 2:
         raise ValueError("coherence is defined here for qubit (2x2) states")
     entropy = vn_entropy(rho2) if kind is CoherenceKind.RELATIVE_ENTROPY else None
-    in_basis = sandwich(rho2.matrix, _BASES_DAGGER[basis_axis], _BASES[basis_axis])
+    in_basis = _linear_map(rho2.matrix, _ONE_BASIS_CHANGE[basis_axis])[0]
     return _FORMS[kind](in_basis, entropy)
 
 
@@ -237,10 +281,11 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     entropy is evaluated explicitly - so it can arbitrate the closed forms.
     Returns one value per kind, in the order asked: a float for one 4x4
     state, N values for an (N, 4, 4) stack.  The kinds share one pass: the
-    three ensembles are built together, from one stacked product of the
-    six projectors, Bob's six conditional states checked once and taken
-    into all three Pauli bases by one more, and only the work of the kinds
-    asked is done, so a kind raises nothing on behalf of another.  The
+    three ensembles are built together, from one GEMM by the six
+    projectors' conditional-state map, Bob's six conditional states are
+    checked once and taken into all three Pauli bases by one GEMM more,
+    and only the work of the kinds asked is done, so a kind raises nothing
+    on behalf of another.  The
     ensembles raise what one :func:`steer` call per axis, in PauliAxis
     order, would raise first.  Each kind is evaluated once over all three
     bases, and each of its checks raises for its first failing value in
@@ -254,7 +299,7 @@ def sqc_direct(rho: np.ndarray, *kinds: CoherenceKind) -> tuple:
     # bases at once: in_basis[nu, m, a] is outcome a of axis m in basis nu
     states = validate_density_matrix(states, "coherence input")
     entropy = vn_entropy(states) if CoherenceKind.RELATIVE_ENTROPY in kinds else None
-    in_basis = sandwich(states.matrix, _STACKED_BASES_DAGGER, _STACKED_BASES)
+    in_basis = _linear_map(states.matrix, _BASIS_CHANGE)
     # p[m, a, 0]: the weight of outcome a of Alice's axis m
     p = p[:, :, None]
     kept = p > PROBABILITY_FLOOR

@@ -20,7 +20,6 @@ from xxzsteer.linalg import (
     frobenius,
     kron,
     partial_trace_A,
-    sandwich,
     validate_density_matrix,
     vn_entropy,
 )
@@ -289,52 +288,6 @@ def test_closed_2x2_kernel_gives_a_matrix_the_bits_it_gets_in_a_stack():
         alone = linalg._eigh_2x2(a)
         assert alone[0].tobytes() == values[i].tobytes()
         assert alone[1].tobytes() == vectors[i].tobytes()
-
-
-# ------------------------------------------------------------ sandwich
-
-# Every fixed operator the oracle multiplies a stack by, by dimension: the
-# six projectors of Alice's measurements on the pair, the three Pauli
-# eigenbases and their adjoints on Bob's qubit.
-_FIXED_OPERATORS = {
-    4: [p for axis in PauliAxis for p in steering._PROJECTORS[axis]],
-    2: [*steering._BASES.values(), *steering._BASES_DAGGER.values()],
-}
-# The operator stacks the oracle passes as (left, right), by dimension: the
-# (6, 4, 4) projectors on both sides, and the (3, 2, 2) basis changes with
-# their adjoints on either side.
-_OPERATOR_STACKS = {
-    4: [(np.array(_FIXED_OPERATORS[4]),) * 2],
-    2: [
-        (steering._STACKED_BASES_DAGGER, steering._STACKED_BASES),
-        (steering._STACKED_BASES, steering._STACKED_BASES_DAGGER),
-    ],
-}
-
-
-@pytest.mark.parametrize("dim", [4, 2])
-@pytest.mark.parametrize(
-    "cells",
-    [(), (1,), (37,), (3, 2, 37), (4096,)],
-    ids=["matrix", "1", "37", "3x2x37", "4096"],
-)
-def test_sandwich_matches_the_stacked_product_bit_for_bit(dim, cells):
-    """One GEMM a side gives each matrix the bits of the stacked product, for
-    one operator on each side and for a stack of K, each block of K."""
-    rng = np.random.default_rng([dim, *cells])
-    shape = (*cells, dim, dim)
-    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    ops = _FIXED_OPERATORS[dim]
-    for left in ops:
-        for right in ops:
-            got = sandwich(m, left, right)
-            assert got.shape == shape
-            assert got.tobytes() == (left @ m @ right).tobytes()
-    for left, right in _OPERATOR_STACKS[dim]:
-        got = sandwich(m, left, right)
-        assert got.shape == (len(left), *shape)
-        for k, block in enumerate(got):
-            assert block.tobytes() == (left[k] @ m @ right[k]).tobytes()
 
 
 # ------------------------------------------------------ partial trace

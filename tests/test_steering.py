@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzsteer import steering
-from xxzsteer.linalg import validate_density_matrix
+from xxzsteer.linalg import DensityStates, frobenius, partial_trace_A, validate_density_matrix
 from xxzsteer.model import (
     T_FLOOR,
     SpinParams,
@@ -240,6 +240,100 @@ def test_coherence_requires_a_qubit_state():
     message = r"^coherence is defined here for qubit \(2x2\) states$"
     with pytest.raises(ValueError, match=message):
         coherence(np.eye(4, dtype=complex) / 4, PauliAxis.X, CoherenceKind.L1)
+
+
+# ------------------------------------------------- fixed linear maps
+
+def _projector_stack(scale=1.0) -> np.ndarray:
+    """Alice's six projectors in PauliAxis order, each times `scale`."""
+    return scale * np.array([p for axis in PauliAxis for p in steering._PROJECTORS[axis]])
+
+
+def _unit_matrices(n: int) -> np.ndarray:
+    """E_xy for the n*n entries in row-major order, shape (n*n, n, n)."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
+# The projector stacks the contraction is built from: Alice's own, and the
+# i P, 2i P and zero stacks that the monkeypatch tests put in their place.
+@pytest.mark.parametrize("scale", [1.0, 1j, 2j, 0.0], ids=["P", "iP", "2iP", "0"])
+def test_conditional_map_is_the_partial_trace_of_the_projected_units(scale):
+    """Row (x, y) of the map is Tr_A[P E_xy P] for each projector P, entry
+    for entry: the literal map applied to each unit matrix."""
+    projectors = _projector_stack(scale)
+    k = steering._conditional_map(projectors)
+    assert k.shape == (16, 24)
+    for row, e in zip(k, _unit_matrices(4)):
+        for block, p in zip(row.reshape(6, 2, 2), projectors):
+            assert np.array_equal(block, partial_trace_A(p @ e @ p))
+
+
+def test_basis_change_map_is_the_basis_change_of_the_units():
+    """Row (b, b') of the map is U^dagger E_bb' U for each Pauli basis, and
+    each basis's one-basis block is its own slice of it."""
+    c = steering._BASIS_CHANGE
+    assert c.shape == (4, 12)
+    for row, e in zip(c, _unit_matrices(2)):
+        for block, axis in zip(row.reshape(3, 2, 2), PauliAxis):
+            u = _BASES[axis]
+            assert np.array_equal(block, u.conj().T @ e @ u)
+    for nu, axis in enumerate(PauliAxis):
+        assert np.array_equal(steering._ONE_BASIS_CHANGE[axis], c[:, 4 * nu : 4 * nu + 4])
+
+
+@pytest.fixture(scope="module")
+def box_states():
+    """Thermal states of 4096 whole-box draws and Bob's 24576 conditional states."""
+    rho = gibbs_spectral(ThermalBatch(*whole_box(3636, 4096)))
+    bob = steering._ensembles(rho, tuple(PauliAxis))[1]
+    return {4: rho.matrix, 2: bob.reshape(-1, 2, 2)}
+
+
+@pytest.mark.parametrize("dim", [4, 2])
+@pytest.mark.parametrize(
+    "cells",
+    [(), (1,), (37,), (3, 2, 37), (4096,)],
+    ids=["matrix", "1", "37", "3x2x37", "4096"],
+)
+def test_fixed_maps_match_the_literal_products(box_states, dim, cells):
+    """The one-GEMM maps give each matrix of a stack of whole-box states
+    what the literal products give, to 4 ulps of the matrix's norm: Bob's
+    unnormalized states Tr_A[P rho P] (dim 4) and the three basis changes
+    U^dagger sigma U of his states (dim 2)."""
+    pool = box_states[dim]
+    rng = np.random.default_rng([dim, *cells])
+    m = pool[rng.permutation(len(pool))[: int(np.prod(cells))]].reshape(*cells, dim, dim)
+    if dim == 4:
+        ops = _projector_stack()
+        got = steering._linear_map(m, steering._conditional_map(ops))
+        want = [partial_trace_A(p @ m @ p) for p in ops]
+    else:
+        got = steering._linear_map(m, steering._BASIS_CHANGE)
+        want = [_BASES[axis].conj().T @ m @ _BASES[axis] for axis in PauliAxis]
+    assert got.shape == (len(want), *cells, 2, 2)
+    bound = 4 * np.finfo(float).eps * frobenius(m)[..., None, None]
+    for block, literal in zip(got, want):
+        assert np.all(np.abs(block - literal) <= bound)
+
+
+def test_sqc_direct_has_the_bits_of_the_whole_batch_on_its_slices():
+    """1-, 7- and 81-cell slices of one 4096-cell whole-box batch, and every
+    97th cell alone, give the bits the whole batch gives: each GEMM element
+    is one dot product of the same numbers, however many rows the call has."""
+    kinds = (CoherenceKind.L1, CoherenceKind.RELATIVE_ENTROPY)
+    rho = gibbs_spectral(ThermalBatch(*whole_box(3637, 4096)))
+    whole = sqc_direct(rho, *kinds)
+    for n in (1, 7, 81):
+        for start in range(0, 4096, n):
+            cut = slice(start, start + n)
+            part = DensityStates(
+                values=rho.values[cut], vectors=rho.vectors[cut], matrix=rho.matrix[cut]
+            )
+            for got, want in zip(sqc_direct(part, *kinds), whole):
+                assert got.tobytes() == want[cut].tobytes()
+    for i in range(0, 4096, 97):
+        for got, want in zip(sqc_direct(rho.matrix[i], *kinds), whole):
+            assert np.float64(got).tobytes() == want[i].tobytes()
 
 
 # ------------------------------------------------------ steered average
