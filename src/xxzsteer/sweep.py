@@ -18,7 +18,8 @@ gives each matrix its bits alone (see ``linalg``), so a block gives each
 cell the bits the whole grid would: the table is the same for any block
 size.  Each block's parameter rows are made from its cell indices, so
 memory is the table plus one block's working set: tracemalloc reads a
-27 MB peak for the 1000 x 1000 SCn grid, whose table is 24 MB (numpy 2.4).
+27 MB peak for the 1000 x 1000 SCn grid, whose table is 24 MB, and 26 MB
+while it is written as CSV (numpy 2.4).
 One cap, ``MAX_GRID_CELLS``, bounds a grid's cells and so each of its
 axes.
 
@@ -38,8 +39,14 @@ pass over that block.
 The CSV and JSON writers format a grid's outer value once per run of rows
 that share it, and its inner axis once in all; the value columns, and the
 axis columns of any other table, go through one %-template pass per block
-of rows (see ``_rows``).  Their bytes are those of :func:`format_value`
-applied to each value.
+of rows (see ``_rows``).  A run whose inner and value bits repeat an
+earlier run's takes that run's text: the closed measures keep their bits
+under J -> -J, so a grid symmetric in J formats the values of about half
+its runs (the 161 x 161 grid's CSV with every measure: 61 -> 36 ms).  The
+text of such an earlier run is held only until its last twin takes it, and
+at most 4 * _BLOCK_ROWS rows of it at a time, so the writers hold a few
+blocks of text, never the table's.  Their bytes are those of
+:func:`format_value` applied to each value.
 
 Every writer, SVG included, goes through ``_write``: an existing output is
 written over in place and cut to length, not truncated when it is opened,
@@ -423,20 +430,73 @@ _FIELD = "%.17g"
 # number's text, no row delimiter and no %-field.
 _OUTER = "\0"
 
+# The fewest value fields of a piece whose text may be reused.  A field takes
+# about 0.5 us to format, and a piece with a twin about 1 us of bookkeeping
+# whether or not its text is reused, so shorter pieces are not worth it: a
+# grid of 2-row runs of one value column is not keyed at all.
+_TWIN_FIELDS = 16
 
-def _runs(data: np.ndarray, outer: int):
-    """(start, stop) of each run: consecutive rows whose first `outer` columns
-    agree bit for bit, cut into pieces of at most _BLOCK_ROWS rows."""
+# Odd 64-bit multiplier of the piece keys' hash (2**64 over the golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _runs(data: np.ndarray, outer: int) -> np.ndarray:
+    """Edges of the pieces of a table, from 0 to its length: runs of
+    consecutive rows whose first `outer` columns agree bit for bit, each cut
+    into pieces of at most _BLOCK_ROWS rows."""
+    if not len(data):
+        return np.zeros(1, dtype=np.intp)
     bits = data[:, :outer].view(np.int64)
     cuts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-    edges = np.concatenate([[0], cuts, [len(data)]])
-    # as Python ints a block of edges at a time, so that a table of short
-    # runs makes no list of the table's length
-    for k in range(0, len(edges) - 1, _BLOCK_ROWS):
-        part = edges[k : k + _BLOCK_ROWS + 1].tolist()
-        for start, stop in zip(part, part[1:]):
-            for a in range(start, stop, _BLOCK_ROWS):
-                yield a, min(a + _BLOCK_ROWS, stop)
+    runs = np.concatenate([[0], cuts, [len(data)]])
+    long = np.flatnonzero(np.diff(runs) > _BLOCK_ROWS).tolist()
+    cuts = [np.arange(runs[r] + _BLOCK_ROWS, runs[r + 1], _BLOCK_ROWS) for r in long]
+    return np.sort(np.concatenate([runs, *cuts])) if cuts else runs
+
+
+def _keys(data: np.ndarray, edges: np.ndarray, outer: int) -> np.ndarray:
+    """A 64-bit key per piece from the bits of its columns from `outer` on:
+    pieces with the same bits have the same key.  Rows are hashed a few
+    blocks at a time, and each piece folds its rows' hashes into one sum."""
+    bits = data[:, outer:].view(np.uint64)
+    mult = (2 * np.arange(bits.shape[1], dtype=np.uint64) + 1) * _MIX
+    keys = np.empty(len(edges) - 1, np.uint64)
+    i = 0
+    while i < len(keys):
+        j = np.searchsorted(edges, edges[i] + 16 * _BLOCK_ROWS, "right") - 1
+        j = max(j, i + 1)
+        h = bits[edges[i] : edges[j]] @ mult
+        h ^= h >> 29
+        h *= _MIX
+        h ^= h >> 32
+        keys[i:j] = np.add.reduceat(h, edges[i:j] - edges[i])
+        i = j
+    return keys
+
+
+def _twins(data: np.ndarray, edges: np.ndarray, outer: int, axes: int):
+    """For each piece, the index of the last piece before it and of the next
+    after it with the same key, or -1.  Only pieces of at least _TWIN_FIELDS
+    value fields are keyed.  One sort of their keys, each with the piece's
+    index in its low bits, puts every group of equal keys together in index
+    order."""
+    prev = np.full(len(edges) - 1, -1)
+    nxt = np.full(len(edges) - 1, -1)
+    big = np.flatnonzero(np.diff(edges) * (data.shape[1] - axes) >= _TWIN_FIELDS)
+    if len(big) > 1:
+        low = np.uint64((1 << len(big).bit_length()) - 1)
+        keys = _keys(data, edges, outer)[big]
+        order = np.sort(keys & ~low | np.arange(len(big), dtype=np.uint64))
+        same = (order[1:] ^ order[:-1]) <= low
+        order = big[(order & low).astype(np.intp)]
+        prev[order[1:][same]] = order[:-1][same]
+        nxt[order[:-1][same]] = order[1:][same]
+    return prev, nxt
+
+
+def _text(template: str, values: np.ndarray) -> str:
+    """The template's %-fields filled with the values, row by row."""
+    return template % tuple(values.ravel().tolist())
 
 
 def _rows(table: SweepTable, before: str, after: str):
@@ -449,10 +509,21 @@ def _rows(table: SweepTable, before: str, after: str):
     reused while they repeat, so a grid formats its inner axis once.  The
     outer value is formatted once per run, into the _OUTER place of each of
     its rows.  Any other table (no axis, one axis, a one-point inner axis,
-    more than two axes) writes its axis columns as values.  The value fields
-    go through _FIELD in one pass per block of whole runs, at most
-    _BLOCK_ROWS rows, so the writer holds about two blocks of text, the
-    block's and a run template.
+    more than two axes) writes its axis columns as values, in pieces of at
+    most _BLOCK_ROWS rows.  The value fields go through _FIELD in one pass
+    per block of whole pieces, at most _BLOCK_ROWS rows.
+
+    A piece whose inner and value bits repeat exactly in a later piece is a
+    twin: the closed measures keep their bits under J -> -J, so on a grid
+    symmetric in J each run at J > 0 repeats the run at -J.  The first of
+    twins is formatted by a pass of its own and its text held, without its
+    outer value, until its last twin has taken it; each later twin gets that
+    text, and only its outer value is formatted.  Twins are found from one
+    key per piece (:func:`_twins`), and each is checked bit for bit before
+    its text is reused.  At most 4 * _BLOCK_ROWS rows of text are held at a
+    time (the 161^2 grid holds 80 runs of 161 rows at its middle), so
+    memory stays near two blocks of text; a piece past that budget is
+    formatted with its block.
     """
     data = np.asarray(table.data, dtype=np.float64)
     axes = 2 if len(table.axes) == 2 and table.axes[1].count > 1 else 0
@@ -461,22 +532,63 @@ def _rows(table: SweepTable, before: str, after: str):
     # axis's text into the template
     fields = [_OUTER, _FIELD] * outer + ["%" * outer + _FIELD] * (data.shape[1] - axes)
     row = before + ",".join(fields) + after
+    edges = _runs(data, outer)
+    prev, nxt = _twins(data, edges, outer, axes)
+    linked = (prev >= 0) | (nxt >= 0)
+    budget = 4 * _BLOCK_ROWS
+    held, load = {}, 0
     seen = template = None
-    block, start = [], 0
-    for a, b in _runs(data, outer):
-        inner = data[a:b, outer:axes]
-        key = (b - a, inner.tobytes())
-        if key != seen:
-            seen, template = key, row * (b - a)
-            if outer:
-                template %= tuple(inner.ravel().tolist())
-        if b - start > _BLOCK_ROWS:
-            yield "".join(block) % tuple(data[start:a, axes:].ravel().tolist())
-            block, start = [], a
-        text = (_FIELD * outer) % tuple(data[a, :outer].tolist())
-        block.append(template.replace(_OUTER, text))
+    block, start, done = [], 0, []
+
+    def flush(stop):
+        # the rows of text already in the block are left out of its pass
+        values = data[start:stop, axes:]
+        if done:
+            keep = np.ones(stop - start, dtype=bool)
+            for a, b in done:
+                keep[a - start : b - start] = False
+            values = values[keep]
+        return _text("".join(block), values)
+
+    for k in range(0, len(edges) - 1, _BLOCK_ROWS):
+        part = edges[k : k + _BLOCK_ROWS + 1].tolist()
+        # as Python ints a block of pieces at a time, so that a table of
+        # short runs makes no list of the table's length
+        idx = np.flatnonzero(linked[k : k + _BLOCK_ROWS]) + k
+        links = dict(zip(idx.tolist(), zip(prev[idx].tolist(), nxt[idx].tolist())))
+        for i, (a, b) in enumerate(zip(part, part[1:]), k):
+            if b - start > _BLOCK_ROWS:
+                yield flush(a)
+                block, start, done = [], a, []
+            inner = data[a:b, outer:axes]
+            key = (b - a, inner.tobytes())
+            if key != seen:
+                seen, template = key, row * (b - a)
+                if outer:
+                    template %= tuple(inner.ravel().tolist())
+            text = (_FIELD * outer) % tuple(data[a, :outer].tolist())
+            if i not in links:
+                block.append(template.replace(_OUTER, text))
+                continue
+            first, later = links[i]
+            piece = held.pop(first, None)
+            if piece is not None:
+                piece, ha, hb = piece
+                load -= hb - ha
+                if data[ha:hb, outer:].tobytes() != data[a:b, outer:].tobytes():
+                    piece = None
+            if later >= 0 and load + b - a <= budget:
+                if piece is None:
+                    piece = _text(template, data[a:b, axes:])
+                held[i] = piece, a, b
+                load += b - a
+            if piece is None:
+                block.append(template.replace(_OUTER, text))
+            else:
+                block.append(piece.replace(_OUTER, text))
+                done.append((a, b))
     if block:
-        yield "".join(block) % tuple(data[start:, axes:].ravel().tolist())
+        yield flush(len(data))
 
 
 # open(path, "w")'s flags less O_TRUNC: an existing file is written over in

@@ -1303,7 +1303,36 @@ WRITER_TABLES = {
     "one_point_outer": lambda _: one_point_grid(
         AxisSpec("J", 0, 0, 1), AxisSpec("Jz", -20, 20, 0.005)
     ),
+    # runs mirrored in J whose values differ only by one ulp or by the sign
+    # of a zero in one column, which must not take their mirror's text
+    "near_twins": lambda _: near_twins(),
+    # 300 mirrored runs of 120 rows: more text pending than the held budget
+    "past_the_budget": lambda _: mirrored(np.arange(-150, 150) * 0.02, np.arange(120.0), 3),
+    # mirrored runs of 4100 rows, cut into pieces by either block size
+    "long_twins": lambda _: mirrored([-1.0, 0.5, 1.0], np.arange(4100) * 0.01, 3),
 }
+
+
+def mirrored(outer, inner, values):
+    """A grid_table whose value rows at each outer value repeat those at its
+    negative, if the grid has it, bit for bit."""
+    table = grid_table(outer, inner, values)
+    outer = list(outer)
+    runs = table.data.reshape(len(outer), -1, table.data.shape[1])
+    mirror = [outer.index(-x) if x > 0 and -x in outer else k for k, x in enumerate(outer)]
+    runs[:, :, 2:] = runs[mirror, :, 2:]
+    return table
+
+
+def near_twins():
+    """A grid mirrored in J, each run at J > 0 one ulp or one zero's sign
+    away from its mirror, bar one exact twin."""
+    table = mirrored([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], np.arange(40.0), 3)
+    runs = table.data.reshape(6, 40, -1)
+    runs[3, 17, 3] = np.nextafter(runs[3, 17, 3], np.inf)
+    runs[4, 5, 4] = 0.0
+    runs[1, 5, 4] = -0.0
+    return table
 
 
 def one_point_grid(outer, inner):
@@ -1348,17 +1377,52 @@ def test_a_grid_is_written_in_blocks_of_whole_runs():
     assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
 
 
+def test_a_twin_key_is_checked_bit_for_bit(monkeypatch, tmp_path):
+    """Pieces whose keys are forced equal share no text unless their bits do."""
+    monkeypatch.setattr(sweep, "_keys", lambda data, edges, outer: np.zeros(len(edges) - 1, np.uint64))
+    for block_rows in (sweep._BLOCK_ROWS, 7):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+        for table in (grid_table([1.0, 2.0, 3.0], np.arange(40.0), 3), near_twins()):
+            write_csv(table, tmp_path / "t.csv")
+            write_json(table, tmp_path / "t.json")
+            assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode()
+            assert (tmp_path / "t.json").read_bytes() == reference_json(table).encode()
+
+
+def test_a_grid_symmetric_in_j_formats_the_values_of_half_its_runs(
+    monkeypatch, closed_grid_161
+):
+    """The closed measures keep their bits under J -> -J, so the 161^2 grid's
+    runs at J > 0 take the text of their mirrors: the value fields of 81 of
+    its 161 runs are formatted, J <= 0."""
+    table = closed_grid_161
+    formatted = []
+    text = sweep._text
+    monkeypatch.setattr(
+        sweep, "_text", lambda template, values: formatted.append(len(values)) or text(template, values)
+    )
+    parts = list(sweep._rows(table, "", "\n"))
+    assert sum(formatted) == 81 * 161
+    assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
+
+
+def pieces(data, outer):
+    """(start, stop) of each piece that sweep._runs cuts a table into."""
+    edges = sweep._runs(data, outer).tolist()
+    return list(zip(edges, edges[1:]))
+
+
 def test_runs_share_every_axis_but_the_last_and_fit_a_block(monkeypatch):
     grid = grid_table(np.arange(3.0), np.arange(10.0), 1).data
-    assert list(sweep._runs(grid, 1)) == [(0, 10), (10, 20), (20, 30)]
-    assert list(sweep._runs(grid, 0)) == [(0, 30)]
+    assert pieces(grid, 1) == [(0, 10), (10, 20), (20, 30)]
+    assert pieces(grid, 0) == [(0, 30)]
     monkeypatch.setattr(sweep, "_BLOCK_ROWS", 4)
-    assert list(sweep._runs(grid, 1)) == [
+    assert pieces(grid, 1) == [
         (0, 4), (4, 8), (8, 10), (10, 14), (14, 18), (18, 20), (20, 24), (24, 28), (28, 30)
     ]
     zeros = grid_table([0.0, -0.0, -0.0], [1.0, 2.0]).data
-    assert list(sweep._runs(zeros, 1)) == [(0, 2), (2, 6)]
-    assert list(sweep._runs(zeros[:0], 1)) == []
+    assert pieces(zeros, 1) == [(0, 2), (2, 6)]
+    assert pieces(zeros[:0], 1) == []
 
 
 def test_grid_needs_a_two_axis_table():
