@@ -20,7 +20,6 @@ from .fisher import (
     qfi_spectral,
 )
 from .linalg import (
-    EigenDecomposition,
     binary_entropy,
     eig_hermitian,
     kron,
@@ -40,7 +39,6 @@ from .steering import (
     CoherenceKind,
     PauliAxis,
     coherence,
-    measurement_operator,
     scn_closed,
     scre_closed,
     scre_published,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AxisSpec",
     "CoherenceKind",
-    "EigenDecomposition",
     "EngineRecord",
     "ENGINES",
     "MEASURES",
@@ -85,7 +82,6 @@ __all__ = [
     "gibbs_spectral",
     "hamiltonian",
     "kron",
-    "measurement_operator",
     "partial_trace_A",
     "qfi_closed",
     "qfi_published",

@@ -35,7 +35,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "IDENTITY_2",
-    "EigenDecomposition",
     "DensityStates",
     "first_cell",
     "kron",

@@ -81,7 +81,6 @@ from .model import ThermalBatch, closed_form
 __all__ = [
     "PauliAxis",
     "CoherenceKind",
-    "measurement_operator",
     "steer",
     "coherence",
     "sqc_direct",

@@ -36,17 +36,20 @@ failing cell.  The first failing block holds the first failing cell, and it
 is halved down to that cell (see ``_evaluate``), which costs about one more
 pass over that block.
 
-The CSV and JSON writers format a grid's outer value once per run of rows
-that share it, and its inner axis once in all; the value columns, and the
-axis columns of any other table, go through one %-template pass per block
-of rows (see ``_rows``).  A run whose inner and value bits repeat an
+The CSV and JSON writers take one of two paths, chosen once per table (see
+``_rows``).  A 2-axis grid whose inner axis has at least ``_RUN_ROWS``
+points goes out a run at a time: its outer value is formatted once per run
+of rows that share it, its inner axis once in all, and each run's values
+in one %-template pass.  A run whose inner and value bits repeat an
 earlier run's takes that run's text: the closed measures keep their bits
 under J -> -J, so a grid symmetric in J formats the values of about half
 its runs (the 161 x 161 grid's CSV with every measure: 61 -> 36 ms).  The
 text of such an earlier run is held only until its last twin takes it, and
 at most 4 * _BLOCK_ROWS rows of it at a time, so the writers hold a few
-blocks of text, never the table's.  Their bytes are those of
-:func:`format_value` applied to each value.
+blocks of text, never the table's.  Any other table, a grid of shorter
+runs included, goes out a block of _BLOCK_ROWS rows at a time, every field
+in one pass.  The bytes are those of :func:`format_value` applied to each
+value.
 
 Every writer, SVG included, goes through ``_write``: an existing output is
 written over in place and cut to length, not truncated when it is opened,
@@ -430,35 +433,37 @@ _FIELD = "%.17g"
 # number's text, no row delimiter and no %-field.
 _OUTER = "\0"
 
-# The fewest value fields of a piece whose text may be reused.  A field takes
-# about 0.5 us to format, and a piece with a twin about 1 us of bookkeeping
-# whether or not its text is reused, so shorter pieces are not worth it: a
-# grid of 2-row runs of one value column is not keyed at all.
-_TWIN_FIELDS = 16
+# The fewest rows of a run for a grid to be written a run at a time, and of a
+# piece whose text may be reused.  A run saves formatting its inner and outer
+# value in each row and costs a fixed amount of slicing: on grids of 2 * 10**5
+# cells with one value column, runs of 3 rows wrote 6-10% faster a block at a
+# time and runs of 4 rows 8-11% faster a run at a time (with five value
+# columns the two paths tied at both lengths).
+_RUN_ROWS = 4
 
 # Odd 64-bit multiplier of the piece keys' hash (2**64 over the golden ratio).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _runs(data: np.ndarray, outer: int) -> np.ndarray:
-    """Edges of the pieces of a table, from 0 to its length: runs of
-    consecutive rows whose first `outer` columns agree bit for bit, each cut
-    into pieces of at most _BLOCK_ROWS rows."""
+def _runs(data: np.ndarray) -> np.ndarray:
+    """Edges of the pieces of a grid's table, from 0 to its length: runs of
+    consecutive rows whose outer values agree bit for bit, each cut into
+    pieces of at most _BLOCK_ROWS rows."""
     if not len(data):
         return np.zeros(1, dtype=np.intp)
-    bits = data[:, :outer].view(np.int64)
-    cuts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    bits = data[:, 0].view(np.int64)
+    cuts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     runs = np.concatenate([[0], cuts, [len(data)]])
     long = np.flatnonzero(np.diff(runs) > _BLOCK_ROWS).tolist()
     cuts = [np.arange(runs[r] + _BLOCK_ROWS, runs[r + 1], _BLOCK_ROWS) for r in long]
     return np.sort(np.concatenate([runs, *cuts])) if cuts else runs
 
 
-def _keys(data: np.ndarray, edges: np.ndarray, outer: int) -> np.ndarray:
-    """A 64-bit key per piece from the bits of its columns from `outer` on:
+def _keys(data: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """A 64-bit key per piece from the bits of its inner and value columns:
     pieces with the same bits have the same key.  Rows are hashed a few
     blocks at a time, and each piece folds its rows' hashes into one sum."""
-    bits = data[:, outer:].view(np.uint64)
+    bits = data[:, 1:].view(np.uint64)
     mult = (2 * np.arange(bits.shape[1], dtype=np.uint64) + 1) * _MIX
     keys = np.empty(len(edges) - 1, np.uint64)
     i = 0
@@ -474,18 +479,17 @@ def _keys(data: np.ndarray, edges: np.ndarray, outer: int) -> np.ndarray:
     return keys
 
 
-def _twins(data: np.ndarray, edges: np.ndarray, outer: int, axes: int):
+def _twins(data: np.ndarray, edges: np.ndarray):
     """For each piece, the index of the last piece before it and of the next
-    after it with the same key, or -1.  Only pieces of at least _TWIN_FIELDS
-    value fields are keyed.  One sort of their keys, each with the piece's
-    index in its low bits, puts every group of equal keys together in index
-    order."""
+    after it with the same key, or -1.  Only pieces of at least _RUN_ROWS
+    rows are keyed.  One sort of their keys, each with the piece's index in
+    its low bits, puts every group of equal keys together in index order."""
     prev = np.full(len(edges) - 1, -1)
     nxt = np.full(len(edges) - 1, -1)
-    big = np.flatnonzero(np.diff(edges) * (data.shape[1] - axes) >= _TWIN_FIELDS)
+    big = np.flatnonzero(np.diff(edges) >= _RUN_ROWS)
     if len(big) > 1:
         low = np.uint64((1 << len(big).bit_length()) - 1)
-        keys = _keys(data, edges, outer)[big]
+        keys = _keys(data, edges)[big]
         order = np.sort(keys & ~low | np.arange(len(big), dtype=np.uint64))
         same = (order[1:] ^ order[:-1]) <= low
         order = big[(order & low).astype(np.intp)]
@@ -500,95 +504,77 @@ def _text(template: str, values: np.ndarray) -> str:
 
 
 def _rows(table: SweepTable, before: str, after: str):
-    """The table's rows as text, each row's fields between before and after.
+    """The table's rows as text, each row's fields between before and after,
+    in parts of at most _BLOCK_ROWS rows.
 
-    A 2-axis grid whose inner axis has more than one point goes out in runs
-    (see :func:`_runs`) that share an outer value.  Each run is written
-    through one row template that holds its inner-axis text: formatted
-    through _FIELD when the run's inner bits differ from the last run's, and
-    reused while they repeat, so a grid formats its inner axis once.  The
-    outer value is formatted once per run, into the _OUTER place of each of
-    its rows.  Any other table (no axis, one axis, a one-point inner axis,
-    more than two axes) writes its axis columns as values, in pieces of at
-    most _BLOCK_ROWS rows.  The value fields go through _FIELD in one pass
-    per block of whole pieces, at most _BLOCK_ROWS rows.
+    A 2-axis grid whose inner axis has at least _RUN_ROWS points goes out a
+    run at a time: pieces of rows that share an outer value (see
+    :func:`_runs`), whole pieces to a part.  A piece is written through a
+    row template that holds its inner-axis text, formatted through _FIELD
+    when its inner bits differ from the last piece's, so a grid formats its
+    inner axis once.  Its values get one _FIELD pass, and its outer value,
+    formatted once, goes into the _OUTER place of each of its rows.  Any
+    other table (no axis, one axis, a shorter inner axis) goes out a block
+    of _BLOCK_ROWS rows at a time, every field in one _FIELD pass.
 
     A piece whose inner and value bits repeat exactly in a later piece is a
     twin: the closed measures keep their bits under J -> -J, so on a grid
-    symmetric in J each run at J > 0 repeats the run at -J.  The first of
-    twins is formatted by a pass of its own and its text held, without its
-    outer value, until its last twin has taken it; each later twin gets that
-    text, and only its outer value is formatted.  Twins are found from one
-    key per piece (:func:`_twins`), and each is checked bit for bit before
-    its text is reused.  At most 4 * _BLOCK_ROWS rows of text are held at a
-    time (the 161^2 grid holds 80 runs of 161 rows at its middle), so
-    memory stays near two blocks of text; a piece past that budget is
-    formatted with its block.
+    symmetric in J each run at J > 0 repeats the run at -J.  The text of the
+    first of twins is held, without its outer value, until its last twin
+    has taken it; each later twin takes that text, and only its outer value
+    is formatted.  Twins are found from one key per piece (:func:`_twins`),
+    and each is checked bit for bit before its text is reused.  At most
+    4 * _BLOCK_ROWS rows of text are held at a time (the 161^2 grid holds 80
+    runs of 161 rows at its middle), so memory stays near two blocks of
+    text; a piece past that budget formats its own values.
     """
     data = np.asarray(table.data, dtype=np.float64)
-    axes = 2 if len(table.axes) == 2 and table.axes[1].count > 1 else 0
-    outer = axes // 2
-    # a grid's value fields are escaped for the pass that writes its inner
-    # axis's text into the template
-    fields = [_OUTER, _FIELD] * outer + ["%" * outer + _FIELD] * (data.shape[1] - axes)
-    row = before + ",".join(fields) + after
-    edges = _runs(data, outer)
-    prev, nxt = _twins(data, edges, outer, axes)
-    linked = (prev >= 0) | (nxt >= 0)
-    budget = 4 * _BLOCK_ROWS
-    held, load = {}, 0
-    seen = template = None
-    block, start, done = [], 0, []
-
-    def flush(stop):
-        # the rows of text already in the block are left out of its pass
-        values = data[start:stop, axes:]
-        if done:
-            keep = np.ones(stop - start, dtype=bool)
-            for a, b in done:
-                keep[a - start : b - start] = False
-            values = values[keep]
-        return _text("".join(block), values)
-
-    for k in range(0, len(edges) - 1, _BLOCK_ROWS):
-        part = edges[k : k + _BLOCK_ROWS + 1].tolist()
-        # as Python ints a block of pieces at a time, so that a table of
-        # short runs makes no list of the table's length
-        idx = np.flatnonzero(linked[k : k + _BLOCK_ROWS]) + k
-        links = dict(zip(idx.tolist(), zip(prev[idx].tolist(), nxt[idx].tolist())))
-        for i, (a, b) in enumerate(zip(part, part[1:]), k):
-            if b - start > _BLOCK_ROWS:
-                yield flush(a)
-                block, start, done = [], a, []
-            inner = data[a:b, outer:axes]
-            key = (b - a, inner.tobytes())
-            if key != seen:
-                seen, template = key, row * (b - a)
-                if outer:
-                    template %= tuple(inner.ravel().tolist())
-            text = (_FIELD * outer) % tuple(data[a, :outer].tolist())
-            if i not in links:
-                block.append(template.replace(_OUTER, text))
-                continue
-            first, later = links[i]
+    if len(table.axes) != 2 or table.axes[1].count < _RUN_ROWS:
+        row = before + ",".join([_FIELD] * data.shape[1]) + after
+        for a in range(0, len(data), _BLOCK_ROWS):
+            values = data[a : a + _BLOCK_ROWS]
+            yield _text(row * len(values), values)
+        return
+    # the value fields are escaped for the pass that writes a piece's inner
+    # axis into its row template
+    row = before + ",".join([_OUTER, _FIELD] + ["%" + _FIELD] * (data.shape[1] - 2)) + after
+    edges = _runs(data)
+    prev, nxt = _twins(data, edges)
+    held, load, seen = {}, 0, None
+    i = 0
+    while i < len(edges) - 1:
+        j = int(np.searchsorted(edges, edges[i] + _BLOCK_ROWS, "right")) - 1
+        # a part's values and ints as Python objects, made a part at a time
+        # so that a grid of short runs makes no list of the table's length
+        cut = edges[i : j + 1].tolist()
+        s = cut[0]
+        values = np.ascontiguousarray(data[s : cut[-1], 2:])
+        inner = data[s : cut[-1], 1].tobytes()
+        outer = data[cut[:-1], 0].tolist()
+        part = []
+        for k, a, b, x, first, later in zip(
+            range(i, j), cut, cut[1:], outer, prev[i:j].tolist(), nxt[i:j].tolist()
+        ):
+            if inner[8 * (a - s) : 8 * (b - s)] != seen:
+                seen = inner[8 * (a - s) : 8 * (b - s)]
+                template = (row * (b - a)) % tuple(data[a:b, 1].tolist())
             piece = held.pop(first, None)
             if piece is not None:
                 piece, ha, hb = piece
                 load -= hb - ha
-                if data[ha:hb, outer:].tobytes() != data[a:b, outer:].tobytes():
+                if data[ha:hb, 1:].tobytes() != data[a:b, 1:].tobytes():
                     piece = None
-            if later >= 0 and load + b - a <= budget:
+            if later >= 0 and load + b - a <= 4 * _BLOCK_ROWS:
                 if piece is None:
-                    piece = _text(template, data[a:b, axes:])
-                held[i] = piece, a, b
+                    piece = _text(template, values[a - s : b - s])
+                held[k] = piece, a, b
                 load += b - a
             if piece is None:
-                block.append(template.replace(_OUTER, text))
+                part.append(_text(template.replace(_OUTER, _FIELD % x), values[a - s : b - s]))
             else:
-                block.append(piece.replace(_OUTER, text))
-                done.append((a, b))
-    if block:
-        yield flush(len(data))
+                part.append(piece.replace(_OUTER, _FIELD % x))
+        yield "".join(part)
+        i = j
 
 
 # open(path, "w")'s flags less O_TRUNC: an existing file is written over in

@@ -1270,7 +1270,8 @@ def grid_table(outer, inner, values=0, seed=0):
         ]
     )
     names = ("J", "Jz") + tuple(f"m{k}" for k in range(values))
-    return SweepTable(names, data, (AxisSpec("J", 0, 1, 1.0), AxisSpec("Jz", 0, 1, 1.0)))
+    axes = AxisSpec("J", 0, len(outer) - 1, 1.0), AxisSpec("Jz", 0, inner.shape[1] - 1, 1.0)
+    return SweepTable(names, data, axes)
 
 
 @pytest.fixture(scope="module")
@@ -1286,12 +1287,13 @@ WRITER_TABLES = {
     "closed_grid_161": lambda request: request.getfixturevalue("closed_grid_161"),
     # the inner axis is longer than a block of 4096 rows, so runs are cut
     "long_inner": lambda _: grid_table([-1.0, 0.5, 2.0], np.arange(4100) * 0.01, 2),
-    # consecutive inner sequences that differ only by the sign of a zero,
-    # which a reused row template would write wrong, as would a run that
-    # took the outer 0.0 and -0.0 for one value
+    # runs of 4 rows, so written a run at a time, whose consecutive inner
+    # sequences differ only by the sign of a zero, which a reused row
+    # template would write wrong, as would a run that took the outer 0.0
+    # and -0.0 for one value
     "signed_zeros": lambda _: grid_table(
         [1.0, 2.0, 3.0, 4.0, 0.0, -0.0, 5.0],
-        [[z, 0.1, 1 / 3] for z in (0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0)],
+        [[z, 0.1, 1 / 3, 0.5] for z in (0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0)],
         3,
     ),
     "no_values": lambda _: grid_table([-2.0, 0.0, 5e-324], [0.25, 0.5, 0.75, 1e300]),
@@ -1310,6 +1312,21 @@ WRITER_TABLES = {
     "past_the_budget": lambda _: mirrored(np.arange(-150, 150) * 0.02, np.arange(120.0), 3),
     # mirrored runs of 4100 rows, cut into pieces by either block size
     "long_twins": lambda _: mirrored([-1.0, 0.5, 1.0], np.arange(4100) * 0.01, 3),
+    # 1400 runs of 3 rows, below _RUN_ROWS, so written a block at a time
+    "three_row_runs": lambda _: grid_table(np.arange(1400) * 0.01 - 7, [-0.0, 0.5, 2.0], 1),
+    # 1100 mirrored runs of exactly _RUN_ROWS rows, so written and keyed a
+    # run at a time
+    "at_the_threshold": lambda _: mirrored(
+        np.arange(-550, 550) * 0.01, np.arange(sweep._RUN_ROWS) * 0.5, 1
+    ),
+    # runs of 2 rows with the 15 value columns of the both engine
+    "two_row_runs_both": lambda _: run_sweep(
+        SweepSpec(
+            axes=(AxisSpec("J", -2, 2, 0.25), AxisSpec("Jz", 0, 1, 1)),
+            fixed={"T": 2.0, "B": 1.0},
+            engine="both",
+        )
+    ),
 }
 
 
@@ -1365,6 +1382,21 @@ def test_a_one_point_last_axis_is_written_a_block_at_a_time(monkeypatch, block_r
     assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
 
 
+@pytest.mark.parametrize("name", ["three_row_runs", "two_row_runs_both"])
+@pytest.mark.parametrize("block_rows", [sweep._BLOCK_ROWS, 7])
+def test_a_grid_of_short_runs_is_written_a_block_at_a_time(monkeypatch, name, block_rows):
+    """A grid whose runs are shorter than _RUN_ROWS rows goes out as a table
+    without axes does: every part but the last is a whole block of rows,
+    wherever its runs end."""
+    table = WRITER_TABLES[name](None)
+    assert table.axes[1].count < sweep._RUN_ROWS
+    monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
+    parts = list(sweep._rows(table, "", "\n"))
+    assert len(parts) == -(-len(table.data) // block_rows)
+    assert [part.count("\n") for part in parts[:-1]] == [block_rows] * (len(parts) - 1)
+    assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
+
+
 def test_a_grid_is_written_in_blocks_of_whole_runs():
     """25 runs of 161 rows fit a block of 4096, so the 161 runs of the 161^2
     grid go out in 7 parts; the first run is not a part of its own."""
@@ -1379,7 +1411,7 @@ def test_a_grid_is_written_in_blocks_of_whole_runs():
 
 def test_a_twin_key_is_checked_bit_for_bit(monkeypatch, tmp_path):
     """Pieces whose keys are forced equal share no text unless their bits do."""
-    monkeypatch.setattr(sweep, "_keys", lambda data, edges, outer: np.zeros(len(edges) - 1, np.uint64))
+    monkeypatch.setattr(sweep, "_keys", lambda data, edges: np.zeros(len(edges) - 1, np.uint64))
     for block_rows in (sweep._BLOCK_ROWS, 7):
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", block_rows)
         for table in (grid_table([1.0, 2.0, 3.0], np.arange(40.0), 3), near_twins()):
@@ -1406,23 +1438,22 @@ def test_a_grid_symmetric_in_j_formats_the_values_of_half_its_runs(
     assert "".join(parts) == reference_csv(table).split("\n", 1)[1]
 
 
-def pieces(data, outer):
+def pieces(data):
     """(start, stop) of each piece that sweep._runs cuts a table into."""
-    edges = sweep._runs(data, outer).tolist()
+    edges = sweep._runs(data).tolist()
     return list(zip(edges, edges[1:]))
 
 
 def test_runs_share_every_axis_but_the_last_and_fit_a_block(monkeypatch):
     grid = grid_table(np.arange(3.0), np.arange(10.0), 1).data
-    assert pieces(grid, 1) == [(0, 10), (10, 20), (20, 30)]
-    assert pieces(grid, 0) == [(0, 30)]
+    assert pieces(grid) == [(0, 10), (10, 20), (20, 30)]
     monkeypatch.setattr(sweep, "_BLOCK_ROWS", 4)
-    assert pieces(grid, 1) == [
+    assert pieces(grid) == [
         (0, 4), (4, 8), (8, 10), (10, 14), (14, 18), (18, 20), (20, 24), (24, 28), (28, 30)
     ]
     zeros = grid_table([0.0, -0.0, -0.0], [1.0, 2.0]).data
-    assert pieces(zeros, 1) == [(0, 2), (2, 6)]
-    assert pieces(zeros[:0], 1) == []
+    assert pieces(zeros) == [(0, 2), (2, 6)]
+    assert pieces(zeros[:0]) == []
 
 
 def test_grid_needs_a_two_axis_table():
